@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     )
 
     try:
-        doc = parse_net_file(args.net, options=options)
+        doc = parse_net_file(args.net)
     except OSError as exc:
         print("overseer: error: cannot read %s: %s" % (args.net, exc),
               file=sys.stderr)
@@ -119,11 +119,12 @@ def main(argv=None) -> int:
         return _exit_code_for(exc)
 
     report = result.report
-    sys.stdout.write(report.render_text())
+    text = report.render_text()
+    sys.stdout.write(text)
 
     if args.report:
         text_path, json_path = _report_paths(args.report)
-        text_path.write_text(report.render_text(), encoding="utf-8")
+        text_path.write_text(text, encoding="utf-8")
         json_path.write_text(report.render_json(), encoding="utf-8")
 
     if args.dot_rg:

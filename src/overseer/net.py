@@ -4,36 +4,24 @@ Markings of a safe net are boolean vectors; they are stored as integer
 bitmasks (place i at bit i).  The same representation doubles as a
 partial marking ("over-state") elsewhere in the toolkit.
 
-Reachability exploration runs on a compiled kernel when the extension
-module built from _fastreach.pyx is importable and the net has at most
-64 places; otherwise a pure-Python twin with identical semantics takes
-over.  Set OVERSEER_PURE_REACH=1 to force the pure path.
+Reachability exploration is a breadth-first search over those integer
+masks; Python ints are unbounded, so nets of any width take the same path.
 """
 
 from __future__ import annotations
 
-import os
+from collections import deque
 
 import numpy as np
 
-from . import _pyreach
 from .errors import NotEnabled, SafenessViolation, StateBudgetExceeded
-
-try:
-    from . import _fastreach
-except ImportError:
-    _fastreach = None
 
 DEFAULT_STATE_BUDGET = 1 << 20
 
 
 def reachability_backend(n_places: int | None = None) -> str:
-    """Name of the kernel build_reachability_graph would use."""
-    if _fastreach is None or os.environ.get("OVERSEER_PURE_REACH") == "1":
-        return "pure"
-    if n_places is not None and n_places > _fastreach.MAX_PLACES:
-        return "pure"
-    return "compiled"
+    """Name of the reachability kernel, as recorded in the report."""
+    return "pure"
 
 
 class Marking:
@@ -263,7 +251,7 @@ class ReachabilityGraph:
     """Explored marking set plus labeled edges.
 
     State 0 is m0; numbering is breadth-first with ties broken by
-    transition index, so it is identical across runs and kernels.
+    transition index, so it is identical across runs.
     """
 
     def __init__(self, net: PetriNet, states, edges):
@@ -294,28 +282,56 @@ class ReachabilityGraph:
         )
 
 
+def _explore(pre_masks, post_masks, m0, budget):
+    """BFS closure from m0, transitions tried in index order, states
+    numbered in discovery order.  Returns (states, src, tr, dst): the
+    marking masks and three parallel edge lists."""
+    n_t = len(pre_masks)
+    # a firing creates a second token iff it produces into a marked place
+    # it does not also consume from
+    gain_masks = [post_masks[t] & ~pre_masks[t] for t in range(n_t)]
+
+    states = [m0]
+    seen = {m0: 0}
+    queue = deque((0,))
+    src, tr, dst = [], [], []
+
+    while queue:
+        sid = queue.popleft()
+        m = states[sid]
+        for t in range(n_t):
+            if pre_masks[t] & ~m:
+                continue
+            if gain_masks[t] & m:
+                raise SafenessViolation(
+                    "firing transition %d at state %d yields two tokens in "
+                    "one place" % (t, sid)
+                )
+            m2 = (m & ~pre_masks[t]) | post_masks[t]
+            nid = seen.get(m2)
+            if nid is None:
+                if len(states) >= budget:
+                    raise StateBudgetExceeded(
+                        "state budget %d exhausted" % budget
+                    )
+                nid = len(states)
+                seen[m2] = nid
+                states.append(m2)
+                queue.append(nid)
+            src.append(sid)
+            tr.append(t)
+            dst.append(nid)
+
+    return states, src, tr, dst
+
+
 def build_reachability_graph(net: PetriNet,
-                             budget: int = DEFAULT_STATE_BUDGET,
-                             backend: str | None = None) -> ReachabilityGraph:
-    """Exhaustive BFS closure of net from m0.
-
-    backend: None picks automatically; "pure" or "compiled" forces a
-    kernel (forcing "compiled" on a >64-place net is an error).
-    """
-    if backend is None:
-        backend = reachability_backend(net.n_places)
-    if backend == "compiled":
-        if _fastreach is None:
-            raise RuntimeError("compiled reachability kernel is not available")
-        impl = _fastreach
-    elif backend == "pure":
-        impl = _pyreach
-    else:
-        raise ValueError("unknown backend %r" % backend)
-
+                             budget: int = DEFAULT_STATE_BUDGET
+                             ) -> ReachabilityGraph:
+    """Exhaustive BFS closure of net from m0."""
     try:
-        masks, src, tr, dst = impl.explore(
-            net.n_places, net.pre_masks, net.post_masks, net.m0.mask, budget
+        masks, src, tr, dst = _explore(
+            net.pre_masks, net.post_masks, net.m0.mask, budget
         )
     except SafenessViolation as exc:
         raise SafenessViolation(

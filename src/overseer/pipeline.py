@@ -10,7 +10,7 @@ map it to an exit code.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cover import (
     CoverTable,
@@ -65,7 +65,6 @@ class PipelineResult:
     controller: Controller
     closed: ClosedLoopReport
     report: SynthesisReport
-    overstates: list[Marking] = field(default_factory=list)
 
 
 class _Stages:
@@ -89,8 +88,7 @@ class _Stages:
 def run_pipeline(doc: NetDocument,
                  options: PipelineOptions | None = None) -> PipelineResult:
     if options is None:
-        options = doc.options if isinstance(doc.options, PipelineOptions) \
-            else PipelineOptions()
+        options = PipelineOptions()
     net = doc.net
     stages = _Stages()
 
@@ -177,7 +175,6 @@ def run_pipeline(doc: NetDocument,
         controller=controller,
         closed=closed,
         report=report,
-        overstates=chosen,
     )
 
 

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 from .errors import PnetSyntaxError, UnknownPlaceName
 from .net import Marking, PetriNet
 from .partition import BadStateSpec
-from .predicate import compile_predicate, parse_predicate, predicate_places
+from .predicate import (
+    CONSTANTS,
+    compile_predicate,
+    parse_predicate,
+    predicate_places,
+)
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
@@ -39,12 +44,10 @@ _KEYWORDS = ("net", "places", "initial", "transition", "forbidden")
 
 @dataclass
 class NetDocument:
-    """A parsed .pnet file: the net, what is forbidden, and run options
-    (filled in by the caller; parsing itself never sets them)."""
+    """A parsed .pnet file: the net and what is forbidden."""
 
     net: PetriNet
     spec: BadStateSpec | None = None
-    options: object = None
 
 
 def _strip_comment(line: str) -> str:
@@ -170,6 +173,11 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
                 if pname in place_index:
                     raise PnetSyntaxError(
                         "duplicate place %r" % pname, source, lineno, col
+                    )
+                if pname in CONSTANTS:
+                    raise PnetSyntaxError(
+                        "place name %r is reserved for the predicate "
+                        "constant" % pname, source, lineno, col,
                     )
                 place_index[pname] = len(places)
                 places.append(pname)
@@ -387,11 +395,9 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
     return NetDocument(net=net, spec=spec)
 
 
-def parse_net_file(path, options=None) -> NetDocument:
+def parse_net_file(path) -> NetDocument:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = parse_net(fh.read(), source=str(path))
-    doc.options = options
-    return doc
+        return parse_net(fh.read(), source=str(path))
 
 
 def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:

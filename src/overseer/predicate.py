@@ -11,6 +11,9 @@ import re
 
 from .errors import PnetSyntaxError, UnknownPlaceName
 
+# names that parse as constants; a place cannot be called either
+CONSTANTS = {"true": True, "false": False}
+
 _TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[&|!()]))")
 
 
@@ -88,10 +91,8 @@ class _Parser:
         if tok is None or tok in "&|!)":
             self.fail("expected a place name")
         self.take()
-        if tok == "true":
-            return ("const", True)
-        if tok == "false":
-            return ("const", False)
+        if tok in CONSTANTS:
+            return ("const", CONSTANTS[tok])
         return ("var", tok)
 
 

@@ -146,6 +146,22 @@ def test_reachability_budget_enforced():
         build_reachability_graph(net, budget=(1 << n) - 1)
 
 
+def test_reachability_wider_than_64_places():
+    # 70 places: masks wider than a machine word explore the same way
+    n = 70
+    places = ["p%d" % i for i in range(n)]
+    pre = [[i] for i in range(n - 1)]
+    post = [[i + 1] for i in range(n - 1)]
+    names = ["t%d" % i for i in range(n - 1)]
+    net = PetriNet(
+        "wide", places, names, [True] * (n - 1), pre, post,
+        Marking.from_support(n, [0]),
+    )
+    rg = build_reachability_graph(net)
+    assert rg.n_states == n
+    assert rg.states[-1].support() == (n - 1,)
+
+
 def test_unsafe_net_detected_during_exploration():
     net = PetriNet(
         "bad", ["A", "B"], ["t1", "t2"], [True, True],

@@ -79,6 +79,15 @@ def test_duplicate_place_declaration():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("name", ["true", "false"])
+def test_predicate_constant_is_not_a_place_name(name):
+    # in an expr the constant would silently shadow such a place
+    with pytest.raises(PnetSyntaxError) as err:
+        parse_net("net n\nplaces A %s\ninitial A\n" % name)
+    assert (err.value.line, err.value.column) == (2, 10)
+    assert "reserved" in str(err.value)
+
+
 def test_duplicate_arc_entry_is_weight_error():
     bad = "net n\nplaces A B\ninitial A\n" \
           "transition t controllable { in A A ; out B }\n"
