@@ -1,0 +1,77 @@
+"""Over-state benchmark: minimal over-states of k copies of two_machines.
+
+The workload is the benchmark family of k disjoint copies of the bundled
+two_machines net (12^k plant states), built by the pipeline benchmark's
+own generator.  Each copy contributes 4 minimal over-states and 2
+constraints, so the run checks 4k and 2k before any timing is reported;
+up to ORACLE_MAX_K copies it also checks the minimal over-states against
+the enumerating reference (every sub-support of every border state,
+pruned and reduced to its antichain), which is exponential in k.  The
+time is the pipeline's own timing of its over-states stage.
+
+    python3 benchmarks/overstate_bench.py [--max-k K] [--repeats N]
+"""
+
+import argparse
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
+                str(ROOT / "benchmarks")]
+
+from overseer import (
+    minimal_elements,
+    over_states,
+    parse_net,
+    prune_authorized,
+    run_pipeline,
+)
+from workloads import machines
+
+# the reference lists 28,646 sub-supports at k=3 and 822,878 at k=4
+ORACLE_MAX_K = 3
+
+
+def reference_minimal(rg, partition):
+    border = rg.markings_of(partition.m_b)
+    authorized = rg.markings_of(partition.m_a)
+    union = {b.mask: b for m in border for b in over_states(m)}
+    return minimal_elements(prune_authorized(union.values(), authorized))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--max-k", type=int, default=4,
+                    help="largest number of copies to time")
+    ap.add_argument("--repeats", type=int, default=3,
+                    help="timing repetitions, best is kept")
+    args = ap.parse_args()
+
+    print("%3s %8s %7s %8s %12s %10s %7s"
+          % ("k", "states", "border", "minimal", "constraints",
+             "over-states", "oracle"))
+    for k in range(2, args.max_k + 1):
+        doc = parse_net(machines(k, random.Random(k)))
+        best = float("inf")
+        for _ in range(args.repeats):
+            result = run_pipeline(doc)
+            best = min(best, dict(result.report.timings)["over-states"])
+        r = result.report
+        assert len(r.minimal) == 4 * k, len(r.minimal)
+        assert len(result.constraints) == 2 * k, len(result.constraints)
+        assert r.closed_loop.isomorphic
+        checked = "-"
+        if k <= ORACLE_MAX_K:
+            ref = reference_minimal(result.rg, result.partition)
+            fmt = doc.net.format_marking
+            assert r.minimal == [fmt(b) for b in ref]
+            checked = "same"
+        print("%3d %8d %7d %8d %12d %9.1fms %7s"
+              % (k, r.reachable_count, r.border_count, len(r.minimal),
+                 len(result.constraints), best * 1e3, checked))
+
+
+if __name__ == "__main__":
+    main()

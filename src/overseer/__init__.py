@@ -28,7 +28,6 @@ from .errors import (
     SafenessViolation,
     StageFailure,
     StateBudgetExceeded,
-    SupportCapExceeded,
     UncontrollableBreach,
     UncoverableState,
     UnknownPlaceName,
@@ -44,7 +43,6 @@ from .net import (
     reachability_backend,
 )
 from .overstates import (
-    DEFAULT_SUPPORT_CAP,
     Constraint,
     constraints_from,
     dominated_by_authorized,
@@ -87,7 +85,6 @@ __all__ = [
     "Controller",
     "CoverTable",
     "DEFAULT_STATE_BUDGET",
-    "DEFAULT_SUPPORT_CAP",
     "EXACT_COVER_LIMIT",
     "EmptyConstraintSet",
     "ForbiddenInitialMarking",
@@ -107,7 +104,6 @@ __all__ = [
     "StageFailure",
     "StateBudgetExceeded",
     "StatePartition",
-    "SupportCapExceeded",
     "SynthesisReport",
     "UncontrollableBreach",
     "UncoverableState",

@@ -2,7 +2,8 @@
 report and optional artifacts.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including a
-non-safe plant and blown state or support budgets), 3 synthesis
+non-safe plant and a blown state budget in reach, over-states or
+verify), 3 synthesis
 impossible for the model, 4 a border state no over-state can express
 (rerun with --fallback for an over-restrictive controller), 5 the
 closed loop failed verification.
@@ -23,12 +24,10 @@ from .errors import (
     SafenessViolation,
     StageFailure,
     StateBudgetExceeded,
-    SupportCapExceeded,
     UncontrollableBreach,
     UncoverableState,
 )
 from .net import DEFAULT_STATE_BUDGET
-from .overstates import DEFAULT_SUPPORT_CAP
 from .pipeline import PipelineOptions, run_pipeline
 from .pnet import parse_net_file, serialize_net
 from .synthesis import assemble_controlled_net
@@ -56,13 +55,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="write the plant reachability graph as DOT")
     p.add_argument("--dot-controlled", metavar="FILE",
                    help="write the closed-loop state graph as DOT")
-    p.add_argument("--max-support", metavar="K", type=int,
-                   default=DEFAULT_SUPPORT_CAP,
-                   help="largest border-state support to expand "
-                        "(default %(default)s)")
     p.add_argument("--state-budget", metavar="N", type=int,
                    default=DEFAULT_STATE_BUDGET,
-                   help="abort exploration beyond N states "
+                   help="abort when the plant or the closed loop has "
+                        "more than N states, or the over-state search "
+                        "holds more than N minimal transversals "
                         "(default %(default)s)")
     p.add_argument("--fallback", action="store_true",
                    help="on uncoverable border states, emit an "
@@ -80,8 +77,7 @@ def _exit_code_for(exc: OverseerError) -> int:
         return EXIT_IMPOSSIBLE
     if isinstance(cause, UncoverableState):
         return EXIT_UNCOVERABLE
-    if isinstance(cause, (PnetError, SafenessViolation, StateBudgetExceeded,
-                          SupportCapExceeded)):
+    if isinstance(cause, (PnetError, SafenessViolation, StateBudgetExceeded)):
         return EXIT_INPUT
     return EXIT_VERIFY
 
@@ -96,7 +92,6 @@ def _report_paths(path_arg: str) -> tuple[Path, Path]:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     options = PipelineOptions(
-        support_cap=args.max_support,
         state_budget=args.state_budget,
         fallback=args.fallback,
         exact_cover=args.exact_cover,

@@ -39,16 +39,8 @@ class SafenessViolation(OverseerError):
 
 
 class StateBudgetExceeded(OverseerError):
-    """Reachability exploration hit the configured state cap."""
-
-
-class SupportCapExceeded(OverseerError):
-    """A border state has more marked places than the over-state cap allows.
-
-    The cap exists because a state with n marked places expands into
-    2^n - 1 over-states; raise it explicitly (--max-support) if the
-    blow-up is acceptable.
-    """
+    """A search hit the configured budget: reachable or closed-loop
+    states, or minimal transversals in flight in the over-state stage."""
 
 
 class EmptyConstraintSet(OverseerError):

@@ -1,11 +1,15 @@
-"""Over-state candidate generation and reduction.
+"""Minimal over-states of the border states, and their constraints.
 
 An over-state is a partial marking b; forbidding b (through the token-sum
-constraint over its support) forbids every marking that covers it.  The
-reduction starts from all sub-supports of the border states, removes
-anything covered by an authorized state, and keeps only the minimal
-elements: the cheapest partial markings that still separate border
-states from authorized ones.
+constraint over its support) forbids every marking that covers it.  An
+over-state b of a border state m is a nonempty sub-support of m that no
+authorized state covers.  For b inside m, "a does not cover b" means that
+b meets m & ~a, so the usable over-states of m are the transversals
+inside m of the hypergraph {m} + {m & ~a : a authorized} (the edge m
+keeps b nonempty), and the cheapest ones are its minimal transversals.
+They are computed directly with Berge's incremental algorithm on int
+masks.  `over_states`, which lists every sub-support, remains as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -13,26 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import SupportCapExceeded
-from .net import Marking, canonical_order
-
-# 2^n over-states per border state; beyond ~20 marked places this is no
-# longer a sensible method
-DEFAULT_SUPPORT_CAP = 20
+from .errors import StateBudgetExceeded
+from .net import DEFAULT_STATE_BUDGET, Marking, canonical_order
 
 # An over-state is just a partial marking.
 OverState = Marking
 
 
-def over_states(m: Marking, cap: int = DEFAULT_SUPPORT_CAP) -> list[Marking]:
-    """All 2^n - 1 nonempty sub-supports of m, smallest first."""
+def over_states(m: Marking) -> list[Marking]:
+    """All 2^n - 1 nonempty sub-supports of m, smallest first.  Exponential
+    in the support; the reference enumeration for tests."""
     support = m.support()
-    if len(support) > cap:
-        raise SupportCapExceeded(
-            "state has %d marked places; the over-state cap is %d "
-            "(raise --max-support if the 2^n blow-up is acceptable)"
-            % (len(support), cap)
-        )
     out = []
     for size in range(1, len(support) + 1):
         for combo in combinations(support, size):
@@ -40,17 +35,71 @@ def over_states(m: Marking, cap: int = DEFAULT_SUPPORT_CAP) -> list[Marking]:
     return out
 
 
-def overstate_union(markings, cap: int = DEFAULT_SUPPORT_CAP) -> list[Marking]:
-    """Deduplicated union of the over-state sets of several markings, in
-    canonical (cardinality, support) order."""
-    seen: set[int] = set()
-    out = []
-    for m in markings:
-        for b in over_states(m, cap):
-            if b.mask not in seen:
-                seen.add(b.mask)
-                out.append(b)
-    return canonical_order(out)
+def minimal_transversals(edges, budget: int = DEFAULT_STATE_BUDGET
+                         ) -> list[int]:
+    """Minimal masks that meet every edge (int masks), by Berge's
+    incremental algorithm.  An empty edge admits no transversal.
+
+    Edges are taken smallest first, and one that contains an edge already
+    taken is skipped: whatever meets the smaller edge meets it too.
+    Raises StateBudgetExceeded when more than `budget` transversals are
+    in flight.
+    """
+    family = [0]
+    taken: list[int] = []
+    for e in sorted(set(edges), key=int.bit_count):
+        if not e:
+            return []
+        for f in taken:
+            if not f & ~e:
+                break
+        else:
+            taken.append(e)
+            family = _add_edge(family, e, budget)
+    return family
+
+
+def _add_edge(family: list[int], e: int, budget: int) -> list[int]:
+    """Berge's step: the minimal transversals of the edges so far plus e,
+    from those of the edges so far (an antichain)."""
+    hit = [t for t in family if t & e]
+    grown = list(hit)
+    for t in family:
+        if t & e:
+            continue
+        rest = e
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            c = t | v
+            # the new family stays an antichain: c is minimal unless a
+            # transversal that already meets e, through v, is inside it
+            if not any(h & v and not h & ~c for h in hit):
+                grown.append(c)
+        if len(grown) > budget:
+            raise StateBudgetExceeded(
+                "over-state search: more than %d minimal transversals "
+                "in flight (raise --state-budget to search further)" % budget
+            )
+    return grown
+
+
+def overstate_union(border, authorized,
+                    budget: int = DEFAULT_STATE_BUDGET) -> list[Marking]:
+    """Deduplicated union of the border states' minimal over-states, in
+    canonical (cardinality, support) order.  A border state that some
+    authorized state covers contributes none."""
+    border = list(border)
+    if not border:
+        return []
+    width = border[0].width
+    auth = [a.mask for a in authorized]
+    found: set[int] = set()
+    for m in border:
+        mask = m.mask
+        found.update(minimal_transversals(
+            [mask] + [mask & ~a for a in auth], budget))
+    return canonical_order(Marking(width, b) for b in found)
 
 
 def dominated_by_authorized(b: Marking, authorized) -> bool:

@@ -1,6 +1,6 @@
 """End-to-end synthesis pipeline.
 
-Stages: reachability graph, state partition, over-state candidates,
+Stages: reachability graph, state partition, minimal over-states,
 cover selection, controller synthesis, closed-loop verification, report
 assembly.  Any stage error is re-raised as a StageFailure naming the
 stage; the original exception rides along as the cause so callers can
@@ -27,7 +27,6 @@ from .net import (
     reachability_backend,
 )
 from .overstates import (
-    DEFAULT_SUPPORT_CAP,
     Constraint,
     minimal_elements,
     overstate_union,
@@ -48,7 +47,6 @@ from .synthesis import (
 
 @dataclass
 class PipelineOptions:
-    support_cap: int = DEFAULT_SUPPORT_CAP
     state_budget: int = DEFAULT_STATE_BUDGET
     fallback: bool = False
     exact_cover: bool = False
@@ -104,8 +102,6 @@ def run_pipeline(doc: NetDocument,
     authorized_markings = rg.markings_of(sorted(partition.m_a))
 
     table: CoverTable | None = None
-    candidates: list[Marking] = []
-    pruned: list[Marking] = []
     minimal: list[Marking] = []
     chosen: list[Marking] = []
     final_counts: list[int] = []
@@ -115,13 +111,18 @@ def run_pipeline(doc: NetDocument,
     if partition.m_f:
 
         def _overstate_stage():
-            cand = overstate_union(border_markings, cap=options.support_cap)
+            cand = overstate_union(border_markings, authorized_markings,
+                                   budget=options.state_budget)
+            # no authorized state covers a minimal transversal, so the
+            # pruning must keep every candidate
             kept = prune_authorized(cand, authorized_markings)
-            return cand, kept, minimal_elements(kept)
+            if len(kept) != len(cand):
+                raise VerificationFailure(
+                    "an over-state lies inside an authorized state"
+                )
+            return minimal_elements(kept)
 
-        candidates, pruned, minimal = stages.run(
-            "over-states", _overstate_stage
-        )
+        minimal = stages.run("over-states", _overstate_stage)
 
         def _cover_stage():
             tbl = build_cover_table(minimal, border_markings)
@@ -161,9 +162,9 @@ def run_pipeline(doc: NetDocument,
     )
 
     report = _assemble_report(
-        doc, options, rg, partition, candidates, pruned, minimal,
-        border_markings, table, chosen, final_counts, uncovered,
-        fallback_used, constraints, controller, closed, stages.timings,
+        doc, options, rg, partition, minimal, border_markings, table,
+        chosen, final_counts, uncovered, fallback_used, constraints,
+        controller, closed, stages.timings,
     )
     return PipelineResult(
         doc=doc,
@@ -211,10 +212,10 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
     return tbl, chosen, final_counts, uncovered, True
 
 
-def _assemble_report(doc, options, rg, partition, candidates, pruned,
-                     minimal, border_markings, table, chosen, final_counts,
-                     uncovered, fallback_used, constraints, controller,
-                     closed, timings) -> SynthesisReport:
+def _assemble_report(doc, options, rg, partition, minimal, border_markings,
+                     table, chosen, final_counts, uncovered, fallback_used,
+                     constraints, controller, closed,
+                     timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_marking
     uncovered_masks = {m.mask for m in uncovered}
@@ -236,8 +237,6 @@ def _assemble_report(doc, options, rg, partition, candidates, pruned,
         authorized=[fmt(m) for m in rg.markings_of(sorted(partition.m_a))],
         forbidden=[fmt(m) for m in rg.markings_of(sorted(partition.m_f))],
         border=[fmt(m) for m in border_markings],
-        candidate_count=len(candidates),
-        pruned=[fmt(m) for m in pruned],
         minimal=[fmt(m) for m in minimal],
         cover_columns=[fmt(m) for m in border_markings],
         cover_counts=table.cover_counts() if table is not None else [],

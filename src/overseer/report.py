@@ -67,8 +67,6 @@ class SynthesisReport:
     forbidden: list[str] = field(default_factory=list)
     border: list[str] = field(default_factory=list)
 
-    candidate_count: int = 0
-    pruned: list[str] = field(default_factory=list)
     minimal: list[str] = field(default_factory=list)
 
     cover_columns: list[str] = field(default_factory=list)
@@ -113,8 +111,6 @@ class SynthesisReport:
                 "border": list(self.border),
             },
             "over_states": {
-                "candidate_count": self.candidate_count,
-                "pruned": list(self.pruned),
                 "minimal": list(self.minimal),
             },
             "cover": {
@@ -185,9 +181,6 @@ class SynthesisReport:
           % (self.border_count, " ".join(self.border) if self.border else "-"))
         w("")
         w("over-states")
-        w("  candidates: %d" % self.candidate_count)
-        w("  surviving authorized-domination pruning (%d): %s"
-          % (len(self.pruned), " ".join(self.pruned) if self.pruned else "-"))
         w("  minimal elements (%d): %s"
           % (len(self.minimal),
              " ".join(self.minimal) if self.minimal else "-"))

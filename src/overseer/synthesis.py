@@ -217,11 +217,26 @@ class ClosedLoopReport:
     notes: list[str] = field(default_factory=list)
 
 
+def _control_columns(controller: Controller) -> list[tuple[int, ...]]:
+    """Per plant transition, its effect on each control place, as Python
+    ints."""
+    return [tuple(col) for col in controller.incidence.T.tolist()]
+
+
+def _bit_rows(masks, width: int) -> np.ndarray:
+    """One 0/1 row of `width` columns per int mask (bit i = column i)."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")
+    return bits.reshape(len(masks), nbytes * 8)[:, :width]
+
+
 def _explore_closed_loop(net: PetriNet, controller: Controller, budget: int):
     """BFS over composite states (plant mask, control marking tuple).
     Same numbering discipline as the plant exploration."""
-    inc = controller.incidence
-    k = controller.k
+    cols = _control_columns(controller)
+    pre_masks, post_masks = net.pre_masks, net.post_masks
     start = (net.m0.mask, tuple(int(v) for v in controller.initial))
     states = [start]
     seen = {start: 0}
@@ -230,18 +245,13 @@ def _explore_closed_loop(net: PetriNet, controller: Controller, budget: int):
     while queue:
         sid = queue.popleft()
         mask, ctrl = states[sid]
-        for t in range(net.n_transitions):
-            if net.pre_masks[t] & ~mask:
+        for t, col in enumerate(cols):
+            if pre_masks[t] & ~mask:
                 continue
-            blocked = False
-            for i in range(k):
-                if ctrl[i] + inc[i, t] < 0:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            mask2 = (mask & ~net.pre_masks[t]) | net.post_masks[t]
-            ctrl2 = tuple(ctrl[i] + int(inc[i, t]) for i in range(k))
+            ctrl2 = tuple([c + d for c, d in zip(ctrl, col)])
+            if ctrl2 and min(ctrl2) < 0:
+                continue  # a control place blocks t
+            mask2 = (mask & ~pre_masks[t]) | post_masks[t]
             nxt = (mask2, ctrl2)
             nid = seen.get(nxt)
             if nid is None:
@@ -281,13 +291,12 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
             "constraint invariant does not determine the control marking"
         )
 
+    # constraint sum plus control marking equals the bound, on every state
     invariant_ok = True
-    for (mask, ctrl) in states:
-        bits = [(mask >> p) & 1 for p in range(n_plant)]
-        for i in range(k):
-            total = sum(int(weights[i, p]) * bits[p] for p in range(n_plant))
-            if total + ctrl[i] != int(bounds[i]):
-                invariant_ok = False
+    if k:
+        bits = _bit_rows(proj_masks, n_plant)
+        control = np.array(control_markings, dtype=np.int64)
+        invariant_ok = bool((bits @ weights.T + control == bounds).all())
 
     authorized = {rg.states[s].mask for s in partition.m_a}
     reached = set(proj_masks)
@@ -325,15 +334,15 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
             )
 
     violations = []
-    inc = controller.incidence
+    cols = _control_columns(controller)
+    uncontrollable = [t for t in range(net.n_transitions)
+                      if not net.controllable[t]]
     for sid, (mask, ctrl) in enumerate(states):
-        for t in range(net.n_transitions):
-            if net.controllable[t]:
-                continue
+        for t in uncontrollable:
             if net.pre_masks[t] & ~mask:
                 continue  # a plant place disables it too
-            for i in range(k):
-                if ctrl[i] + int(inc[i, t]) < 0:
+            for i, (c, d) in enumerate(zip(ctrl, cols[t])):
+                if c + d < 0:
                     violations.append(
                         AdmissibilityViolation(
                             control_place=i,
@@ -350,14 +359,11 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         and invariant_ok
     )
 
-    gated = sorted(
-        t for t in range(net.n_transitions)
-        if any(int(inc[i, t]) < 0 for i in range(k))
-    )
+    gated = [t for t, col in enumerate(cols) if min(col, default=0) < 0]
     notes = []
     for t in gated:
-        feeders = [controller.place_names[i] for i in range(k)
-                   if int(inc[i, t]) < 0]
+        feeders = [controller.place_names[i] for i, d in enumerate(cols[t])
+                   if d < 0]
         kind = "controllable" if net.controllable[t] else "uncontrollable"
         notes.append(
             "%s transition %s is now gated by %s"

@@ -24,6 +24,7 @@ from overseer import (
     check_final_coverage,
     minimal_elements,
     minimum_cover_size,
+    over_states,
     overstate_union,
     parse_net_file,
     partition_states,
@@ -88,6 +89,15 @@ def _names(net, rg, ids):
     return {net.format_marking(rg.states[s]) for s in ids}
 
 
+def _reference_overstates(border, authorized):
+    """The enumerating reference: every nonempty sub-support of every
+    border state, deduplicated; those no authorized state covers; and
+    their minimal elements."""
+    candidates = {b.mask: b for m in border for b in over_states(m)}
+    pruned = prune_authorized(candidates.values(), authorized)
+    return list(candidates.values()), pruned, minimal_elements(pruned)
+
+
 def test_criterion_1_partition(two_machines_path):
     with _criterion("criterion 1 (reachability and partition)"):
         doc, rg, partition = _example(two_machines_path)
@@ -105,7 +115,8 @@ def test_criterion_2_over_states(two_machines_path):
         net = doc.net
         border = rg.markings_of(sorted(partition.m_b))
         authorized = rg.markings_of(sorted(partition.m_a))
-        candidates = overstate_union(border)
+        candidates, pruned, minimal = _reference_overstates(border,
+                                                            authorized)
         # independent recount: all nonempty sub-supports of the border
         expected = set()
         for m in border:
@@ -114,11 +125,12 @@ def test_criterion_2_over_states(two_machines_path):
                 expected.update(combinations(s, k))
         assert len(expected) == 23
         assert {b.support() for b in candidates} == expected
-        pruned = prune_authorized(candidates, authorized)
+        assert len(candidates) == 23
         assert {net.format_marking(b) for b in pruned} == EXPECTED_PRUNED
         assert len(pruned) == 9
-        minimal = minimal_elements(pruned)
         assert {net.format_marking(b) for b in minimal} == EXPECTED_MINIMAL
+        # the transversal engine finds the minimal ones directly
+        assert overstate_union(border, authorized) == minimal
 
 
 def test_criterion_3_cover_table(two_machines_path):
@@ -126,10 +138,9 @@ def test_criterion_3_cover_table(two_machines_path):
         doc, rg, partition = _example(two_machines_path)
         net = doc.net
         border = rg.markings_of(sorted(partition.m_b))
-        minimal = minimal_elements(
-            prune_authorized(overstate_union(border),
-                             rg.markings_of(sorted(partition.m_a)))
-        )
+        authorized = rg.markings_of(sorted(partition.m_a))
+        _, _, minimal = _reference_overstates(border, authorized)
+        assert overstate_union(border, authorized) == minimal
         table = build_cover_table(minimal, border)
         assert len(table.rows) == 4
         assert table.cover_counts() == EXPECTED_COVER_COUNTS
@@ -204,9 +215,9 @@ def _check_generated_net(net, rg, spec, stats):
         assert closed.invariant_ok
         return
 
-    candidates = overstate_union(border)
-    pruned = prune_authorized(candidates, authorized)
-    minimal = minimal_elements(pruned)
+    _, _, minimal = _reference_overstates(border, authorized)
+    assert overstate_union(border, authorized) == minimal, \
+        "transversal engine and enumerating reference disagree"
 
     # (a) constraint semantics == covering semantics, exhaustively
     for b in minimal:

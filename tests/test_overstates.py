@@ -1,4 +1,5 @@
-"""Over-state expansion, pruning, minimal elements, constraints."""
+"""Minimal over-states (the transversal engine against the enumerating
+reference), pruning, minimal elements, constraints."""
 
 import random
 from itertools import combinations
@@ -15,11 +16,19 @@ from overseer import (
     overstate_union,
     prune_authorized,
 )
-from overseer.errors import SupportCapExceeded
+from overseer.errors import StateBudgetExceeded
+from overseer.overstates import minimal_transversals
 
 
 def _m(support, width=6):
     return Marking.from_support(width, support)
+
+
+def _reference(border, authorized):
+    """Enumerate every sub-support of every border state, prune the ones
+    an authorized state covers, keep the antichain."""
+    union = [b for m in border for b in over_states(m)]
+    return minimal_elements(prune_authorized(union, authorized))
 
 
 def test_expansion_counts_all_nonempty_subsupports():
@@ -42,17 +51,62 @@ def test_empty_marking_has_no_over_states():
     assert over_states(_m([])) == []
 
 
-def test_support_cap():
-    m = _m(list(range(6)))
-    with pytest.raises(SupportCapExceeded):
-        over_states(m, cap=5)
-    assert len(over_states(m, cap=6)) == 63
+def test_transversal_budget():
+    # three disjoint pairs have 2^3 minimal transversals; after the
+    # second pair 4 are in flight
+    edges = [0b11, 0b1100, 0b110000]
+    assert len(minimal_transversals(edges, budget=8)) == 8
+    with pytest.raises(StateBudgetExceeded):
+        minimal_transversals(edges, budget=7)
+    with pytest.raises(StateBudgetExceeded):
+        minimal_transversals(edges, budget=3)
+    border = [_m(range(6))]
+    authorized = [_m([2, 3, 4, 5]), _m([0, 1, 4, 5]), _m([0, 1, 2, 3])]
+    assert len(overstate_union(border, authorized, budget=8)) == 8
+    with pytest.raises(StateBudgetExceeded):
+        overstate_union(border, authorized, budget=7)
 
 
 def test_union_deduplicates():
-    u = overstate_union([_m([0, 1]), _m([1, 2])])
-    assert {b.support() for b in u} == {(0,), (1,), (2,), (0, 1), (1, 2)}
-    assert len(u) == len(set(u))
+    # nothing authorized: each border state's minimal over-states are
+    # its single places, and the shared place 1 is listed once
+    u = overstate_union([_m([0, 1]), _m([1, 2])], [])
+    assert [b.support() for b in u] == [(0,), (1,), (2,)]
+    u = overstate_union([_m([0, 1]), _m([1, 2])], [_m([1, 3])])
+    assert [b.support() for b in u] == [(0,), (2,)]
+
+
+def test_engine_without_over_states():
+    # the empty marking has no nonempty sub-support, and a border state
+    # inside an authorized one has no sub-support that escapes it
+    for border, authorized, expected in (
+        ([_m([])], [_m([0, 1])], []),
+        ([_m([])], [], []),
+        ([_m([1, 2])], [_m([0, 1, 2])], []),
+        ([_m([1, 2]), _m([3, 4])], [_m([0, 1, 2])], [(3,), (4,)]),
+    ):
+        got = overstate_union(border, authorized)
+        assert [b.support() for b in got] == expected
+        assert got == _reference(border, authorized)
+    assert minimal_transversals([0b101, 0]) == []
+    assert minimal_transversals([]) == [0]
+
+
+def test_engine_matches_reference_on_random_masks():
+    rng = random.Random(8)
+    for _ in range(400):
+        width = rng.randint(1, 10)
+        density = rng.random()
+
+        def draw():
+            return Marking(width, sum(
+                1 << p for p in range(width) if rng.random() < density))
+
+        border = [draw() for _ in range(rng.randint(1, 5))]
+        authorized = [draw() for _ in range(rng.randint(0, 8))]
+        got = overstate_union(border, authorized)
+        assert got == _reference(border, authorized)
+        assert minimal_elements(prune_authorized(got, authorized)) == got
 
 
 def test_domination_by_authorized():

@@ -1,17 +1,22 @@
 """Pipeline orchestration and command-line behavior."""
 
 import json
+import re
 
 import pytest
 
 from overseer import (
+    BadStateSpec,
+    Marking,
+    NetDocument,
+    PetriNet,
     PipelineOptions,
     parse_net,
     parse_net_file,
     run_pipeline,
 )
 from overseer.cli import main
-from overseer.errors import StageFailure, SupportCapExceeded, UncoverableState
+from overseer.errors import StageFailure, StateBudgetExceeded, UncoverableState
 
 THREE_STEP = """\
 # B is only reachable through the forbidden A
@@ -25,6 +30,50 @@ forbidden {
 }
 """
 
+# G starts either the forbidden H with all five pairs Ai Bi intact, or H
+# with one pair traded for Di.  7 states, but the border state has
+# 2^5 minimal over-states: H plus one place of each pair.
+PAIRS = """\
+net pairs
+places G H D1 D2 D3 D4 D5 A1 B1 A2 B2 A3 B3 A4 B4 A5 B5
+initial G A1 B1 A2 B2 A3 B3 A4 B4 A5 B5
+transition z controllable { in G ; out H }
+%s
+forbidden {
+  expr "H & !D1 & !D2 & !D3 & !D4 & !D5"
+}
+""" % "\n".join(
+    "transition u%d controllable { in G A%d B%d ; out H D%d }" % (i, i, i, i)
+    for i in range(1, 6)
+)
+
+
+def _copies(doc, k):
+    """k disjoint copies of a net; a state is forbidden when the state
+    of any copy is."""
+    one = doc.net
+    n = one.n_places
+
+    def shifted(mask, c):
+        return [c * n + p for p in Marking(n, mask).support()]
+
+    net = PetriNet(
+        "%s_x%d" % (one.name, k),
+        ["%s_%d" % (p, c) for c in range(k) for p in one.places],
+        ["%s_%d" % (t, c) for c in range(k) for t in one.transitions],
+        one.controllable * k,
+        [shifted(m, c) for c in range(k) for m in one.pre_masks],
+        [shifted(m, c) for c in range(k) for m in one.post_masks],
+        Marking.from_support(
+            k * n, [p for c in range(k) for p in shifted(one.m0.mask, c)]),
+    )
+    expr = " | ".join(
+        "(%s)" % re.sub(r"\w+", lambda w: "%s_%d" % (w.group(0), c),
+                        doc.spec.expr)
+        for c in range(k)
+    )
+    return NetDocument(net, BadStateSpec(expr=expr))
+
 
 def test_pipeline_two_machines(two_machines):
     result = run_pipeline(two_machines)
@@ -34,6 +83,16 @@ def test_pipeline_two_machines(two_machines):
     assert r.selected == ["P4P6", "P2P7"]
     assert r.closed_loop.isomorphic
     assert result.closed.state_count == 5
+
+
+def test_pipeline_three_copies_of_two_machines(two_machines):
+    result = run_pipeline(_copies(two_machines, 3))
+    r = result.report
+    assert r.reachable_count == 12 ** 3
+    assert len(r.minimal) == 12
+    assert len(r.constraints) == 6
+    assert result.closed.state_count == 5 ** 3
+    assert r.closed_loop.isomorphic
 
 
 def test_pipeline_no_forbidden_states():
@@ -72,11 +131,17 @@ def test_pipeline_exact_cover_matches_greedy_here(two_machines):
     assert result.report.selection_mode == "exact"
 
 
-def test_pipeline_support_cap_surfaces_with_stage(two_machines):
+def test_pipeline_state_budget_bounds_over_states():
+    doc = parse_net(PAIRS)
+    result = run_pipeline(doc)
+    assert result.rg.n_states == 7
+    assert len(result.report.minimal) == 32
+    assert result.report.closed_loop.isomorphic
+    # 7 states fit a budget of 16, 32 transversals do not
     with pytest.raises(StageFailure) as err:
-        run_pipeline(two_machines, PipelineOptions(support_cap=2))
+        run_pipeline(doc, PipelineOptions(state_budget=16))
     assert err.value.stage == "over-states"
-    assert isinstance(err.value.cause, SupportCapExceeded)
+    assert isinstance(err.value.cause, StateBudgetExceeded)
 
 
 def test_pipeline_uncoverable_without_fallback(drop_job):
@@ -155,8 +220,10 @@ def test_cli_state_budget_exhausted(two_machines_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
-def test_cli_support_cap(two_machines_path, capsys):
-    rc = main([str(two_machines_path), "--max-support", "2"])
+def test_cli_over_state_budget(tmp_path, capsys):
+    net = tmp_path / "pairs.pnet"
+    net.write_text(PAIRS)
+    rc = main([str(net), "--state-budget", "16"])
     assert rc == 2
     assert "over-states" in capsys.readouterr().err
 
