@@ -2,11 +2,10 @@
 report and optional artifacts.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including a
-non-safe plant and a blown state budget in reach, over-states or
-verify), 3 synthesis
-impossible for the model, 4 a border state no over-state can express
-(rerun with --fallback for an over-restrictive controller), 5 the
-closed loop failed verification.
+non-safe plant and a blown state budget in reach or over-states), 3
+synthesis impossible for the model, 4 a border state no over-state can
+express (rerun with --fallback for an over-restrictive controller), 5
+the closed loop failed verification.
 """
 
 from __future__ import annotations
@@ -57,10 +56,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="write the closed-loop state graph as DOT")
     p.add_argument("--state-budget", metavar="N", type=int,
                    default=DEFAULT_STATE_BUDGET,
-                   help="abort when the plant or the closed loop has "
-                        "more than N states, or the over-state search "
-                        "holds more than N minimal transversals "
-                        "(default %(default)s)")
+                   help="abort when the plant has more than N states, "
+                        "or the over-state search holds more than N "
+                        "minimal transversals (default %(default)s)")
     p.add_argument("--fallback", action="store_true",
                    help="on uncoverable border states, emit an "
                         "over-restrictive controller instead of failing")

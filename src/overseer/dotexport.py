@@ -26,8 +26,8 @@ def rg_to_dot(rg: ReachabilityGraph,
     out.append('  node [shape=ellipse, style=filled, fontname="Helvetica"];')
     out.append('  edge [fontname="Helvetica"];')
     out.append('  __init [shape=point, width=0.12, label=""];')
-    for sid, m in enumerate(rg.states):
-        label = net.format_marking(m)
+    for sid, mask in enumerate(rg.masks):
+        label = net.format_mask(mask)
         attrs = ['label=%s' % _quote(label)]
         if partition is not None and sid in partition.m_f:
             attrs.append('fillcolor="gray25"')
@@ -38,7 +38,7 @@ def rg_to_dot(rg: ReachabilityGraph,
             attrs.append('fillcolor="white"')
         out.append("  s%d [%s];" % (sid, ", ".join(attrs)))
     out.append("  __init -> s0;")
-    for s, t, d in rg.edges:
+    for s, t, d in rg.edges.tolist():
         attrs = ["label=%s" % _quote(net.transitions[t])]
         if not net.controllable[t]:
             attrs.append("style=dashed")
@@ -57,17 +57,17 @@ def closed_loop_to_dot(net: PetriNet, controller: Controller,
                'fontname="Helvetica"];')
     out.append('  edge [fontname="Helvetica"];')
     out.append('  __init [shape=point, width=0.12, label=""];')
-    for sid in range(report.state_count):
-        label = net.format_marking(report.projections[sid])
-        ctrl = report.control_markings[sid]
+    for sid, (mask, ctrl) in enumerate(
+            zip(report.projections, report.control_markings.tolist())):
+        label = net.format_mask(mask)
         if ctrl:
             label += "\\n%s" % " ".join(
-                "%s=%d" % (controller.place_names[i], ctrl[i])
-                for i in range(len(ctrl))
+                "%s=%d" % (name, c)
+                for name, c in zip(controller.place_names, ctrl)
             )
         out.append('  s%d [label="%s"];' % (sid, label))
     out.append("  __init -> s0;")
-    for s, t, d in report.edges:
+    for s, t, d in report.edges.tolist():
         attrs = ["label=%s" % _quote(net.transitions[t])]
         if not net.controllable[t]:
             attrs.append("style=dashed")

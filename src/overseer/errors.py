@@ -39,8 +39,8 @@ class SafenessViolation(OverseerError):
 
 
 class StateBudgetExceeded(OverseerError):
-    """A search hit the configured budget: reachable or closed-loop
-    states, or minimal transversals in flight in the over-state stage."""
+    """A search hit the configured budget: reachable states, or minimal
+    transversals in flight in the over-state stage."""
 
 
 class EmptyConstraintSet(OverseerError):
@@ -72,12 +72,12 @@ class UncoverableState(OverseerError):
 
 class NonBinaryController(OverseerError):
     """The controller needs arc weights or markings beyond 0/1 and cannot
-    be materialized as a safe net (verification still runs on the
-    composite representation)."""
+    be materialized as a safe net (verification still runs, on the
+    plant's state graph)."""
 
 
 class VerificationFailure(OverseerError):
-    """The rebuilt closed loop contradicts what synthesis promised."""
+    """A pipeline stage's own consistency check failed."""
 
 
 class StageFailure(OverseerError):

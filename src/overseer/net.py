@@ -6,17 +6,31 @@ partial marking ("over-state") elsewhere in the toolkit.
 
 Reachability exploration is a breadth-first search over those integer
 masks; Python ints are unbounded, so nets of any width take the same path.
+The reachability graph keeps what the search produces as flat data: one
+int mask per state and the edges as (source, transition, target) arrays
+grouped by source (CSR offsets).  `Marking` objects are made only when a
+caller asks for a state by id.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import NotEnabled, SafenessViolation, StateBudgetExceeded
 
 DEFAULT_STATE_BUDGET = 1 << 20
+
+
+def bit_rows(masks, width: int) -> np.ndarray:
+    """One 0/1 row of `width` columns per int mask (bit i = column i)."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")
+    return bits.reshape(len(masks), nbytes * 8)[:, :width]
 
 
 def reachability_backend(n_places: int | None = None) -> str:
@@ -161,20 +175,10 @@ class PetriNet:
         return len(self.transitions)
 
     def pre_matrix(self) -> np.ndarray:
-        out = np.zeros((self.n_places, self.n_transitions), dtype=int)
-        for t, mask in enumerate(self.pre_masks):
-            for p in range(self.n_places):
-                if (mask >> p) & 1:
-                    out[p, t] = 1
-        return out
+        return bit_rows(self.pre_masks, self.n_places).T.astype(int, order="C")
 
     def post_matrix(self) -> np.ndarray:
-        out = np.zeros((self.n_places, self.n_transitions), dtype=int)
-        for t, mask in enumerate(self.post_masks):
-            for p in range(self.n_places):
-                if (mask >> p) & 1:
-                    out[p, t] = 1
-        return out
+        return bit_rows(self.post_masks, self.n_places).T.astype(int, order="C")
 
     def incidence(self) -> np.ndarray:
         return self.post_matrix() - self.pre_matrix()
@@ -218,13 +222,21 @@ class PetriNet:
             )
         return Marking(m.width, (m.mask & ~self.pre_masks[t]) | self.post_masks[t])
 
-    def format_marking(self, m: Marking) -> str:
-        """Compact support form, e.g. P1P3P6; '-' for the empty marking."""
-        names = [self.places[i] for i in m.support()]
+    def format_mask(self, mask: int) -> str:
+        """Compact support form of a marking mask, e.g. P1P3P6; '-' for
+        the empty marking."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self.places[low.bit_length() - 1])
+            mask ^= low
         return "".join(names) if names else "-"
 
+    def format_marking(self, m: Marking) -> str:
+        return self.format_mask(m.mask)
+
     def format_markings(self, markings) -> list[str]:
-        return [self.format_marking(m) for m in markings]
+        return [self.format_mask(m.mask) for m in markings]
 
     def __eq__(self, other):
         return (
@@ -248,81 +260,111 @@ class PetriNet:
 
 
 class ReachabilityGraph:
-    """Explored marking set plus labeled edges.
+    """Explored marking set plus labeled edges, as flat data.
 
     State 0 is m0; numbering is breadth-first with ties broken by
-    transition index, so it is identical across runs.
+    transition index, so it is identical across runs.  `masks[s]` is the
+    marking of state s.  `edges` is an (E, 3) array of rows (source,
+    transition, target), sorted by source and then transition; `src`,
+    `tr` and `dst` are its columns, and the edges leaving state s are
+    rows `offsets[s]` to `offsets[s + 1]`.  `uncontrollable` flags the
+    edges whose transition is uncontrollable (1, else 0).
     """
 
-    def __init__(self, net: PetriNet, states, edges):
+    def __init__(self, net: PetriNet, masks, src, tr, dst, offsets,
+                 index=None):
         self.net = net
-        self.states = list(states)
-        self.edges = list(edges)
-        self._index = {m.mask: i for i, m in enumerate(self.states)}
-        self.succ = [[] for _ in self.states]
-        self.pred = [[] for _ in self.states]
-        for s, t, d in self.edges:
-            self.succ[s].append((t, d))
-            self.pred[d].append((t, s))
+        self.masks = list(masks)
+        # one numpy buffer per graph, because on small graphs each numpy
+        # call, not the data, is the cost: the three edge columns, the
+        # offsets, then one 0/1 flag per transition, 1 when uncontrollable
+        e, n = len(dst), len(offsets)
+        self._flat = np.fromiter(
+            chain(src, tr, dst, offsets,
+                  (not c for c in net.controllable)),
+            dtype=np.intp, count=3 * e + n + net.n_transitions,
+        )
+        self.src = self._flat[:e]
+        self.tr = self._flat[e:2 * e]
+        self.dst = self._flat[2 * e:3 * e]
+        self.offsets = self._flat[3 * e:3 * e + n]
+        self._uncontrollable = self._flat[3 * e + n:]
+        if index is None:
+            index = {m: i for i, m in enumerate(self.masks)}
+        self._index = index
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
+        return len(self.masks)
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        e = len(self.dst)
+        return self._flat[:3 * e].reshape(3, e).T
+
+    @cached_property
+    def uncontrollable(self) -> np.ndarray:
+        return self._uncontrollable[self.tr]
 
     def state_id(self, m: Marking) -> int | None:
         return self._index.get(m.mask)
 
+    def marking(self, sid: int) -> Marking:
+        return Marking(self.net.n_places, self.masks[sid])
+
     def markings_of(self, ids) -> list[Marking]:
         """Markings for a set of state ids, in state-id order."""
-        return [self.states[i] for i in sorted(ids)]
+        return [self.marking(i) for i in sorted(ids)]
 
     def __repr__(self):
         return "ReachabilityGraph(%d states, %d edges)" % (
-            len(self.states), len(self.edges),
+            self.n_states, len(self.edges),
         )
 
 
 def _explore(pre_masks, post_masks, m0, budget):
     """BFS closure from m0, transitions tried in index order, states
-    numbered in discovery order.  Returns (states, src, tr, dst): the
-    marking masks and three parallel edge lists."""
-    n_t = len(pre_masks)
+    numbered in discovery order.  Returns (masks, index, src, tr, dst,
+    offsets): the state masks, the mask -> id dict, and the edges
+    grouped by source in increasing order, those of state s being
+    src/tr/dst[offsets[s]:offsets[s + 1]]."""
     # a firing creates a second token iff it produces into a marked place
     # it does not also consume from
-    gain_masks = [post_masks[t] & ~pre_masks[t] for t in range(n_t)]
+    moves = [(t, pre, post, post & ~pre)
+             for t, (pre, post) in enumerate(zip(pre_masks, post_masks))]
 
-    states = [m0]
+    masks = [m0]
     seen = {m0: 0}
-    queue = deque((0,))
+    offsets = [0]
     src, tr, dst = [], [], []
 
-    while queue:
-        sid = queue.popleft()
-        m = states[sid]
-        for t in range(n_t):
-            if pre_masks[t] & ~m:
+    # the list grows while it is walked: a FIFO queue of state ids
+    for sid, m in enumerate(masks):
+        free = ~m
+        for t, pre, post, gain in moves:
+            if pre & free:
                 continue
-            if gain_masks[t] & m:
+            if gain & m:
                 raise SafenessViolation(
                     "firing transition %d at state %d yields two tokens in "
                     "one place" % (t, sid)
                 )
-            m2 = (m & ~pre_masks[t]) | post_masks[t]
+            m2 = (m ^ pre) | post
             nid = seen.get(m2)
             if nid is None:
-                if len(states) >= budget:
+                nid = len(masks)
+                if nid >= budget:
                     raise StateBudgetExceeded(
                         "state budget %d exhausted" % budget
                     )
-                nid = len(states)
                 seen[m2] = nid
-                states.append(m2)
-                queue.append(nid)
-            src.append(sid)
+                masks.append(m2)
             tr.append(t)
             dst.append(nid)
+        src += [sid] * (len(dst) - offsets[-1])
+        offsets.append(len(dst))
 
-    return states, src, tr, dst
+    return masks, seen, src, tr, dst, offsets
 
 
 def build_reachability_graph(net: PetriNet,
@@ -330,7 +372,7 @@ def build_reachability_graph(net: PetriNet,
                              ) -> ReachabilityGraph:
     """Exhaustive BFS closure of net from m0."""
     try:
-        masks, src, tr, dst = _explore(
+        masks, index, src, tr, dst, offsets = _explore(
             net.pre_masks, net.post_masks, net.m0.mask, budget
         )
     except SafenessViolation as exc:
@@ -342,7 +384,4 @@ def build_reachability_graph(net: PetriNet,
             "net %s: %s (raise --state-budget to explore further)"
             % (net.name, exc)
         ) from exc
-
-    states = [Marking(net.n_places, m) for m in masks]
-    edges = list(zip(src, tr, dst))
-    return ReachabilityGraph(net, states, edges)
+    return ReachabilityGraph(net, masks, src, tr, dst, offsets, index)

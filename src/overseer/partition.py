@@ -11,7 +11,10 @@ enter: targets of controllable firings from authorized states.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ForbiddenInitialMarking, UncontrollableBreach
 from .net import Marking, ReachabilityGraph
@@ -53,9 +56,18 @@ class StatePartition:
     m_b: frozenset[int] = field(default_factory=frozenset)
 
 
+def _indicator(n: int, ids) -> np.ndarray:
+    """Boolean array of length n, true at the given state ids."""
+    out = np.zeros(n, dtype=bool)
+    out[list(ids)] = True
+    return out
+
+
 def deadlocks(rg: ReachabilityGraph) -> frozenset[int]:
     """States with no outgoing edge."""
-    return frozenset(s for s in range(rg.n_states) if not rg.succ[s])
+    dead = np.ones(rg.n_states, dtype=bool)
+    dead[rg.src] = False
+    return frozenset(dead.nonzero()[0].tolist())
 
 
 def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> frozenset[int]:
@@ -63,7 +75,7 @@ def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> frozenset[int]:
     bad: set[int] = set()
     if spec.expr is not None:
         pred = compile_predicate(spec.expr, rg.net.place_index)
-        bad.update(s for s, m in enumerate(rg.states) if pred(m.mask))
+        bad.update(s for s, mask in enumerate(rg.masks) if pred(mask))
     for m in spec.explicit:
         if m.width != rg.net.n_places:
             raise ValueError(
@@ -86,45 +98,38 @@ def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> frozenset[int]:
 def forbidden_closure(rg: ReachabilityGraph, bad) -> frozenset[int]:
     """Least superset of `bad` closed under uncontrollable entry: a state
     with an uncontrollable edge into the set joins the set.  Backward BFS
-    over uncontrollable edges only."""
-    controllable = rg.net.controllable
+    over a predecessor index of the uncontrollable edges only."""
+    if not bad:
+        return frozenset()
+    unc = rg.uncontrollable.nonzero()[0]
+    unc = unc[rg.dst[unc].argsort(kind="stable")]
+    # the uncontrollable predecessors of state d are sources[i:j], where
+    # targets[i:j] are the entries equal to d
+    targets = rg.dst[unc].tolist()
+    sources = rg.src[unc].tolist()
     closed = set(bad)
     frontier = list(bad)
     while frontier:
         target = frontier.pop()
-        for t, source in rg.pred[target]:
-            if not controllable[t] and source not in closed:
+        i = bisect_left(targets, target)
+        j = bisect_right(targets, target, i)
+        for source in sources[i:j]:
+            if source not in closed:
                 closed.add(source)
                 frontier.append(source)
     return frozenset(closed)
 
 
+def _crossing(rg: ReachabilityGraph, m_f) -> np.ndarray:
+    """Per edge: it leaves an authorized state for a forbidden one."""
+    forbidden = _indicator(rg.n_states, m_f)
+    return forbidden[rg.dst] > forbidden[rg.src]
+
+
 def border_states(rg: ReachabilityGraph, partition: StatePartition) -> frozenset[int]:
     """Forbidden states with an authorized controllable predecessor."""
-    controllable = rg.net.controllable
-    border = set()
-    for target in partition.m_f:
-        for t, source in rg.pred[target]:
-            if controllable[t] and source in partition.m_a:
-                border.add(target)
-                break
-    return frozenset(border)
-
-
-def _check_closure_is_fixpoint(rg: ReachabilityGraph, m_f, m_a) -> None:
-    # impossible after a correct closure; fail closed rather than
-    # synthesize from a broken partition
-    controllable = rg.net.controllable
-    for s, t, d in rg.edges:
-        if not controllable[t] and s in m_a and d in m_f:
-            raise UncontrollableBreach(
-                "authorized state %s reaches forbidden %s by uncontrollable %s"
-                % (
-                    rg.net.format_marking(rg.states[s]),
-                    rg.net.format_marking(rg.states[d]),
-                    rg.net.transitions[t],
-                )
-            )
+    crossing = _crossing(rg, partition.m_f) & (rg.uncontrollable == 0)
+    return frozenset(rg.dst[crossing].tolist())
 
 
 def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StatePartition:
@@ -133,14 +138,30 @@ def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StateP
     keep the plant out of the forbidden set)."""
     m_r = frozenset(range(rg.n_states))
     bad = primal_bad(rg, spec) if spec is not None else frozenset()
-    m_f = forbidden_closure(rg, bad)
+    # the closure only adds states, so a bad m0 needs no closure
+    m_f = bad if 0 in bad else forbidden_closure(rg, bad)
     if 0 in m_f:
         raise ForbiddenInitialMarking(
             "initial marking %s is forbidden; synthesis is impossible"
-            % rg.net.format_marking(rg.states[0])
+            % rg.net.format_mask(rg.masks[0])
         )
     m_a = m_r - m_f
-    _check_closure_is_fixpoint(rg, m_f, m_a)
-    partial = StatePartition(m_r=m_r, m_f=m_f, m_a=m_a)
-    m_b = border_states(rg, partial)
-    return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a, m_b=m_b)
+    if not m_f:
+        return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a)
+    crossing = _crossing(rg, m_f)
+    breach = (crossing & rg.uncontrollable).nonzero()[0]
+    if len(breach):
+        # impossible after a correct closure; fail closed rather than
+        # synthesize from a broken partition
+        s, t, d = rg.edges[breach[0]].tolist()
+        raise UncontrollableBreach(
+            "authorized state %s reaches forbidden %s by uncontrollable %s"
+            % (
+                rg.net.format_mask(rg.masks[s]),
+                rg.net.format_mask(rg.masks[d]),
+                rg.net.transitions[t],
+            )
+        )
+    # so every crossing edge is controllable: its target is a border state
+    return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a,
+                          m_b=frozenset(rg.dst[crossing].tolist()))

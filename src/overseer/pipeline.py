@@ -98,8 +98,7 @@ def run_pipeline(doc: NetDocument,
         "partition", lambda: partition_states(rg, doc.spec)
     )
 
-    border_markings = rg.markings_of(sorted(partition.m_b))
-    authorized_markings = rg.markings_of(sorted(partition.m_a))
+    border_markings = rg.markings_of(partition.m_b)
 
     table: CoverTable | None = None
     minimal: list[Marking] = []
@@ -109,6 +108,7 @@ def run_pipeline(doc: NetDocument,
     fallback_used = False
 
     if partition.m_f:
+        authorized_markings = rg.markings_of(partition.m_a)
 
         def _overstate_stage():
             cand = overstate_union(border_markings, authorized_markings,
@@ -156,9 +156,7 @@ def run_pipeline(doc: NetDocument,
 
     closed = stages.run(
         "verify",
-        lambda: verify_closed_loop(
-            net, controller, partition, rg, budget=options.state_budget
-        ),
+        lambda: verify_closed_loop(net, controller, partition, rg),
     )
 
     report = _assemble_report(
@@ -218,6 +216,8 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                      timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_marking
+    fmt_mask = net.format_mask
+    masks = rg.masks
     uncovered_masks = {m.mask for m in uncovered}
     over_restrictive = [
         Constraint.from_overstate(b).format(net.places)
@@ -234,8 +234,8 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
         forbidden_count=len(partition.m_f),
         authorized_count=len(partition.m_a),
         border_count=len(partition.m_b),
-        authorized=[fmt(m) for m in rg.markings_of(sorted(partition.m_a))],
-        forbidden=[fmt(m) for m in rg.markings_of(sorted(partition.m_f))],
+        authorized=[fmt_mask(masks[s]) for s in sorted(partition.m_a)],
+        forbidden=[fmt_mask(masks[s]) for s in sorted(partition.m_f)],
         border=[fmt(m) for m in border_markings],
         minimal=[fmt(m) for m in minimal],
         cover_columns=[fmt(m) for m in border_markings],
@@ -263,8 +263,9 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                 v.format(net, controller)
                 for v in closed.admissibility_violations
             ],
-            missing_authorized=[fmt(m) for m in closed.missing_authorized],
-            extra_states=[fmt(m) for m in closed.extra_states],
+            missing_authorized=[fmt_mask(m)
+                                for m in closed.missing_authorized],
+            extra_states=[fmt_mask(m) for m in closed.extra_states],
             edge_mismatches=list(closed.edge_mismatches),
             max_control_marking=list(closed.max_control_marking),
             notes=list(closed.notes),

@@ -7,17 +7,22 @@ constraint-sum plus control marking a place invariant of the closed
 loop: the control place blocks exactly the firings that would push the
 constraint over its bound.
 
-The closed loop is explored on a composite representation
-(plant bitmask, integer control markings): control places may carry up
-to `bound` tokens, so the closed loop of a safe plant is in general a
-bounded net, not a safe one.  When everything stays 0/1 the controlled
-net can additionally be materialized as a plain safe net.
+Because every control marking is fixed by the plant marking
+(`bounds - weights @ m`), the closed loop is a subgraph of the plant's
+reachability graph: verification computes the control marking of every
+plant state in one product and walks the plant graph along the edges no
+control place blocks, instead of exploring a composite state space.
+Control places may carry up to `bound` tokens, so the closed loop of a
+safe plant is in general a bounded net, not a safe one.  When everything
+stays 0/1 the controlled net can additionally be materialized as a plain
+safe net.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,10 +30,8 @@ from .errors import (
     EmptyConstraintSet,
     InitialMarkingViolation,
     NonBinaryController,
-    StateBudgetExceeded,
-    VerificationFailure,
 )
-from .net import DEFAULT_STATE_BUDGET, Marking, PetriNet, ReachabilityGraph
+from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
 from .overstates import Constraint
 from .partition import StatePartition
 
@@ -142,7 +145,7 @@ def assemble_controlled_net(net: PetriNet, controller: Controller) -> PetriNet:
     """Plant net extended with the control places.
 
     Only possible when the controller is binary (0/1 arcs and initial
-    marking); the composite verification below has no such limit.
+    marking); the verification below has no such limit.
     """
     if controller.k == 0:
         return net
@@ -200,15 +203,21 @@ class AdmissibilityViolation:
 
 @dataclass
 class ClosedLoopReport:
-    """Outcome of rebuilding and checking the closed-loop state space."""
+    """Outcome of checking the closed loop on the plant's state graph.
+
+    Closed-loop state i is plant marking `projections[i]` (an int mask)
+    with control marking `control_markings[i]`; `edges` is an (E, 3)
+    array of (source, transition, target) rows in closed-loop state ids.
+    `missing_authorized` and `extra_states` are marking masks too.
+    """
 
     state_count: int
-    projections: list[Marking]
-    control_markings: list[tuple[int, ...]]
-    edges: list[tuple[int, int, int]]
+    projections: list[int]
+    control_markings: np.ndarray  # state_count x k
+    edges: np.ndarray             # E x 3
     isomorphic: bool
-    missing_authorized: list[Marking]
-    extra_states: list[Marking]
+    missing_authorized: list[int]
+    extra_states: list[int]
     edge_mismatches: list[str]
     admissibility_violations: list[AdmissibilityViolation]
     invariant_ok: bool
@@ -217,140 +226,116 @@ class ClosedLoopReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _control_columns(controller: Controller) -> list[tuple[int, ...]]:
-    """Per plant transition, its effect on each control place, as Python
-    ints."""
-    return [tuple(col) for col in controller.incidence.T.tolist()]
-
-
-def _bit_rows(masks, width: int) -> np.ndarray:
-    """One 0/1 row of `width` columns per int mask (bit i = column i)."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little")
-    return bits.reshape(len(masks), nbytes * 8)[:, :width]
-
-
-def _explore_closed_loop(net: PetriNet, controller: Controller, budget: int):
-    """BFS over composite states (plant mask, control marking tuple).
-    Same numbering discipline as the plant exploration."""
-    cols = _control_columns(controller)
-    pre_masks, post_masks = net.pre_masks, net.post_masks
-    start = (net.m0.mask, tuple(int(v) for v in controller.initial))
-    states = [start]
-    seen = {start: 0}
-    queue = deque((0,))
-    edges = []
-    while queue:
-        sid = queue.popleft()
-        mask, ctrl = states[sid]
-        for t, col in enumerate(cols):
-            if pre_masks[t] & ~mask:
-                continue
-            ctrl2 = tuple([c + d for c, d in zip(ctrl, col)])
-            if ctrl2 and min(ctrl2) < 0:
-                continue  # a control place blocks t
-            mask2 = (mask & ~pre_masks[t]) | post_masks[t]
-            nxt = (mask2, ctrl2)
-            nid = seen.get(nxt)
-            if nid is None:
-                if len(states) >= budget:
-                    raise StateBudgetExceeded(
-                        "closed-loop state budget %d exhausted" % budget
-                    )
-                nid = len(states)
-                seen[nxt] = nid
-                states.append(nxt)
-                queue.append(nid)
-            edges.append((sid, t, nid))
-    return states, edges
+def _walk(offsets, dst, allowed):
+    """Breadth-first search from state 0 over the allowed edges, taken
+    in edge order, so states are numbered the way the plant's own search
+    numbers them.  Returns the states reached, in discovery order, and
+    every edge leaving them, grouped by source in that order."""
+    starts = offsets.tolist()
+    targets = dst.tolist()
+    ok = allowed.tolist()
+    order = [0]
+    seen = {0}
+    leaving = []
+    for s in order:
+        lo, hi = starts[s], starts[s + 1]
+        leaving.extend(range(lo, hi))
+        for e in range(lo, hi):
+            if ok[e] and targets[e] not in seen:
+                seen.add(targets[e])
+                order.append(targets[e])
+    return np.array(order, dtype=np.intp), np.array(leaving, dtype=np.intp)
 
 
 def verify_closed_loop(net: PetriNet, controller: Controller,
-                       partition: StatePartition, rg: ReachabilityGraph,
-                       budget: int = DEFAULT_STATE_BUDGET) -> ClosedLoopReport:
-    """Rebuild the closed-loop state space and check it against the
-    partition: projections (control places dropped) must be exactly the
-    authorized states with matching enabled transitions, the
-    constraint-sum invariant must hold everywhere, and no control place
-    may ever be the sole disabler of an uncontrollable transition."""
-    states, edges = _explore_closed_loop(net, controller, budget)
-    n_plant = net.n_places
+                       partition: StatePartition,
+                       rg: ReachabilityGraph) -> ClosedLoopReport:
+    """Check the closed loop against the partition.
+
+    The controller comes from place invariants, so the control marking
+    at plant marking m is `bounds - weights @ m`, and the closed loop is
+    the part of the plant graph that m0 reaches through edges no control
+    place blocks.  The invariant must really hold: the control marking
+    at m0 must be `controller.initial`, and every edge leaving a
+    closed-loop state must change it by the control incidence.  The
+    projections (control places dropped) must be exactly the authorized
+    states with matching enabled transitions, and no control place may
+    ever be the sole disabler of an uncontrollable transition."""
+    n = rg.n_states
     k = controller.k
-    weights = controller.weights
-    bounds = controller.bounds
-
-    projections = [Marking(n_plant, mask) for mask, _ in states]
-    control_markings = [ctrl for _, ctrl in states]
-
-    proj_masks = [m.mask for m in projections]
-    if len(set(proj_masks)) != len(proj_masks):
-        raise VerificationFailure(
-            "two closed-loop states share a plant projection; the "
-            "constraint invariant does not determine the control marking"
-        )
-
-    # constraint sum plus control marking equals the bound, on every state
-    invariant_ok = True
+    masks = rg.masks
+    blocking = False
     if k:
-        bits = _bit_rows(proj_masks, n_plant)
-        control = np.array(control_markings, dtype=np.int64)
-        invariant_ok = bool((bits @ weights.T + control == bounds).all())
+        control = controller.bounds \
+            - bit_rows(masks, net.n_places) @ controller.weights.T
+        # the control marking after each plant edge
+        after = control[rg.src] + controller.incidence.T[rg.tr]
+        allowed = (after >= 0).all(axis=1)
+        blocking = not allowed.all()
+    else:
+        control = np.zeros((n, 0), dtype=int)
 
-    authorized = {rg.states[s].mask for s in partition.m_a}
-    reached = set(proj_masks)
-    missing = [rg.states[s] for s in sorted(partition.m_a)
-               if rg.states[s].mask not in reached]
-    extra = [m for m in projections if m.mask not in authorized]
+    if blocking:
+        order, leaving = _walk(rg.offsets, rg.dst, allowed)
+        closed_id = np.empty(n, dtype=np.intp)
+        closed_id.fill(-1)
+        closed_id[order] = np.arange(len(order))
+        taken = leaving[allowed[leaving]]
+        edges = np.array([closed_id[rg.src[taken]], rg.tr[taken],
+                          closed_id[rg.dst[taken]]]).T
+    else:
+        # nothing is blocked: the closed loop is the plant graph
+        order = np.arange(n)
+        leaving = slice(None)
+        edges = rg.edges
+    # from here on, only the edges leaving closed-loop states, grouped
+    # by source in closed-loop order
+    src, tr, dst = rg.src[leaving], rg.tr[leaving], rg.dst[leaving]
 
-    # expected behavior at an authorized plant state: exactly the plant
-    # firings whose successor is still authorized
-    edge_mismatches = []
-    closed_enabled: list[set[int]] = [set() for _ in states]
-    for s, t, _ in edges:
-        closed_enabled[s].add(t)
-    for sid, (mask, _) in enumerate(states):
-        pid = rg.state_id(projections[sid])
-        if pid is None or pid not in partition.m_a:
-            continue
-        expected = {
-            t for t, dst in rg.succ[pid] if dst in partition.m_a
-        }
-        got = closed_enabled[sid]
-        for t in sorted(expected - got):
-            edge_mismatches.append(
-                "%s misses %s at %s" % (
-                    net.name, net.transitions[t],
-                    net.format_marking(projections[sid]),
-                )
-            )
-        for t in sorted(got - expected):
-            edge_mismatches.append(
-                "%s allows %s at %s" % (
-                    net.name, net.transitions[t],
-                    net.format_marking(projections[sid]),
-                )
-            )
+    invariant_ok = not k or (
+        control[0].tolist() == controller.initial.tolist()
+        and bool((after[leaving] == control[dst]).all())
+    )
 
-    violations = []
-    cols = _control_columns(controller)
-    uncontrollable = [t for t in range(net.n_transitions)
-                      if not net.controllable[t]]
-    for sid, (mask, ctrl) in enumerate(states):
-        for t in uncontrollable:
-            if net.pre_masks[t] & ~mask:
-                continue  # a plant place disables it too
-            for i, (c, d) in enumerate(zip(ctrl, cols[t])):
-                if c + d < 0:
-                    violations.append(
-                        AdmissibilityViolation(
-                            control_place=i,
-                            transition=t,
-                            state=projections[sid],
-                        )
-                    )
-                    break
+    missing, extra, edge_mismatches, violations = [], [], [], []
+    # when nothing is blocked and every plant state is authorized, the
+    # closed loop is exactly the authorized behavior: nothing to list
+    if blocking or len(partition.m_a) < n:
+        authorized = np.zeros(n, dtype=bool)
+        authorized[list(partition.m_a)] = True
+        if blocking:
+            ok = allowed[leaving]
+            missing = [masks[s] for s in
+                       (authorized & (closed_id < 0)).nonzero()[0].tolist()]
+        else:
+            ok = np.ones(len(src), dtype=bool)
+        extra = [masks[s] for s in order[~authorized[order]].tolist()]
+
+        # at an authorized plant state exactly the firings whose
+        # successor is still authorized must be allowed; per closed-loop
+        # state, the missed firings come before the unexpected ones
+        wrong = (authorized[src] & (ok != authorized[dst])).nonzero()[0]
+        rows = zip(src[wrong].tolist(), ok[wrong].tolist(),
+                   tr[wrong].tolist())
+        for _, group in groupby(rows, key=itemgetter(0)):
+            for s, allows, t in sorted(group, key=itemgetter(1)):
+                edge_mismatches.append("%s %s %s at %s" % (
+                    net.name, "allows" if allows else "misses",
+                    net.transitions[t], net.format_mask(masks[s]),
+                ))
+
+    # a blocked uncontrollable edge: the first control place that goes
+    # negative is the sole reason it cannot fire
+    if blocking:
+        blocked = leaving[~allowed[leaving]]
+        for t, s, row in zip(rg.tr[blocked].tolist(),
+                             rg.src[blocked].tolist(),
+                             after[blocked].tolist()):
+            if not net.controllable[t]:
+                violations.append(AdmissibilityViolation(
+                    control_place=next(i for i, c in enumerate(row) if c < 0),
+                    transition=t, state=Marking(net.n_places, masks[s]),
+                ))
 
     isomorphic = (
         not missing
@@ -359,24 +344,25 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         and invariant_ok
     )
 
-    gated = [t for t, col in enumerate(cols) if min(col, default=0) < 0]
+    gated = []
     notes = []
-    for t in gated:
-        feeders = [controller.place_names[i] for i, d in enumerate(cols[t])
+    for t, col in enumerate(controller.incidence.T.tolist()):
+        feeders = [name for name, d in zip(controller.place_names, col)
                    if d < 0]
-        kind = "controllable" if net.controllable[t] else "uncontrollable"
-        notes.append(
-            "%s transition %s is now gated by %s"
-            % (kind, net.transitions[t], ", ".join(feeders))
-        )
+        if feeders:
+            kind = "controllable" if net.controllable[t] else "uncontrollable"
+            gated.append(t)
+            notes.append(
+                "%s transition %s is now gated by %s"
+                % (kind, net.transitions[t], ", ".join(feeders))
+            )
 
-    max_ctrl = tuple(
-        max((ctrl[i] for ctrl in control_markings), default=0) for i in range(k)
-    )
+    control_markings = control[order]
+    max_ctrl = tuple(control_markings.max(axis=0).tolist()) if k else ()
 
     return ClosedLoopReport(
-        state_count=len(states),
-        projections=projections,
+        state_count=len(order),
+        projections=[masks[s] for s in order.tolist()],
         control_markings=control_markings,
         edges=edges,
         isomorphic=isomorphic,

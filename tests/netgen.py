@@ -9,10 +9,12 @@ caller-supplied random.Random, keeping suites reproducible.
 from __future__ import annotations
 
 import random
+import re
 
 from overseer import (
     BadStateSpec,
     Marking,
+    NetDocument,
     PetriNet,
     build_reachability_graph,
 )
@@ -84,7 +86,7 @@ def random_spec(rng: random.Random, net: PetriNet, rg) -> BadStateSpec:
         include_deadlocks = rng.random() < 0.3
         explicit = []
         # the text format cannot name the empty marking as a state
-        pool = [m for m in rg.states[1:] if m.card > 0]
+        pool = [rg.marking(s) for s in range(1, rg.n_states) if rg.masks[s]]
         if rng.random() < 0.3 and pool:
             explicit = rng.sample(pool, rng.randint(1, min(2, len(pool))))
         if expr is None and not include_deadlocks and not explicit:
@@ -94,3 +96,30 @@ def random_spec(rng: random.Random, net: PetriNet, rg) -> BadStateSpec:
             explicit=tuple(explicit),
             include_deadlocks=include_deadlocks,
         )
+
+
+def copies(doc: NetDocument, k: int) -> NetDocument:
+    """k disjoint copies of a net; a state is forbidden when the state
+    of any copy is."""
+    one = doc.net
+    n = one.n_places
+
+    def shifted(mask, c):
+        return [c * n + p for p in Marking(n, mask).support()]
+
+    net = PetriNet(
+        "%s_x%d" % (one.name, k),
+        ["%s_%d" % (p, c) for c in range(k) for p in one.places],
+        ["%s_%d" % (t, c) for c in range(k) for t in one.transitions],
+        one.controllable * k,
+        [shifted(m, c) for c in range(k) for m in one.pre_masks],
+        [shifted(m, c) for c in range(k) for m in one.post_masks],
+        Marking.from_support(
+            k * n, [p for c in range(k) for p in shifted(one.m0.mask, c)]),
+    )
+    expr = " | ".join(
+        "(%s)" % re.sub(r"\w+", lambda w: "%s_%d" % (w.group(0), c),
+                        doc.spec.expr)
+        for c in range(k)
+    )
+    return NetDocument(net, BadStateSpec(expr=expr))

@@ -43,7 +43,7 @@ from overseer.errors import (
 )
 
 from conftest import FAILURE_DIR
-from netgen import GEN_BUDGET, random_spec, safe_net
+from netgen import random_spec, safe_net
 
 EXPECTED_AUTHORIZED = {"P1P3P6", "P2P3P6", "P1P3P7", "P1P4P7", "P1P5P7"}
 EXPECTED_BORDER = {"P1P4P6", "P2P4P6", "P2P3P7", "P2P4P7", "P2P5P7"}
@@ -86,7 +86,7 @@ def _example(two_machines_path):
 
 
 def _names(net, rg, ids):
-    return {net.format_marking(rg.states[s]) for s in ids}
+    return {net.format_mask(rg.masks[s]) for s in ids}
 
 
 def _reference_overstates(border, authorized):
@@ -168,8 +168,8 @@ def test_criterion_5_closed_loop(two_machines_path):
         result = run_pipeline(doc)
         closed = result.closed
         assert closed.state_count == 5
-        assert {m.mask for m in closed.projections} \
-            == {rg.states[s].mask for s in partition.m_a}
+        assert set(closed.projections) \
+            == {rg.masks[s] for s in partition.m_a}
         assert not closed.admissibility_violations
         assert closed.isomorphic
 
@@ -188,7 +188,7 @@ def _authorized_reachable(rg, partition):
     stack = [0]
     while stack:
         s = stack.pop()
-        for _, d in rg.succ[s]:
+        for d in rg.dst[rg.offsets[s]:rg.offsets[s + 1]].tolist():
             if d in partition.m_a and d not in seen:
                 seen.add(d)
                 stack.append(d)
@@ -208,9 +208,7 @@ def _check_generated_net(net, rg, spec, stats):
     if not partition.m_f:
         stats["no_forbidden"] += 1
         from overseer import empty_controller
-        closed = verify_closed_loop(
-            net, empty_controller(net), partition, rg, budget=GEN_BUDGET
-        )
+        closed = verify_closed_loop(net, empty_controller(net), partition, rg)
         assert closed.isomorphic, "empty controller must keep the plant"
         assert closed.invariant_ok
         return
@@ -261,16 +259,15 @@ def _check_generated_net(net, rg, spec, stats):
         net, build_constraint_matrix(constraints, net.n_places),
         constraints=constraints,
     )
-    closed = verify_closed_loop(net, controller, partition, rg,
-                                budget=GEN_BUDGET)
+    closed = verify_closed_loop(net, controller, partition, rg)
 
     # (d) the defining place invariant holds on every reachable state
     assert closed.invariant_ok, "place invariant broken"
 
     # (e) differential against the brute-force supervisor
     oracle = _authorized_reachable(rg, partition)
-    oracle_masks = {rg.states[s].mask for s in oracle}
-    assert {m.mask for m in closed.projections} == oracle_masks, \
+    oracle_masks = {rg.masks[s] for s in oracle}
+    assert set(closed.projections) == oracle_masks, \
         "closed loop differs from the RG-filtered supervisor"
     assert not closed.admissibility_violations, \
         "supervisor had to disable an uncontrollable transition"

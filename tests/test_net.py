@@ -91,7 +91,7 @@ def test_self_loop_is_not_a_safeness_violation():
     assert net.fire(net.m0, 0) == net.m0
     rg = build_reachability_graph(net)
     assert rg.n_states == 1
-    assert rg.edges == [(0, 0, 0)]
+    assert rg.edges.tolist() == [[0, 0, 0]]
     assert net.self_loops() == [(0, 0)]
 
 
@@ -123,10 +123,10 @@ def test_reachability_bfs_order_deterministic():
     )
     rg = build_reachability_graph(net)
     # state 0 is m0; successors numbered in transition order
-    assert rg.states[0] == net.m0
-    assert rg.states[1].support() == (1,)
-    assert rg.states[2].support() == (2,)
-    assert rg.edges == [(0, 0, 1), (0, 1, 2)]
+    assert rg.marking(0) == net.m0
+    assert rg.marking(1).support() == (1,)
+    assert rg.marking(2).support() == (2,)
+    assert rg.edges.tolist() == [[0, 0, 1], [0, 1, 2]]
 
 
 def test_reachability_budget_enforced():
@@ -159,7 +159,7 @@ def test_reachability_wider_than_64_places():
     )
     rg = build_reachability_graph(net)
     assert rg.n_states == n
-    assert rg.states[-1].support() == (n - 1,)
+    assert rg.marking(rg.n_states - 1).support() == (n - 1,)
 
 
 def test_unsafe_net_detected_during_exploration():
@@ -172,12 +172,32 @@ def test_unsafe_net_detected_during_exploration():
         build_reachability_graph(net)
 
 
-def test_predecessor_and_successor_maps_agree():
+def test_edge_rows_agree_with_firing():
     rng = random.Random(7)
     for _ in range(25):
         net, rg = safe_net(rng)
-        for s, t, d in rg.edges:
-            assert (t, d) in rg.succ[s]
-            assert (t, s) in rg.pred[d]
+        assert rg.edges.shape == (len(rg.src), 3)
+        assert rg.offsets[0] == 0 and rg.offsets[-1] == len(rg.edges)
         for s in range(rg.n_states):
-            assert set(t for t, _ in rg.succ[s]) == set(rg.net.enabled(rg.states[s]))
+            m = rg.marking(s)
+            assert rg.state_id(m) == s
+            rows = rg.edges[rg.offsets[s]:rg.offsets[s + 1]].tolist()
+            # the rows of s: its enabled transitions, in index order
+            assert [t for _, t, _ in rows] == list(net.enabled(m))
+            for src, t, d in rows:
+                assert src == s
+                assert rg.marking(d) == net.fire(m, t)
+
+
+@pytest.mark.parametrize("width", [0, 1, 27, 70])
+def test_format_mask_matches_support_form(width):
+    rng = random.Random(width)
+    places = ["P%d" % i for i in range(width)]
+    net = PetriNet("fmt", places, [], [], [], [], Marking(width, 0))
+    masks = {0, (1 << width) - 1}
+    masks.update(rng.getrandbits(width) for _ in range(200) if width)
+    for mask in sorted(masks):
+        m = Marking(width, mask)
+        expected = "".join(places[i] for i in m.support()) or "-"
+        assert net.format_mask(mask) == expected
+        assert net.format_marking(m) == expected

@@ -8,6 +8,7 @@ from overseer import (
     BadStateSpec,
     Marking,
     PetriNet,
+    border_states,
     build_reachability_graph,
     deadlocks,
     partition_states,
@@ -36,7 +37,7 @@ def test_deadlocks_found():
     net = _linear_net(True)
     rg = _rg(net)
     dead = deadlocks(rg)
-    assert [rg.states[s].support() for s in sorted(dead)] == [(3,)]
+    assert [rg.marking(s).support() for s in sorted(dead)] == [(3,)]
 
 
 def test_primal_bad_union_of_sources():
@@ -48,7 +49,7 @@ def test_primal_bad_union_of_sources():
         include_deadlocks=True,
     )
     bad = primal_bad(rg, spec)
-    assert {rg.states[s].support() for s in bad} == {(1,), (2,), (3,)}
+    assert {rg.marking(s).support() for s in bad} == {(1,), (2,), (3,)}
 
 
 def test_closure_climbs_uncontrollable_edges():
@@ -58,11 +59,11 @@ def test_closure_climbs_uncontrollable_edges():
     rg = _rg(net)
     spec = BadStateSpec(expr="C")
     partition = partition_states(rg, spec)
-    forbidden = {rg.states[s].support() for s in partition.m_f}
+    forbidden = {rg.marking(s).support() for s in partition.m_f}
     # C is bad; B reaches C by uncontrollable t2, so B is forbidden too.
     # D stays authorized: the closure walks backward, not forward.
     assert forbidden == {(1,), (2,)}
-    authorized = {rg.states[s].support() for s in partition.m_a}
+    authorized = {rg.marking(s).support() for s in partition.m_a}
     assert authorized == {(0,), (3,)}
 
 
@@ -70,10 +71,10 @@ def test_controllable_edges_stop_the_closure():
     net = _linear_net(True)
     rg = _rg(net)
     partition = partition_states(rg, BadStateSpec(expr="C"))
-    forbidden = {rg.states[s].support() for s in partition.m_f}
+    forbidden = {rg.marking(s).support() for s in partition.m_f}
     # t2 is controllable, so B stays authorized
     assert forbidden == {(2,)}
-    border = {rg.states[s].support() for s in partition.m_b}
+    border = {rg.marking(s).support() for s in partition.m_b}
     assert border == {(2,)}
 
 
@@ -81,7 +82,7 @@ def test_border_needs_authorized_controllable_predecessor():
     net = _linear_net(False)
     rg = _rg(net)
     partition = partition_states(rg, BadStateSpec(expr="C"))
-    border = {rg.states[s].support() for s in partition.m_b}
+    border = {rg.marking(s).support() for s in partition.m_b}
     # the authorized->forbidden crossing is A --t1--> B (controllable)
     assert border == {(1,)}
 
@@ -127,15 +128,17 @@ def test_partition_invariants_on_random_nets():
         assert partition.m_a | partition.m_f == partition.m_r
         assert partition.m_a & partition.m_f == frozenset()
         assert partition.m_b <= partition.m_f
+        assert border_states(rg, partition) == partition.m_b
         assert 0 in partition.m_a
         # no uncontrollable edge may cross from authorized to forbidden
-        for s, t, d in rg.edges:
+        edges = rg.edges.tolist()
+        for s, t, d in edges:
             if s in partition.m_a and d in partition.m_f:
                 assert net.controllable[t]
         # every border state has the defining predecessor
         for b in partition.m_b:
             assert any(
                 net.controllable[t] and s in partition.m_a
-                for t, s in rg.pred[b]
+                for s, t, d in edges if d == b
             )
     assert checked >= 40  # the suite must not be vacuous

@@ -1,15 +1,10 @@
 """Pipeline orchestration and command-line behavior."""
 
 import json
-import re
 
 import pytest
 
 from overseer import (
-    BadStateSpec,
-    Marking,
-    NetDocument,
-    PetriNet,
     PipelineOptions,
     parse_net,
     parse_net_file,
@@ -17,6 +12,8 @@ from overseer import (
 )
 from overseer.cli import main
 from overseer.errors import StageFailure, StateBudgetExceeded, UncoverableState
+
+from netgen import copies
 
 THREE_STEP = """\
 # B is only reachable through the forbidden A
@@ -48,33 +45,6 @@ forbidden {
 )
 
 
-def _copies(doc, k):
-    """k disjoint copies of a net; a state is forbidden when the state
-    of any copy is."""
-    one = doc.net
-    n = one.n_places
-
-    def shifted(mask, c):
-        return [c * n + p for p in Marking(n, mask).support()]
-
-    net = PetriNet(
-        "%s_x%d" % (one.name, k),
-        ["%s_%d" % (p, c) for c in range(k) for p in one.places],
-        ["%s_%d" % (t, c) for c in range(k) for t in one.transitions],
-        one.controllable * k,
-        [shifted(m, c) for c in range(k) for m in one.pre_masks],
-        [shifted(m, c) for c in range(k) for m in one.post_masks],
-        Marking.from_support(
-            k * n, [p for c in range(k) for p in shifted(one.m0.mask, c)]),
-    )
-    expr = " | ".join(
-        "(%s)" % re.sub(r"\w+", lambda w: "%s_%d" % (w.group(0), c),
-                        doc.spec.expr)
-        for c in range(k)
-    )
-    return NetDocument(net, BadStateSpec(expr=expr))
-
-
 def test_pipeline_two_machines(two_machines):
     result = run_pipeline(two_machines)
     r = result.report
@@ -86,7 +56,7 @@ def test_pipeline_two_machines(two_machines):
 
 
 def test_pipeline_three_copies_of_two_machines(two_machines):
-    result = run_pipeline(_copies(two_machines, 3))
+    result = run_pipeline(copies(two_machines, 3))
     r = result.report
     assert r.reachable_count == 12 ** 3
     assert len(r.minimal) == 12

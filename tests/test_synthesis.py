@@ -136,8 +136,7 @@ def test_empty_controller_reproduces_plant():
     assert report.isomorphic
     assert report.invariant_ok
     assert not report.admissibility_violations
-    assert {m.mask for m in report.projections} \
-        == {m.mask for m in rg.states}
+    assert set(report.projections) == set(rg.masks)
 
 
 def test_supervisor_blocks_exactly_the_border(two_machines):
@@ -187,7 +186,8 @@ def test_over_restrictive_controller_reports_missing_states():
     ctrl = synthesize(net, cm)
     report = verify_closed_loop(net, ctrl, partition, rg)
     assert not report.isomorphic
-    assert [m.support() for m in report.missing_authorized] == [(1,), (2,)]
+    assert [Marking(3, m).support() for m in report.missing_authorized] \
+        == [(1,), (2,)]
     assert report.edge_mismatches
 
 
