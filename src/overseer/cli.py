@@ -11,6 +11,7 @@ the closed loop failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -87,8 +88,15 @@ def _report_paths(path_arg: str) -> tuple[Path, Path]:
     return path, path.with_suffix(".json")
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args keeps no state in it, and
+    # building it costs more than the whole pipeline on a small net
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     options = PipelineOptions(
         state_budget=args.state_budget,
         fallback=args.fallback,

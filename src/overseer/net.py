@@ -33,6 +33,13 @@ def bit_rows(masks, width: int) -> np.ndarray:
     return bits.reshape(len(masks), nbytes * 8)[:, :width]
 
 
+def indicator(n: int, ids) -> np.ndarray:
+    """Boolean array of length n, true at the given state ids."""
+    out = np.zeros(n, dtype=bool)
+    out[list(ids)] = True
+    return out
+
+
 def reachability_backend(n_places: int | None = None) -> str:
     """Name of the reachability kernel, as recorded in the report."""
     return "pure"
@@ -271,8 +278,7 @@ class ReachabilityGraph:
     edges whose transition is uncontrollable (1, else 0).
     """
 
-    def __init__(self, net: PetriNet, masks, src, tr, dst, offsets,
-                 index=None):
+    def __init__(self, net: PetriNet, masks, src, tr, dst, offsets, index):
         self.net = net
         self.masks = list(masks)
         # one numpy buffer per graph, because on small graphs each numpy
@@ -289,8 +295,7 @@ class ReachabilityGraph:
         self.dst = self._flat[2 * e:3 * e]
         self.offsets = self._flat[3 * e:3 * e + n]
         self._uncontrollable = self._flat[3 * e + n:]
-        if index is None:
-            index = {m: i for i, m in enumerate(self.masks)}
+        # mask -> state id
         self._index = index
 
     @property

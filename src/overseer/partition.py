@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ForbiddenInitialMarking, UncontrollableBreach
-from .net import Marking, ReachabilityGraph
+from .net import Marking, ReachabilityGraph, indicator
 from .predicate import compile_predicate
 
 log = logging.getLogger(__name__)
@@ -54,13 +54,6 @@ class StatePartition:
     m_f: frozenset[int]
     m_a: frozenset[int]
     m_b: frozenset[int] = field(default_factory=frozenset)
-
-
-def _indicator(n: int, ids) -> np.ndarray:
-    """Boolean array of length n, true at the given state ids."""
-    out = np.zeros(n, dtype=bool)
-    out[list(ids)] = True
-    return out
 
 
 def deadlocks(rg: ReachabilityGraph) -> frozenset[int]:
@@ -122,14 +115,18 @@ def forbidden_closure(rg: ReachabilityGraph, bad) -> frozenset[int]:
 
 def _crossing(rg: ReachabilityGraph, m_f) -> np.ndarray:
     """Per edge: it leaves an authorized state for a forbidden one."""
-    forbidden = _indicator(rg.n_states, m_f)
+    forbidden = indicator(rg.n_states, m_f)
     return forbidden[rg.dst] > forbidden[rg.src]
+
+
+def _border(rg: ReachabilityGraph, crossing) -> frozenset[int]:
+    """Targets of the controllable edges among the crossing ones."""
+    return frozenset(rg.dst[crossing & (rg.uncontrollable == 0)].tolist())
 
 
 def border_states(rg: ReachabilityGraph, partition: StatePartition) -> frozenset[int]:
     """Forbidden states with an authorized controllable predecessor."""
-    crossing = _crossing(rg, partition.m_f) & (rg.uncontrollable == 0)
-    return frozenset(rg.dst[crossing].tolist())
+    return _border(rg, _crossing(rg, partition.m_f))
 
 
 def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StatePartition:
@@ -162,6 +159,5 @@ def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StateP
                 rg.net.transitions[t],
             )
         )
-    # so every crossing edge is controllable: its target is a border state
     return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a,
-                          m_b=frozenset(rg.dst[crossing].tolist()))
+                          m_b=_border(rg, crossing))

@@ -31,7 +31,7 @@ from .errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
-from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
+from .net import Marking, PetriNet, ReachabilityGraph, bit_rows, indicator
 from .overstates import Constraint
 from .partition import StatePartition
 
@@ -257,7 +257,9 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     the part of the plant graph that m0 reaches through edges no control
     place blocks.  The invariant must really hold: the control marking
     at m0 must be `controller.initial`, and every edge leaving a
-    closed-loop state must change it by the control incidence.  The
+    closed-loop state, blocked ones included, must change it by the
+    control incidence (so a wrong entry fails the check even on a
+    transition the closed loop never fires).  The
     projections (control places dropped) must be exactly the authorized
     states with matching enabled transitions, and no control place may
     ever be the sole disabler of an uncontrollable transition."""
@@ -301,8 +303,7 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     # when nothing is blocked and every plant state is authorized, the
     # closed loop is exactly the authorized behavior: nothing to list
     if blocking or len(partition.m_a) < n:
-        authorized = np.zeros(n, dtype=bool)
-        authorized[list(partition.m_a)] = True
+        authorized = indicator(n, partition.m_a)
         if blocking:
             ok = allowed[leaving]
             missing = [masks[s] for s in

@@ -223,3 +223,26 @@ def test_wrong_incidence_does_not_verify(two_machines):
                                 result.rg)
     assert not report.invariant_ok
     assert not report.isomorphic
+
+
+def test_wrong_incidence_on_a_blocked_transition_does_not_verify():
+    # A --t--> B with B forbidden: the one control place keeps t blocked
+    # at m0, so the closed loop never fires it
+    net = PetriNet("gate", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    rg = build_reachability_graph(net)
+    partition = partition_states(rg, BadStateSpec(expr="B"))
+    good = Controller(incidence=np.array([[-1]]), initial=np.array([0]),
+                      bounds=np.array([0]), weights=np.array([[0, 1]]),
+                      place_names=("c0",))
+    assert assert_matches_reference(net, good, partition, rg).isomorphic
+    # -2 keeps t blocked, so the composite exploration, which only fires
+    # allowed edges, never sees the wrong entry; the check on every edge
+    # leaving a closed-loop state does
+    bad = _broken(good, incidence=np.array([[-2]]))
+    ref = reference_verify(net, bad, partition, rg)
+    assert ref.invariant_ok and ref.isomorphic
+    report = verify_closed_loop(net, bad, partition, rg)
+    assert report.edges.tolist() == ref.edges.tolist() == []
+    assert not report.invariant_ok
+    assert not report.isomorphic

@@ -8,7 +8,6 @@ from overseer import (
     BadStateSpec,
     Marking,
     PetriNet,
-    border_states,
     build_reachability_graph,
     deadlocks,
     partition_states,
@@ -128,7 +127,6 @@ def test_partition_invariants_on_random_nets():
         assert partition.m_a | partition.m_f == partition.m_r
         assert partition.m_a & partition.m_f == frozenset()
         assert partition.m_b <= partition.m_f
-        assert border_states(rg, partition) == partition.m_b
         assert 0 in partition.m_a
         # no uncontrollable edge may cross from authorized to forbidden
         edges = rg.edges.tolist()
