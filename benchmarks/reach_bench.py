@@ -1,9 +1,14 @@
-"""Reachability benchmark: BFS exploration time on scaled token rings.
+"""Reachability benchmark: BFS exploration time on scaled token rings
+and on a net whose BFS levels are wide, then one state wide.
 
-The workload is a family of k independent three-place token rings, so
-the state count is exactly 3^k and every state has k enabled
-transitions.  The state and edge counts are checked before any timing
-is reported.
+The main workload is a family of k independent three-place token rings,
+so the state count is exactly 3^k and every state has k enabled
+transitions.  The second net (`fork_counter_net`) has BFS levels of up
+to 924 states, then a tail of 2048 levels of one state each: the wide part
+is expanded with whole-array operations and the tail one state at a
+time, so a kernel that keeps the array step on narrow levels shows up
+as a slowdown here.  The state and edge counts are checked before any
+timing is reported.
 
     python3 benchmarks/reach_bench.py [--max-rings K] [--repeats N]
 """
@@ -34,6 +39,31 @@ def ring_net(k):
                     pre, post, m0)
 
 
+def fork_counter_net(bits, counter_bits):
+    """`bits` one-shot switches that fire in any order (2^bits states, BFS
+    level i holding C(bits, i) of them), then a join that starts a
+    binary counter of `counter_bits` bits (2^counter_bits states, one per
+    level).  Each counter bit is a pair of places, one marked when the bit
+    is 0, one when it is 1; at each value only the transition that sets
+    the lowest 0 bit and clears the 1 bits below it is enabled."""
+    off = ["a%d" % i for i in range(bits)]
+    on = ["b%d" % i for i in range(bits)]
+    zero = ["z%d" % i for i in range(counter_bits)]
+    one = ["o%d" % i for i in range(counter_bits)]
+    places = off + on + zero + one
+    z0, o0 = 2 * bits, 2 * bits + counter_bits
+    transitions = ["set%d" % i for i in range(bits)] + ["join"] \
+        + ["inc%d" % j for j in range(counter_bits)]
+    pre = [[i] for i in range(bits)] + [list(range(bits, 2 * bits))] \
+        + [[o0 + i for i in range(j)] + [z0 + j] for j in range(counter_bits)]
+    post = [[bits + i] for i in range(bits)] \
+        + [list(range(z0, z0 + counter_bits))] \
+        + [[z0 + i for i in range(j)] + [o0 + j] for j in range(counter_bits)]
+    m0 = Marking.from_support(len(places), range(bits))
+    return PetriNet("fork%d_counter%d" % (bits, counter_bits), places,
+                    transitions, [True] * len(transitions), pre, post, m0)
+
+
 def best_time(net, budget, repeats):
     rg = None
     best = float("inf")
@@ -59,6 +89,17 @@ def main():
         assert rg.n_states == 3 ** k
         assert len(rg.edges) == k * 3 ** k
         print("%6d %8d %8d %8.2fms" % (k, rg.n_states, len(rg.edges), t * 1e3))
+
+    bits, counter_bits = 12, 11
+    net = fork_counter_net(bits, counter_bits)
+    states = 2 ** bits + 2 ** counter_bits
+    t, rg = best_time(net, states, args.repeats)
+    assert rg.n_states == states
+    assert len(rg.edges) == bits * 2 ** (bits - 1) + 2 ** counter_bits
+    print()
+    print("%16s %8s %8s %10s" % ("net", "states", "edges", "time"))
+    print("%16s %8d %8d %8.2fms" % (net.name, rg.n_states, len(rg.edges),
+                                    t * 1e3))
 
 
 if __name__ == "__main__":

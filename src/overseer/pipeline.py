@@ -216,7 +216,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                      timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_marking
-    fmt_mask = net.format_mask
+    fmt_masks = net.format_masks
     masks = rg.masks
     uncovered_masks = {m.mask for m in uncovered}
     over_restrictive = [
@@ -234,8 +234,8 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
         forbidden_count=len(partition.m_f),
         authorized_count=len(partition.m_a),
         border_count=len(partition.m_b),
-        authorized=[fmt_mask(masks[s]) for s in sorted(partition.m_a)],
-        forbidden=[fmt_mask(masks[s]) for s in sorted(partition.m_f)],
+        authorized=fmt_masks([masks[s] for s in sorted(partition.m_a)]),
+        forbidden=fmt_masks([masks[s] for s in sorted(partition.m_f)]),
         border=[fmt(m) for m in border_markings],
         minimal=[fmt(m) for m in minimal],
         cover_columns=[fmt(m) for m in border_markings],
@@ -263,9 +263,8 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                 v.format(net, controller)
                 for v in closed.admissibility_violations
             ],
-            missing_authorized=[fmt_mask(m)
-                                for m in closed.missing_authorized],
-            extra_states=[fmt_mask(m) for m in closed.extra_states],
+            missing_authorized=fmt_masks(closed.missing_authorized),
+            extra_states=fmt_masks(closed.extra_states),
             edge_mismatches=list(closed.edge_mismatches),
             max_control_marking=list(closed.max_control_marking),
             notes=list(closed.notes),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 VOLATILE_KEYS = ("timings", "environment")
 
@@ -53,6 +54,10 @@ class ClosedLoopSummary:
 
 @dataclass
 class SynthesisReport:
+    """What one run found.  `digest`, `render_text` and `render_json`
+    read one payload, built when the first of them is called; change no
+    field after that."""
+
     net_name: str = ""
     places: list[str] = field(default_factory=list)
     transitions: list[str] = field(default_factory=list)
@@ -93,6 +98,7 @@ class SynthesisReport:
     timings: list[tuple[str, float]] = field(default_factory=list)
 
     def to_dict(self) -> dict:
+        """The report as a new JSON-ready dict, digest included."""
         payload = {
             "net": {
                 "name": self.net_name,
@@ -146,14 +152,20 @@ class SynthesisReport:
         payload["digest"] = canonical_digest(payload)
         return payload
 
+    @cached_property
+    def _payload(self) -> dict:
+        # built on first use, once the report is assembled: the digest
+        # and both renderings share it, so the payload is encoded once
+        # for the digest and once for the JSON text
+        return self.to_dict()
+
     def digest(self) -> str:
-        return self.to_dict()["digest"]
+        return self._payload["digest"]
 
     def render_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._payload, indent=2, sort_keys=True) + "\n"
 
     def render_text(self) -> str:
-        d = self.to_dict()
         yn = {True: "yes", False: "no"}
         out = []
         w = out.append
@@ -252,5 +264,5 @@ class SynthesisReport:
         for stage, seconds in self.timings:
             w("  %-12s %8.3f ms" % (stage, seconds * 1000.0))
         w("")
-        w("canonical digest: %s" % d["digest"])
+        w("canonical digest: %s" % self.digest())
         return "\n".join(out) + "\n"

@@ -1,10 +1,14 @@
 """Core net model: markings, firing, reachability exploration."""
 
 import random
+import sys
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import overseer.net
 from overseer import (
     Marking,
     PetriNet,
@@ -17,7 +21,12 @@ from overseer.errors import (
     StateBudgetExceeded,
 )
 
-from netgen import safe_net
+from netgen import random_net, safe_net
+
+ROOT = Path(__file__).parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
+import oracle  # noqa: E402
+from reach_bench import fork_counter_net, ring_net  # noqa: E402
 
 
 def _chain_net():
@@ -146,17 +155,22 @@ def test_reachability_budget_enforced():
         build_reachability_graph(net, budget=(1 << n) - 1)
 
 
-def test_reachability_wider_than_64_places():
-    # 70 places: masks wider than a machine word explore the same way
-    n = 70
+def _wide_chain_net(n=70):
+    # a token walking down n places, one state per level
     places = ["p%d" % i for i in range(n)]
     pre = [[i] for i in range(n - 1)]
     post = [[i + 1] for i in range(n - 1)]
     names = ["t%d" % i for i in range(n - 1)]
-    net = PetriNet(
+    return PetriNet(
         "wide", places, names, [True] * (n - 1), pre, post,
         Marking.from_support(n, [0]),
     )
+
+
+def test_reachability_wider_than_64_places():
+    # 70 places: masks wider than a machine word explore the same way
+    n = 70
+    net = _wide_chain_net(n)
     rg = build_reachability_graph(net)
     assert rg.n_states == n
     assert rg.marking(rg.n_states - 1).support() == (n - 1,)
@@ -201,3 +215,107 @@ def test_format_mask_matches_support_form(width):
         expected = "".join(places[i] for i in m.support()) or "-"
         assert net.format_mask(mask) == expected
         assert net.format_marking(m) == expected
+    ordered = sorted(masks)
+    assert net.format_masks(ordered) == [net.format_mask(m) for m in ordered]
+
+
+def _explore_outcome(net, budget):
+    """The graph as (states, edges, offsets), or the error's class and
+    message."""
+    try:
+        rg = build_reachability_graph(net, budget=budget)
+    except (SafenessViolation, StateBudgetExceeded) as exc:
+        return type(exc), str(exc)
+    for s in range(rg.n_states):
+        assert rg.state_id(rg.marking(s)) == s
+    return rg.masks, [tuple(e) for e in rg.edges.tolist()], \
+        rg.offsets.tolist()
+
+
+def _oracle_outcome(net, budget):
+    try:
+        states, edges = oracle.explore(net.pre_masks, net.post_masks,
+                                       net.m0.mask, budget)
+    except oracle.Rejected:
+        return None
+    offsets = np.zeros(len(states) + 1, dtype=int)
+    np.add.at(offsets, [s + 1 for s, _, _ in edges], 1)
+    return states, edges, np.cumsum(offsets).tolist()
+
+
+@cache
+def _ring_outcome(k):
+    return _oracle_outcome(ring_net(k), 1 << 20)
+
+
+def _clash_nets():
+    """Nets whose first level meets both an unsafe firing and a new
+    state: the new state first, the unsafe firing first, and both at
+    the same firing."""
+    def net(pre, post):
+        names = ["t%d" % t for t in range(len(pre))]
+        return PetriNet("clash", ["A", "B"], names, [True] * len(pre),
+                        pre, post, Marking.from_support(2, [0, 1]))
+
+    return [net([[0], []], [[], [1]]), net([[], [0]], [[1], []]),
+            net([[0]], [[1]])]
+
+
+@pytest.mark.parametrize("vector_from", [0, 1, None])
+def test_level_steps_match_oracle(monkeypatch, vector_from):
+    """Whichever step expands each BFS level, the graph equals the
+    oracle's, and a rejected net raises what the per-state loop raises."""
+    if vector_from is not None:
+        monkeypatch.setattr(overseer.net, "_VECTOR_FROM", vector_from)
+
+    def loop_outcome(net, budget):
+        with monkeypatch.context() as m:
+            m.setattr(overseer.net, "_VECTOR_FROM", 1 << 62)
+            return _explore_outcome(net, budget)
+
+    rng = random.Random(2024)
+    cases = [(random_net(rng), rng.choice((3, 8, 4096)))
+             for _ in range(500)]
+    cases += [(net, budget) for net in _clash_nets() for budget in (1, 8)]
+    # masks wider than 64 bits take the loop even on levels counted wide
+    cases.append((_wide_chain_net(), 1 << 20))
+    rejected = 0
+    for net, budget in cases:
+        got = _explore_outcome(net, budget)
+        expected = _oracle_outcome(net, budget)
+        if expected is None:
+            rejected += 1
+            assert got == loop_outcome(net, budget)
+            assert got[0] in (SafenessViolation, StateBudgetExceeded)
+        else:
+            assert got == expected
+    assert 100 < rejected < 400
+    assert [_explore_outcome(net, 1)[0] for net in _clash_nets()] \
+        == [StateBudgetExceeded, SafenessViolation, SafenessViolation]
+
+    for k in range(1, 10):
+        assert _explore_outcome(ring_net(k), 1 << 20) == _ring_outcome(k)
+    net = fork_counter_net(6, 5)
+    assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
+
+
+def test_wide_levels_switch_step_and_back(monkeypatch):
+    """A fork's wide levels take the array step; its narrow first and
+    last levels, and the counter's one-state levels after them, take
+    the loop."""
+    expanded = []
+    expand = overseer.net._LevelStep.expand
+
+    def spy(self, masks, lo, hi, *args):
+        expanded.append((lo, hi))
+        return expand(self, masks, lo, hi, *args)
+
+    monkeypatch.setattr(overseer.net._LevelStep, "expand", spy)
+    net = fork_counter_net(12, 8)
+    got = _explore_outcome(net, 1 << 20)
+    assert got == _oracle_outcome(net, 1 << 20)
+    assert len(got[0]) == 2 ** 12 + 2 ** 8
+    # the fork's levels hold C(12, i) states; the widest ones are arrays
+    assert expanded
+    assert all(hi - lo >= overseer.net._VECTOR_FROM for lo, hi in expanded)
+    assert expanded[0][0] > 0 and expanded[-1][1] < 2 ** 12

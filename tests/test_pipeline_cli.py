@@ -93,6 +93,25 @@ def test_pipeline_report_deterministic(two_machines_path):
     assert strip(a.render_text()) == strip(b.render_text())
 
 
+def test_report_payload_encoded_once_per_rendering(two_machines,
+                                                    monkeypatch):
+    report = run_pipeline(two_machines).report
+    encoded = []
+    dumps = json.dumps
+
+    def counting_dumps(*args, **kwargs):
+        encoded.append(kwargs.get("indent"))
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    text = report.render_text()
+    twin = json.loads(report.render_json())
+    # once compact for the digest, once indented for the JSON text
+    assert encoded == [None, 2]
+    assert text.splitlines()[-1] == "canonical digest: %s" % twin["digest"]
+    assert twin["digest"] == report.digest() == report.to_dict()["digest"]
+
+
 def test_pipeline_exact_cover_matches_greedy_here(two_machines):
     result = run_pipeline(
         two_machines, PipelineOptions(exact_cover=True)
