@@ -43,7 +43,7 @@ def reference_minimal(rg, partition):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--max-k", type=int, default=4,
+    ap.add_argument("--max-k", type=int, default=5,
                     help="largest number of copies to time")
     ap.add_argument("--repeats", type=int, default=3,
                     help="timing repetitions, best is kept")

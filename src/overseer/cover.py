@@ -1,10 +1,13 @@
 """Cover table over border states and selection of the final over-states.
 
-Rows are candidate over-states, columns border states; a cell is set
-when the row covers the column (row <= column as partial markings).
-Selection works like a prime-implicant chart: essential rows first
-(sole cover of some column), then greedily the row covering the most
-still-uncovered columns, ties broken by smaller support then by
+Rows are candidate over-states, columns border states; a row covers a
+column when the row lies inside it (row <= column as partial markings).
+Each row is stored as one int bitset over the columns (bit j = column
+j), and the number of rows covering each column is counted once, when
+the table is built; selection and the coverage checks work on those
+bitsets.  Selection works like a prime-implicant chart: essential rows
+first (sole cover of some column), then greedily the row covering the
+most still-uncovered columns, ties broken by smaller support then by
 support order.  An exhaustive minimum selection is available for small
 tables, both as a CLI option and as the oracle the greedy result is
 tested against.
@@ -15,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from .errors import UncoverableState
-from .net import Marking
+from .net import Marking, bit_rows
 
 EXACT_COVER_LIMIT = 20
 
@@ -25,7 +30,8 @@ EXACT_COVER_LIMIT = 20
 class CoverTable:
     rows: list[Marking]
     cols: list[Marking]
-    cells: list[list[bool]]
+    bits: list[int]  # per row: the columns it covers
+    counts: list[int]  # per column: how many rows cover it
     selected: list[bool] = field(default_factory=list)
     pick_order: list[int] = field(default_factory=list)
 
@@ -33,23 +39,21 @@ class CoverTable:
         if not self.selected:
             self.selected = [False] * len(self.rows)
 
+    @property
+    def full(self) -> int:
+        """The bitset of all columns."""
+        return (1 << len(self.cols)) - 1
+
     def cover_counts(self) -> list[int]:
         """Per column: how many rows cover it."""
-        return [
-            sum(1 for i in range(len(self.rows)) if self.cells[i][j])
-            for j in range(len(self.cols))
-        ]
+        return list(self.counts)
 
     def final_counts(self) -> list[int]:
         """Per column: how many selected rows cover it."""
-        return [
-            sum(
-                1
-                for i in range(len(self.rows))
-                if self.selected[i] and self.cells[i][j]
-            )
-            for j in range(len(self.cols))
-        ]
+        return _column_counts(
+            [b for b, keep in zip(self.bits, self.selected) if keep],
+            len(self.cols),
+        )
 
     def selected_rows(self) -> list[Marking]:
         """Selected over-states in the order they were picked (essential
@@ -59,19 +63,57 @@ class CoverTable:
         return [b for b, keep in zip(self.rows, self.selected) if keep]
 
 
+# A table of at least this many cells is built and counted with numpy;
+# a smaller one with plain loops, which have no fixed cost.  On a
+# 2-core host building a 3 x 4 table took 29 us with numpy and 13 us
+# with the loops; the 12 x 375 table of two_machines x3 took 0.18 ms
+# with numpy and 1.6 ms with the loops.
+_VECTOR_CELLS = 256
+
+
+def _column_counts(bits: list[int], n_cols: int) -> list[int]:
+    """Per column: how many of the bitsets hold it."""
+    if len(bits) * n_cols < _VECTOR_CELLS:
+        return [sum(b >> j & 1 for b in bits) for j in range(n_cols)]
+    return bit_rows(bits, n_cols).sum(axis=0).tolist()
+
+
 def build_cover_table(candidates, border) -> CoverTable:
     rows = list(candidates)
     cols = list(border)
-    cells = [[b.issubset(m) for m in cols] for b in rows]
-    return CoverTable(rows=rows, cols=cols, cells=cells)
+    if len(rows) * len(cols) < _VECTOR_CELLS:
+        bits = [sum(1 << j for j, m in enumerate(cols) if b.issubset(m))
+                for b in rows]
+    else:
+        bits = _row_bits(rows, cols)
+    return CoverTable(rows=rows, cols=cols, bits=bits,
+                      counts=_column_counts(bits, len(cols)))
+
+
+def _row_bits(rows: list[Marking], cols: list[Marking]) -> list[int]:
+    """Per row: the bitset of the columns that mark every place of it."""
+    width = cols[0].width
+    # per place: the bitset of the columns that mark it
+    step = (len(cols) + 7) // 8
+    raw = np.packbits(bit_rows([m.mask for m in cols], width), axis=0,
+                      bitorder="little").T.tobytes()
+    marked = [int.from_bytes(raw[p * step:(p + 1) * step], "little")
+              for p in range(width)]
+    full = (1 << len(cols)) - 1
+    bits = []
+    for b in rows:
+        covers = full
+        for p in b.support():
+            covers &= marked[p]
+        bits.append(covers)
+    return bits
 
 
 def check_coverage(table: CoverTable) -> tuple[bool, list[Marking]]:
     """Is every border state covered by at least one candidate?  Returns
     the flag and the uncovered border states (maximal permissiveness is
     unreachable unless the list is empty)."""
-    counts = table.cover_counts()
-    uncovered = [m for m, c in zip(table.cols, counts) if c == 0]
+    uncovered = [m for m, c in zip(table.cols, table.counts) if c == 0]
     return not uncovered, uncovered
 
 
@@ -101,42 +143,42 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         )
         return table
 
-    n_rows, n_cols = len(table.rows), len(table.cols)
-    selected = [False] * n_rows
-    covered = [False] * n_cols
-    picks: list[int] = []
-
-    counts = table.cover_counts()
-    for j in range(n_cols):
-        if counts[j] == 1:
-            i = next(i for i in range(n_rows) if table.cells[i][j])
-            if not selected[i]:
-                selected[i] = True
-                picks.append(i)
+    bits = table.bits
+    selected = [False] * len(bits)
+    # the essential rows, in the order of their first essential column
+    seen = shared = 0
+    for b in bits:
+        shared |= seen & b
+        seen |= b
+    essential = seen & ~shared
+    first = {}
+    for i, b in enumerate(bits):
+        own = b & essential
+        if own:
+            first[i] = (own & -own).bit_length()
+    picks = sorted(first, key=first.__getitem__)
+    covered = 0
     for i in picks:
-        for j in range(n_cols):
-            if table.cells[i][j]:
-                covered[j] = True
+        selected[i] = True
+        covered |= bits[i]
 
-    while not all(covered):
+    keys = [_tie_key(b) for b in table.rows]
+    full = table.full
+    while covered != full:
         best = None
         best_key = None
-        for i in range(n_rows):
+        for i, b in enumerate(bits):
             if selected[i]:
                 continue
-            gain = sum(
-                1 for j in range(n_cols) if table.cells[i][j] and not covered[j]
-            )
+            gain = (b & ~covered).bit_count()
             if gain == 0:
                 continue
-            key = (-gain,) + _tie_key(table.rows[i])
+            key = (-gain,) + keys[i]
             if best_key is None or key < best_key:
                 best, best_key = i, key
         selected[best] = True
         picks.append(best)
-        for j in range(n_cols):
-            if table.cells[best][j]:
-                covered[j] = True
+        covered |= bits[best]
 
     table.selected = selected
     table.pick_order = picks
@@ -150,13 +192,16 @@ def _minimum_selection(table: CoverTable) -> list[bool]:
             "exact cover is exhaustive; refusing %d rows (limit %d)"
             % (n_rows, EXACT_COVER_LIMIT)
         )
-    n_cols = len(table.cols)
     order = sorted(range(n_rows), key=lambda i: _tie_key(table.rows[i]))
-    if n_cols == 0:
+    if not table.cols:
         return [False] * n_rows
+    full = table.full
     for size in range(1, n_rows + 1):
         for combo in combinations(order, size):
-            if all(any(table.cells[i][j] for i in combo) for j in range(n_cols)):
+            covered = 0
+            for i in combo:
+                covered |= table.bits[i]
+            if covered == full:
                 selected = [False] * n_rows
                 for i in combo:
                     selected[i] = True
@@ -173,4 +218,8 @@ def check_final_coverage(table: CoverTable) -> bool:
     """Every border state covered by at least one *selected* over-state.
     With this, the selected constraints define exactly the authorized
     behavior; a count above one is merely redundant coverage."""
-    return all(c >= 1 for c in table.final_counts())
+    covered = 0
+    for b, keep in zip(table.bits, table.selected):
+        if keep:
+            covered |= b
+    return covered == table.full

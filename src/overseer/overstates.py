@@ -8,14 +8,20 @@ b meets m & ~a, so the usable over-states of m are the transversals
 inside m of the hypergraph {m} + {m & ~a : a authorized} (the edge m
 keeps b nonempty), and the cheapest ones are its minimal transversals.
 They are computed directly with Berge's incremental algorithm on int
-masks.  `over_states`, which lists every sub-support, remains as the
-reference the tests compare against.
+masks, from the inclusion-minimal edges alone: an edge that contains
+another adds no constraint on a transversal.  On a net of at most 64
+places with many border x authorized pairs, numpy finds those minimal
+edges for a block of border states at a time; otherwise Berge's own
+superset test drops the larger edges.  `over_states`, which lists every
+sub-support, remains as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+
+import numpy as np
 
 from .errors import StateBudgetExceeded
 from .net import DEFAULT_STATE_BUDGET, Marking, canonical_order
@@ -47,7 +53,9 @@ def minimal_transversals(edges, budget: int = DEFAULT_STATE_BUDGET
     """
     family = [0]
     taken: list[int] = []
-    for e in sorted(set(edges), key=int.bit_count):
+    # ties in size go in mask order, so the family in flight, and with
+    # it the budget check, depends only on the set of edges
+    for e in sorted(sorted(set(edges)), key=int.bit_count):
         if not e:
             return []
         for f in taken:
@@ -84,6 +92,18 @@ def _add_edge(family: list[int], e: int, budget: int) -> list[int]:
     return grown
 
 
+# A border x authorized product of at least this many pairs, on a net of
+# at most 64 places, is reduced to its minimal edges with numpy; a
+# smaller one goes to Berge edge by edge, which has no fixed cost.  On a
+# 2-core host the numpy step cost 0.1 ms for 5 x 5 pairs, where the int
+# path took 0.03 ms, and 0.27 ms for 50 x 25 pairs, where it took
+# 0.78 ms (copies of two_machines).
+_VECTOR_PAIRS = 256
+
+# Cells (border states x edges) per numpy block: a few MB of temporaries.
+_BLOCK_CELLS = 1 << 18
+
+
 def overstate_union(border, authorized,
                     budget: int = DEFAULT_STATE_BUDGET) -> list[Marking]:
     """Deduplicated union of the border states' minimal over-states, in
@@ -93,13 +113,54 @@ def overstate_union(border, authorized,
     if not border:
         return []
     width = border[0].width
+    masks = [m.mask for m in border]
     auth = [a.mask for a in authorized]
+    if width <= 64 and len(masks) * len(auth) >= _VECTOR_PAIRS:
+        hypergraphs = _minimal_edge_sets(masks, auth)
+    else:
+        hypergraphs = ([m] + [m & ~a for a in auth] for m in masks)
     found: set[int] = set()
-    for m in border:
-        mask = m.mask
-        found.update(minimal_transversals(
-            [mask] + [mask & ~a for a in auth], budget))
+    for edges in hypergraphs:
+        found.update(minimal_transversals(edges, budget))
     return canonical_order(Marking(width, b) for b in found)
+
+
+def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:
+    """The distinct sets of inclusion-minimal edges of the hypergraphs
+    {m} + {m & ~a : a in auth}, one per border state m without an empty
+    edge, each as a sorted tuple of masks (at most 64 places).
+
+    A row's minimal edges come out one per round: the live edge of
+    least size is minimal, and it kills every live edge containing it,
+    itself and its copies included.  A row runs out of live edges after
+    as many rounds as it has minimal edges."""
+    free = ~np.array(auth, dtype=np.uint64)
+    masks = np.array(border, dtype=np.uint64)
+    done = np.uint8(255)  # the size of a dead edge
+    out: set[tuple] = set()
+    step = max(1, _BLOCK_CELLS // (len(auth) + 1))
+    for lo in range(0, len(border), step):
+        m = masks[lo:lo + step, None]
+        edges = np.concatenate([m, m & free], axis=1)
+        size = np.bitwise_count(edges)
+        # a border state with an empty edge has no over-state
+        keep = size.min(axis=1) > 0
+        if not keep.all():
+            edges, size = edges[keep], size[keep]
+        picks = []
+        while True:
+            least = size.argmin(axis=1)[:, None]
+            live = np.take_along_axis(size, least, axis=1) < done
+            if not live.any():
+                break
+            # a row with no live edge left picks 0, dropped from its tuple
+            pick = np.take_along_axis(edges, least, axis=1) * live
+            picks.append(pick)
+            np.putmask(size, (edges & pick) == pick, done)
+        if picks:
+            for row in np.sort(np.concatenate(picks, axis=1)).tolist():
+                out.add(tuple(row[row.count(0):]))
+    return out
 
 
 def dominated_by_authorized(b: Marking, authorized) -> bool:

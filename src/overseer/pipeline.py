@@ -189,24 +189,17 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
             # an empty border marking admits no token-sum constraint at
             # all; not even the fallback can forbid it
             raise exc
-    uncovered_masks = {m.mask for m in uncovered}
-    keep = [j for j, c in enumerate(tbl.cols)
-            if c.mask not in uncovered_masks]
-    sub = CoverTable(
-        rows=tbl.rows,
-        cols=[tbl.cols[j] for j in keep],
-        cells=[[row[j] for j in keep] for row in tbl.cells],
-    )
+    sub = build_cover_table(
+        tbl.rows, [c for c, n in zip(tbl.cols, tbl.counts) if n])
     if sub.cols:
         select_final_cover(sub, exact=options.exact_cover)
     chosen = sub.selected_rows() + uncovered
-    final_counts = [
-        sum(1 for b in chosen if b.issubset(col)) for col in tbl.cols
-    ]
     # rows are shared with the full table; only the full-state
     # constraints live outside it
     tbl.selected = list(sub.selected)
     tbl.pick_order = list(sub.pick_order)
+    extra = build_cover_table(uncovered, tbl.cols).counts
+    final_counts = [a + b for a, b in zip(tbl.final_counts(), extra)]
     return tbl, chosen, final_counts, uncovered, True
 
 
@@ -215,9 +208,9 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                      constraints, controller, closed,
                      timings) -> SynthesisReport:
     net = doc.net
-    fmt = net.format_marking
     fmt_masks = net.format_masks
     masks = rg.masks
+    border = fmt_masks([m.mask for m in border_markings])
     uncovered_masks = {m.mask for m in uncovered}
     over_restrictive = [
         Constraint.from_overstate(b).format(net.places)
@@ -229,19 +222,19 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
         transitions=list(net.transitions),
         controllable=[t for t, c in zip(net.transitions, net.controllable)
                       if c],
-        initial=fmt(net.m0),
+        initial=net.format_marking(net.m0),
         reachable_count=rg.n_states,
         forbidden_count=len(partition.m_f),
         authorized_count=len(partition.m_a),
         border_count=len(partition.m_b),
         authorized=fmt_masks([masks[s] for s in sorted(partition.m_a)]),
         forbidden=fmt_masks([masks[s] for s in sorted(partition.m_f)]),
-        border=[fmt(m) for m in border_markings],
-        minimal=[fmt(m) for m in minimal],
-        cover_columns=[fmt(m) for m in border_markings],
+        border=border,
+        minimal=fmt_masks([m.mask for m in minimal]),
+        cover_columns=list(border),
         cover_counts=table.cover_counts() if table is not None else [],
-        final_counts=list(final_counts),
-        selected=[fmt(m) for m in chosen],
+        final_counts=final_counts,
+        selected=fmt_masks([m.mask for m in chosen]),
         selection_mode="exact" if options.exact_cover else "greedy",
         constraints=[c.format(net.places) for c in constraints],
         weight_rows=[[1 if p in c.support else 0
@@ -253,7 +246,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
         bounds=[int(v) for v in controller.bounds],
         no_constraints=not partition.m_f,
         fallback_used=fallback_used,
-        uncovered=[fmt(m) for m in uncovered],
+        uncovered=fmt_masks([m.mask for m in uncovered]),
         over_restrictive=over_restrictive,
         closed_loop=ClosedLoopSummary(
             state_count=closed.state_count,

@@ -163,7 +163,8 @@ class SynthesisReport:
         return self._payload["digest"]
 
     def render_json(self) -> str:
-        return json.dumps(self._payload, indent=2, sort_keys=True) + "\n"
+        # no indent: json's C encoder serves only the compact layout
+        return json.dumps(self._payload, sort_keys=True) + "\n"
 
     def render_text(self) -> str:
         yn = {True: "yes", False: "no"}

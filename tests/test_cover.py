@@ -12,6 +12,7 @@ from overseer import (
     minimum_cover_size,
     select_final_cover,
 )
+from overseer import cover
 from overseer.errors import UncoverableState
 
 
@@ -23,10 +24,30 @@ def _table(rows, cols):
     return build_cover_table([_m(r) for r in rows], [_m(c) for c in cols])
 
 
-def test_cells_are_subset_tests():
-    t = _table([[0], [0, 1]], [[0, 1, 2], [0, 3]])
-    assert t.cells == [[True, True], [True, False]]
-    assert t.cover_counts() == [2, 1]
+def _cells(table):
+    """The row bitsets read back as one bool per (row, column)."""
+    return [[bool(b >> j & 1) for j in range(len(table.cols))]
+            for b in table.bits]
+
+
+# the table sizes from which numpy builds and counts: the default,
+# which no table in these tests reaches, and every table
+BOTH_PATHS = (cover._VECTOR_CELLS, 0)
+
+
+def test_cells_are_subset_tests(monkeypatch):
+    # every cell is the subset test, also on a table wider than a byte
+    rows = [[0], [1, 2], [0, 3], [4, 5, 6], []]
+    cols = [[0, 1, 2, 3, 4, 5, 6, 7]] + [[i, (i + 1) % 8, (i + 3) % 8]
+                                         for i in range(8)]
+    for cells in BOTH_PATHS:
+        monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
+        t = _table([[0], [0, 1]], [[0, 1, 2], [0, 3]])
+        assert _cells(t) == [[True, True], [True, False]]
+        assert t.cover_counts() == [2, 1]
+        t = _table(rows, cols)
+        assert _cells(t) == [[_m(r).issubset(_m(c)) for c in cols]
+                             for r in rows]
 
 
 def test_uncovered_column_detected():
@@ -99,7 +120,31 @@ def test_empty_table_is_trivially_covered():
     assert check_final_coverage(t)
 
 
-def test_greedy_vs_exact_on_random_tables():
+def _reference_greedy(rows, cols):
+    """The selection rule on a list-of-lists table, scanned in full:
+    cover counts, greedy picks, final counts."""
+    cells = [[_m(r).issubset(_m(c)) for c in cols] for r in rows]
+    counts = [sum(row[j] for row in cells) for j in range(len(cols))]
+    picks = []
+    for j in range(len(cols)):
+        if counts[j] == 1:
+            i = next(i for i, row in enumerate(cells) if row[j])
+            if i not in picks:
+                picks.append(i)
+    covered = [any(cells[i][j] for i in picks) for j in range(len(cols))]
+    while not all(covered):
+        gains = [sum(row[j] and not covered[j] for j in range(len(cols)))
+                 for row in cells]
+        best = min((i for i in range(len(rows))
+                    if i not in picks and gains[i]),
+                   key=lambda i: (-gains[i], len(rows[i]), rows[i]))
+        picks.append(best)
+        covered = [c or cells[best][j] for j, c in enumerate(covered)]
+    final = [sum(cells[i][j] for i in picks) for j in range(len(cols))]
+    return counts, picks, final
+
+
+def test_greedy_vs_exact_on_random_tables(monkeypatch):
     rng = random.Random(17)
     for _ in range(150):
         width = rng.randint(2, 7)
@@ -114,12 +159,18 @@ def test_greedy_vs_exact_on_random_tables():
             rows.append(rng.sample(range(width), rng.randint(1, width)))
         rows = [tuple(sorted(r)) for r in rows]
         rows = [list(r) for r in dict.fromkeys(rows)]
-        greedy = build_cover_table(
-            [Marking.from_support(width, r) for r in rows],
-            [Marking.from_support(width, c) for c in cols],
-        )
-        select_final_cover(greedy)
-        assert check_final_coverage(greedy)
+        counts, picks, final = _reference_greedy(rows, cols)
+        for cells in BOTH_PATHS:
+            monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
+            greedy = build_cover_table(
+                [Marking.from_support(width, r) for r in rows],
+                [Marking.from_support(width, c) for c in cols],
+            )
+            assert greedy.cover_counts() == counts
+            select_final_cover(greedy)
+            assert check_final_coverage(greedy)
+            assert greedy.pick_order == picks
+            assert greedy.final_counts() == final
         exact = build_cover_table(
             [Marking.from_support(width, r) for r in rows],
             [Marking.from_support(width, c) for c in cols],

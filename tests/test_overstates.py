@@ -16,6 +16,7 @@ from overseer import (
     overstate_union,
     prune_authorized,
 )
+from overseer import overstates
 from overseer.errors import StateBudgetExceeded
 from overseer.overstates import minimal_transversals
 
@@ -92,7 +93,31 @@ def test_engine_without_over_states():
     assert minimal_transversals([]) == [0]
 
 
-def test_engine_matches_reference_on_random_masks():
+def _minimal_edges(border, authorized):
+    """Per border state without an empty edge: the inclusion-minimal
+    edges of {m} + {m & ~a}, sorted; each distinct set once."""
+    out = set()
+    for m in border:
+        edges = {m.mask} | {m.mask & ~a.mask for a in authorized}
+        if 0 not in edges:
+            out.add(tuple(sorted(e for e in edges if not any(
+                f != e and not f & ~e for f in edges))))
+    return out
+
+
+def _on_both_paths(monkeypatch, border, authorized):
+    """overstate_union with the numpy minimal-edge step never taken,
+    then taken from the first border x authorized pair."""
+    with monkeypatch.context() as mp:
+        mp.setattr(overstates, "_minimal_edge_sets", None)
+        by_int = overstate_union(border, authorized)
+    with monkeypatch.context() as mp:
+        mp.setattr(overstates, "_VECTOR_PAIRS", 0)
+        by_numpy = overstate_union(border, authorized)
+    return by_int, by_numpy
+
+
+def test_engine_matches_reference_on_random_masks(monkeypatch):
     rng = random.Random(8)
     for _ in range(400):
         width = rng.randint(1, 10)
@@ -104,9 +129,27 @@ def test_engine_matches_reference_on_random_masks():
 
         border = [draw() for _ in range(rng.randint(1, 5))]
         authorized = [draw() for _ in range(rng.randint(0, 8))]
+        got, by_numpy = _on_both_paths(monkeypatch, border, authorized)
+        assert got == by_numpy == _reference(border, authorized)
+        assert overstates._minimal_edge_sets(
+            [m.mask for m in border], [a.mask for a in authorized]
+        ) == _minimal_edges(border, authorized)
+        assert minimal_elements(prune_authorized(got, authorized)) == got
+
+
+def test_wide_nets_take_the_int_path(monkeypatch):
+    # 70 places do not fit a uint64 mask, whatever the pair count
+    monkeypatch.setattr(overstates, "_VECTOR_PAIRS", 0)
+    monkeypatch.setattr(overstates, "_minimal_edge_sets", None)
+    rng = random.Random(70)
+    for _ in range(20):
+        high = rng.sample(range(60, 70), 6)
+        border = [_m(rng.sample(high, rng.randint(1, 6)), width=70)
+                  for _ in range(3)]
+        authorized = [_m(rng.sample(high, rng.randint(0, 6)), width=70)
+                      for _ in range(4)]
         got = overstate_union(border, authorized)
         assert got == _reference(border, authorized)
-        assert minimal_elements(prune_authorized(got, authorized)) == got
 
 
 def test_domination_by_authorized():

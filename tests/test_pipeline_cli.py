@@ -106,10 +106,35 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
     monkeypatch.setattr(json, "dumps", counting_dumps)
     text = report.render_text()
     twin = json.loads(report.render_json())
-    # once compact for the digest, once indented for the JSON text
-    assert encoded == [None, 2]
+    # once for the digest, once for the JSON text, both without an indent
+    assert encoded == [None, None]
     assert text.splitlines()[-1] == "canonical digest: %s" % twin["digest"]
     assert twin["digest"] == report.digest() == report.to_dict()["digest"]
+
+
+# The canonical digests of the bundled nets and of two copies of
+# two_machines.  A change that moves one changes the report and must
+# say so.
+GOLDEN_DIGESTS = {
+    "two_machines":
+        "c20c7ea8cb982ee49cfad9ecf4309aef973cdaa008ba038bdb1921ba58fbbbbc",
+    "drop_job --fallback":
+        "663156a88aecbe43a9247f15024100bbfb5db1319c4a6d9d39a374b0ce560af0",
+    "two_machines x2":
+        "55e442364fb7e8161817c858d08494fbe057d390e7785301b461a94a9fb66cfd",
+}
+
+
+def test_golden_digests(two_machines, drop_job):
+    fallback = PipelineOptions(fallback=True)
+    digests = {
+        "two_machines": run_pipeline(two_machines).report.digest(),
+        "drop_job --fallback":
+            run_pipeline(drop_job, fallback).report.digest(),
+        "two_machines x2":
+            run_pipeline(copies(two_machines, 2)).report.digest(),
+    }
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_pipeline_exact_cover_matches_greedy_here(two_machines):
