@@ -54,15 +54,13 @@ from .overstates import (
 from .partition import (
     BadStateSpec,
     StatePartition,
-    border_states,
     deadlocks,
-    forbidden_closure,
     partition_states,
     primal_bad,
 )
 from .pipeline import PipelineOptions, PipelineResult, run_pipeline
 from .pnet import NetDocument, parse_net, parse_net_file, serialize_net
-from .predicate import compile_predicate, parse_predicate, predicate_places
+from .predicate import parse_predicate, predicate_places
 from .report import SynthesisReport, canonical_digest
 from .synthesis import (
     ClosedLoopReport,
@@ -110,7 +108,6 @@ __all__ = [
     "UnknownPlaceName",
     "VerificationFailure",
     "assemble_controlled_net",
-    "border_states",
     "build_constraint_matrix",
     "build_cover_table",
     "build_reachability_graph",
@@ -118,12 +115,10 @@ __all__ = [
     "canonical_order",
     "check_coverage",
     "check_final_coverage",
-    "compile_predicate",
     "constraints_from",
     "deadlocks",
     "dominated_by_authorized",
     "empty_controller",
-    "forbidden_closure",
     "minimal_elements",
     "minimum_cover_size",
     "over_states",

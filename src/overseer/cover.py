@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import UncoverableState
+from .errors import StateBudgetExceeded, UncoverableState
 from .net import Marking, bit_rows
 
 EXACT_COVER_LIMIT = 20
@@ -188,7 +188,7 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
 def _minimum_selection(table: CoverTable) -> list[bool]:
     n_rows = len(table.rows)
     if n_rows > EXACT_COVER_LIMIT:
-        raise ValueError(
+        raise StateBudgetExceeded(
             "exact cover is exhaustive; refusing %d rows (limit %d)"
             % (n_rows, EXACT_COVER_LIMIT)
         )

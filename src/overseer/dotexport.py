@@ -26,17 +26,15 @@ def rg_to_dot(rg: ReachabilityGraph,
     out.append('  node [shape=ellipse, style=filled, fontname="Helvetica"];')
     out.append('  edge [fontname="Helvetica"];')
     out.append('  __init [shape=point, width=0.12, label=""];')
-    for sid, mask in enumerate(rg.masks):
-        label = net.format_mask(mask)
-        attrs = ['label=%s' % _quote(label)]
-        if partition is not None and sid in partition.m_f:
-            attrs.append('fillcolor="gray25"')
-            attrs.append('fontcolor="white"')
-            if sid in partition.m_b:
-                attrs.append("peripheries=2")
-        else:
-            attrs.append('fillcolor="white"')
-        out.append("  s%d [%s];" % (sid, ", ".join(attrs)))
+    style = ['fillcolor="white"'] * rg.n_states
+    if partition is not None:
+        for sid in partition.m_f.tolist():
+            style[sid] = 'fillcolor="gray25", fontcolor="white"'
+        for sid in partition.m_b.tolist():
+            style[sid] += ", peripheries=2"
+    for sid, (mask, attrs) in enumerate(zip(rg.masks, style)):
+        out.append("  s%d [label=%s, %s];"
+                   % (sid, _quote(net.format_mask(mask)), attrs))
     out.append("  __init -> s0;")
     for s, t, d in rg.edges.tolist():
         attrs = ["label=%s" % _quote(net.transitions[t])]

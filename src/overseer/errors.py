@@ -39,8 +39,8 @@ class SafenessViolation(OverseerError):
 
 
 class StateBudgetExceeded(OverseerError):
-    """A search hit the configured budget: reachable states, or minimal
-    transversals in flight in the over-state stage."""
+    """A search hit its budget: reachable states or minimal transversals
+    in flight (both `--state-budget`), or the exact cover's row limit."""
 
 
 class EmptyConstraintSet(OverseerError):

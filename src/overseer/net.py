@@ -30,17 +30,10 @@ DEFAULT_STATE_BUDGET = 1 << 20
 def bit_rows(masks, width: int) -> np.ndarray:
     """One 0/1 row of `width` columns per int mask (bit i = column i)."""
     nbytes = (width + 7) // 8
-    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    raw = b"".join([m.to_bytes(nbytes, "little") for m in masks])
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little")
     return bits.reshape(len(masks), nbytes * 8)[:, :width]
-
-
-def indicator(n: int, ids) -> np.ndarray:
-    """Boolean array of length n, true at the given state ids."""
-    out = np.zeros(n, dtype=bool)
-    out[list(ids)] = True
-    return out
 
 
 def reachability_backend(n_places: int | None = None) -> str:
@@ -301,8 +294,8 @@ class ReachabilityGraph:
     marking of state s.  `edges` is an (E, 3) array of rows (source,
     transition, target), sorted by source and then transition; `src`,
     `tr` and `dst` are its columns, and the edges leaving state s are
-    rows `offsets[s]` to `offsets[s + 1]`.  `uncontrollable` flags the
-    edges whose transition is uncontrollable (1, else 0).
+    rows `offsets[s]` to `offsets[s + 1]`.  `uncontrollable` is true at
+    the edges whose transition is uncontrollable.
     """
 
     def __init__(self, net: PetriNet, masks, flat: np.ndarray):
@@ -331,7 +324,7 @@ class ReachabilityGraph:
 
     @cached_property
     def uncontrollable(self) -> np.ndarray:
-        return self._uncontrollable[self.tr]
+        return self._uncontrollable.astype(bool)[self.tr]
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -347,8 +340,8 @@ class ReachabilityGraph:
         return Marking(self.net.n_places, self.masks[sid])
 
     def markings_of(self, ids) -> list[Marking]:
-        """Markings for a set of state ids, in state-id order."""
-        return [self.marking(i) for i in sorted(ids)]
+        """Markings for a sorted id array, in that order."""
+        return [self.marking(i) for i in ids.tolist()]
 
     def __repr__(self):
         return "ReachabilityGraph(%d states, %d edges)" % (

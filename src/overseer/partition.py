@@ -6,19 +6,21 @@ uncontrollable transitions: a state that can drift into the forbidden
 set without the supervisor's consent is itself forbidden.  The border
 states are the forbidden states a supervisor can actually refuse to
 enter: targets of controllable firings from authorized states.
+
+A state set is a sorted `np.intp` id array wherever it leaves this
+module, and a bool mask over the states inside it.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ForbiddenInitialMarking, UncontrollableBreach
-from .net import Marking, ReachabilityGraph, indicator
-from .predicate import compile_predicate
+from .net import Marking, ReachabilityGraph, bit_rows
+from .predicate import evaluate_predicate
 
 log = logging.getLogger(__name__)
 
@@ -45,30 +47,29 @@ class BadStateSpec:
         object.__setattr__(self, "explicit", tuple(self.explicit))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StatePartition:
-    """State-id sets over one reachability graph: reachable, forbidden,
-    authorized (the complement), and border forbidden."""
+    """State sets over one reachability graph: reachable (every id),
+    forbidden, authorized (the complement), and border forbidden, each
+    of the last three a sorted id array."""
 
-    m_r: frozenset[int]
-    m_f: frozenset[int]
-    m_a: frozenset[int]
-    m_b: frozenset[int] = field(default_factory=frozenset)
+    m_r: range
+    m_f: np.ndarray
+    m_a: np.ndarray
+    m_b: np.ndarray
 
 
-def deadlocks(rg: ReachabilityGraph) -> frozenset[int]:
+def deadlocks(rg: ReachabilityGraph) -> np.ndarray:
     """States with no outgoing edge."""
-    dead = np.ones(rg.n_states, dtype=bool)
-    dead[rg.src] = False
-    return frozenset(dead.nonzero()[0].tolist())
+    return (rg.offsets[1:] == rg.offsets[:-1]).nonzero()[0]
 
 
-def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> frozenset[int]:
-    """States matching the forbidden-state description before any closure."""
-    bad: set[int] = set()
+def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
     if spec.expr is not None:
-        pred = compile_predicate(spec.expr, rg.net.place_index)
-        bad.update(s for s, mask in enumerate(rg.masks) if pred(mask))
+        bad = evaluate_predicate(spec.expr, rg.net.place_index,
+                                 bit_rows(rg.masks, rg.net.n_places))
+    else:
+        bad = np.zeros(rg.n_states, dtype=bool)
     for m in spec.explicit:
         if m.width != rg.net.n_places:
             raise ValueError(
@@ -82,82 +83,93 @@ def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> frozenset[int]:
                 rg.net.format_marking(m),
             )
         else:
-            bad.add(sid)
+            bad[sid] = True
     if spec.include_deadlocks:
-        bad.update(deadlocks(rg))
-    return frozenset(bad)
+        bad[deadlocks(rg)] = True
+    return bad
 
 
-def forbidden_closure(rg: ReachabilityGraph, bad) -> frozenset[int]:
-    """Least superset of `bad` closed under uncontrollable entry: a state
-    with an uncontrollable edge into the set joins the set.  Backward BFS
-    over a predecessor index of the uncontrollable edges only."""
-    if not bad:
-        return frozenset()
-    unc = rg.uncontrollable.nonzero()[0]
-    unc = unc[rg.dst[unc].argsort(kind="stable")]
-    # the uncontrollable predecessors of state d are sources[i:j], where
-    # targets[i:j] are the entries equal to d
-    targets = rg.dst[unc].tolist()
-    sources = rg.src[unc].tolist()
-    closed = set(bad)
-    frontier = list(bad)
-    while frontier:
-        target = frontier.pop()
-        i = bisect_left(targets, target)
-        j = bisect_right(targets, target, i)
-        for source in sources[i:j]:
-            if source not in closed:
-                closed.add(source)
-                frontier.append(source)
-    return frozenset(closed)
+def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
+    """States matching the forbidden-state description before any closure."""
+    return _primal_mask(rg, spec).nonzero()[0]
 
 
-def _crossing(rg: ReachabilityGraph, m_f) -> np.ndarray:
-    """Per edge: it leaves an authorized state for a forbidden one."""
-    forbidden = indicator(rg.n_states, m_f)
-    return forbidden[rg.dst] > forbidden[rg.src]
+def _crossings(rg: ReachabilityGraph, forbidden: np.ndarray):
+    """Per edge, whether it enters the forbidden set from outside, and
+    the ids of the uncontrollable edges among those."""
+    entering = forbidden[rg.dst] > forbidden[rg.src]
+    return entering, (entering & rg.uncontrollable).nonzero()[0]
 
 
-def _border(rg: ReachabilityGraph, crossing) -> frozenset[int]:
-    """Targets of the controllable edges among the crossing ones."""
-    return frozenset(rg.dst[crossing & (rg.uncontrollable == 0)].tolist())
+def _ancestors(rg: ReachabilityGraph, forbidden: np.ndarray,
+               seeds: np.ndarray) -> np.ndarray:
+    """`forbidden` plus the `seeds` and every state with a path of
+    uncontrollable edges into them.  A worklist over a by-target index
+    of the uncontrollable edges, so each of them is looked at once."""
+    edges = rg.uncontrollable.nonzero()[0]
+    edges = edges[rg.dst[edges].argsort()]
+    # the uncontrollable predecessors of state d are pred[start[d]:start[d + 1]]
+    pred = rg.src[edges].tolist()
+    start = rg.dst[edges].searchsorted(np.arange(rg.n_states + 1)).tolist()
+    closed = bytearray(forbidden.tobytes())
+    stack = seeds.tolist()
+    for s in stack:
+        closed[s] = 1
+    while stack:
+        d = stack.pop()
+        for s in pred[start[d]:start[d + 1]]:
+            if not closed[s]:
+                closed[s] = 1
+                stack.append(s)
+    return np.frombuffer(closed, dtype=bool)
 
 
-def border_states(rg: ReachabilityGraph, partition: StatePartition) -> frozenset[int]:
-    """Forbidden states with an authorized controllable predecessor."""
-    return _border(rg, _crossing(rg, partition.m_f))
+def _refuse_forbidden_m0(rg: ReachabilityGraph, forbidden: np.ndarray):
+    if forbidden[0]:
+        raise ForbiddenInitialMarking(
+            "initial marking %s is forbidden; synthesis is impossible"
+            % rg.net.format_mask(rg.masks[0])
+        )
 
 
 def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StatePartition:
     """Full partition pipeline: primal bad states, uncontrollable closure,
     complement, border.  Aborts if m0 ends up forbidden (no supervisor can
     keep the plant out of the forbidden set)."""
-    m_r = frozenset(range(rg.n_states))
-    bad = primal_bad(rg, spec) if spec is not None else frozenset()
-    # the closure only adds states, so a bad m0 needs no closure
-    m_f = bad if 0 in bad else forbidden_closure(rg, bad)
-    if 0 in m_f:
-        raise ForbiddenInitialMarking(
-            "initial marking %s is forbidden; synthesis is impossible"
-            % rg.net.format_mask(rg.masks[0])
-        )
-    m_a = m_r - m_f
-    if not m_f:
-        return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a)
-    crossing = _crossing(rg, m_f)
-    breach = (crossing & rg.uncontrollable).nonzero()[0]
-    if len(breach):
-        # impossible after a correct closure; fail closed rather than
-        # synthesize from a broken partition
-        s, t, d = rg.edges[breach[0]].tolist()
-        raise UncontrollableBreach(
-            "authorized state %s reaches forbidden %s by uncontrollable %s"
-            % (
-                rg.net.format_mask(rg.masks[s]),
-                rg.net.format_mask(rg.masks[d]),
-                rg.net.transitions[t],
+    n = rg.n_states
+    forbidden = (np.zeros(n, dtype=bool) if spec is None
+                 else _primal_mask(rg, spec))
+    m_f = forbidden.nonzero()[0]
+    if not len(m_f):
+        return StatePartition(m_r=range(n), m_f=m_f, m_a=np.arange(n),
+                              m_b=m_f)
+    # the closure only adds states, so a bad m0 needs none
+    _refuse_forbidden_m0(rg, forbidden)
+    entering, unc_in = _crossings(rg, forbidden)
+    # usually no uncontrollable edge enters the bad states, and they are
+    # closed as they are; otherwise their closure adds the sources of
+    # those edges and everything that drifts into them
+    if len(unc_in):
+        forbidden = _ancestors(rg, forbidden, rg.src[unc_in])
+        _refuse_forbidden_m0(rg, forbidden)
+        entering, unc_in = _crossings(rg, forbidden)
+        if len(unc_in):
+            # impossible after a correct closure; fail closed rather
+            # than synthesize from a broken partition
+            s, t, d = rg.edges[unc_in[0]].tolist()
+            raise UncontrollableBreach(
+                "authorized state %s reaches forbidden %s by "
+                "uncontrollable %s" % (
+                    rg.net.format_mask(rg.masks[s]),
+                    rg.net.format_mask(rg.masks[d]),
+                    rg.net.transitions[t],
+                )
             )
-        )
-    return StatePartition(m_r=m_r, m_f=m_f, m_a=m_a,
-                          m_b=_border(rg, crossing))
+        m_f = forbidden.nonzero()[0]
+    return StatePartition(
+        m_r=range(n),
+        m_f=m_f,
+        m_a=(~forbidden).nonzero()[0],
+        # the targets of the entering edges, all of them controllable
+        m_b=np.bincount(rg.dst[entering], minlength=n).nonzero()[0],
+    )

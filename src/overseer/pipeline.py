@@ -107,7 +107,7 @@ def run_pipeline(doc: NetDocument,
     uncovered: list[Marking] = []
     fallback_used = False
 
-    if partition.m_f:
+    if len(partition.m_f):
         authorized_markings = rg.markings_of(partition.m_a)
 
         def _overstate_stage():
@@ -227,8 +227,8 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
         forbidden_count=len(partition.m_f),
         authorized_count=len(partition.m_a),
         border_count=len(partition.m_b),
-        authorized=fmt_masks([masks[s] for s in sorted(partition.m_a)]),
-        forbidden=fmt_masks([masks[s] for s in sorted(partition.m_f)]),
+        authorized=fmt_masks([masks[s] for s in partition.m_a.tolist()]),
+        forbidden=fmt_masks([masks[s] for s in partition.m_f.tolist()]),
         border=border,
         minimal=fmt_masks([m.mask for m in minimal]),
         cover_columns=list(border),
@@ -244,7 +244,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border_markings,
                            for row in controller.incidence],
         control_initial=[int(v) for v in controller.initial],
         bounds=[int(v) for v in controller.bounds],
-        no_constraints=not partition.m_f,
+        no_constraints=not len(partition.m_f),
         fallback_used=fallback_used,
         uncovered=fmt_masks([m.mask for m in uncovered]),
         over_restrictive=over_restrictive,

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from .errors import PnetSyntaxError, UnknownPlaceName
 from .net import Marking, PetriNet
 from .partition import BadStateSpec
-from .predicate import (
-    CONSTANTS,
-    compile_predicate,
-    parse_predicate,
-    predicate_places,
-)
+from .predicate import CONSTANTS, check_predicate
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
@@ -380,13 +375,7 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
                           or forb_states):
         if forb_expr is not None:
             # resolve names now so a bad expression fails at parse time
-            for pname in sorted(predicate_places(parse_predicate(forb_expr))):
-                if pname not in place_index:
-                    raise UnknownPlaceName(
-                        "%s: unknown place %r in forbidden expr"
-                        % (source, pname)
-                    )
-            compile_predicate(forb_expr, place_index)
+            check_predicate(forb_expr, place_index, source)
         spec = BadStateSpec(
             expr=forb_expr,
             explicit=tuple(forb_states),

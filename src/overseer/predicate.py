@@ -1,13 +1,15 @@
 """Boolean place predicates: `(P2 & P7) | (P5 & P6)`, `!P1`, `true`.
 
 Precedence: `!` binds tighter than `&`, which binds tighter than `|`.
-A name tests "place is marked".  Compiled predicates take a marking
-bitmask and return a bool.
+A name tests "place is marked".  A predicate is evaluated over many
+markings at once, one array operation per node of its syntax tree.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 from .errors import PnetSyntaxError, UnknownPlaceName
 
@@ -115,29 +117,35 @@ def predicate_places(node) -> set[str]:
     return predicate_places(node[1]) | predicate_places(node[2])
 
 
-def compile_predicate(text: str, place_index: dict[str, int]):
-    """Compile to a mask -> bool function; unknown names are an error."""
+def check_predicate(text: str, place_index: dict[str, int],
+                    source: str = "<spec>"):
+    """Parse `text` and check that it names only places of
+    `place_index`; an unknown name is an error.  Returns the tree."""
     node = parse_predicate(text)
-    for name in sorted(predicate_places(node)):
-        if name not in place_index:
-            raise UnknownPlaceName(
-                "predicate %r references unknown place %r" % (text, name)
-            )
+    unknown = sorted(predicate_places(node) - place_index.keys())
+    if unknown:
+        raise UnknownPlaceName("%s: unknown place %r in forbidden expr %r"
+                               % (source, unknown[0], text))
+    return node
 
-    def build(n):
-        kind = n[0]
+
+def evaluate_predicate(text: str, place_index: dict[str, int],
+                       bits: np.ndarray) -> np.ndarray:
+    """Per row of `bits` (one 0/1 column per place, as `net.bit_rows`
+    gives them), whether the predicate holds there: one array
+    operation per node of the tree."""
+    marked = bits.T.astype(bool)  # marked[i]: per row, place i is marked
+
+    def value(node):
+        kind = node[0]
         if kind == "const":
-            value = n[1]
-            return lambda mask: value
+            return np.full(len(bits), node[1])
         if kind == "var":
-            bit = 1 << place_index[n[1]]
-            return lambda mask: bool(mask & bit)
+            return marked[place_index[node[1]]]
         if kind == "not":
-            inner = build(n[1])
-            return lambda mask: not inner(mask)
-        left, right = build(n[1]), build(n[2])
+            return ~value(node[1])
         if kind == "and":
-            return lambda mask: left(mask) and right(mask)
-        return lambda mask: left(mask) or right(mask)
+            return value(node[1]) & value(node[2])
+        return value(node[1]) | value(node[2])
 
-    return build(node)
+    return value(check_predicate(text, place_index))

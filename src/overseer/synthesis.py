@@ -31,7 +31,7 @@ from .errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
-from .net import Marking, PetriNet, ReachabilityGraph, bit_rows, indicator
+from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
 from .overstates import Constraint
 from .partition import StatePartition
 
@@ -303,7 +303,8 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     # when nothing is blocked and every plant state is authorized, the
     # closed loop is exactly the authorized behavior: nothing to list
     if blocking or len(partition.m_a) < n:
-        authorized = indicator(n, partition.m_a)
+        authorized = np.zeros(n, dtype=bool)
+        authorized[partition.m_a] = True
         if blocking:
             ok = allowed[leaving]
             missing = [masks[s] for s in

@@ -72,9 +72,10 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
             (bits @ controller.weights.T + control == controller.bounds).all()
         )
 
-    authorized = {rg.masks[s] for s in partition.m_a}
+    authorized_ids = set(partition.m_a.tolist())
+    authorized = {rg.masks[s] for s in authorized_ids}
     reached = set(proj_masks)
-    missing = [rg.masks[s] for s in sorted(partition.m_a)
+    missing = [rg.masks[s] for s in sorted(authorized_ids)
                if rg.masks[s] not in reached]
     extra = [m for m in proj_masks if m not in authorized]
 
@@ -84,12 +85,12 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
         closed_enabled[s].add(t)
     for sid, mask in enumerate(proj_masks):
         pid = rg.state_id(Marking(net.n_places, mask))
-        if pid is None or pid not in partition.m_a:
+        if pid is None or pid not in authorized_ids:
             continue
         lo, hi = rg.offsets[pid], rg.offsets[pid + 1]
         expected = {
             t for t, d in zip(rg.tr[lo:hi].tolist(), rg.dst[lo:hi].tolist())
-            if d in partition.m_a
+            if d in authorized_ids
         }
         got = closed_enabled[sid]
         at = "".join(net.places[i]

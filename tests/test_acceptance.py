@@ -113,8 +113,8 @@ def test_criterion_2_over_states(two_machines_path):
     with _criterion("criterion 2 (over-state pipeline)"):
         doc, rg, partition = _example(two_machines_path)
         net = doc.net
-        border = rg.markings_of(sorted(partition.m_b))
-        authorized = rg.markings_of(sorted(partition.m_a))
+        border = rg.markings_of(partition.m_b)
+        authorized = rg.markings_of(partition.m_a)
         candidates, pruned, minimal = _reference_overstates(border,
                                                             authorized)
         # independent recount: all nonempty sub-supports of the border
@@ -137,8 +137,8 @@ def test_criterion_3_cover_table(two_machines_path):
     with _criterion("criterion 3 (cover table and selection)"):
         doc, rg, partition = _example(two_machines_path)
         net = doc.net
-        border = rg.markings_of(sorted(partition.m_b))
-        authorized = rg.markings_of(sorted(partition.m_a))
+        border = rg.markings_of(partition.m_b)
+        authorized = rg.markings_of(partition.m_a)
         _, _, minimal = _reference_overstates(border, authorized)
         assert overstate_union(border, authorized) == minimal
         table = build_cover_table(minimal, border)
@@ -184,12 +184,13 @@ def _persist_counterexample(name, net, spec):
 def _authorized_reachable(rg, partition):
     """Brute-force optimal supervisor: follow only edges that stay
     inside the authorized set."""
+    authorized = set(partition.m_a.tolist())
     seen = {0}
     stack = [0]
     while stack:
         s = stack.pop()
         for d in rg.dst[rg.offsets[s]:rg.offsets[s + 1]].tolist():
-            if d in partition.m_a and d not in seen:
+            if d in authorized and d not in seen:
                 seen.add(d)
                 stack.append(d)
     return frozenset(seen)
@@ -202,10 +203,10 @@ def _check_generated_net(net, rg, spec, stats):
         stats["m0_forbidden"] += 1
         return
 
-    border = rg.markings_of(sorted(partition.m_b))
-    authorized = rg.markings_of(sorted(partition.m_a))
+    border = rg.markings_of(partition.m_b)
+    authorized = rg.markings_of(partition.m_a)
 
-    if not partition.m_f:
+    if not len(partition.m_f):
         stats["no_forbidden"] += 1
         from overseer import empty_controller
         closed = verify_closed_loop(net, empty_controller(net), partition, rg)
@@ -271,7 +272,7 @@ def _check_generated_net(net, rg, spec, stats):
         "closed loop differs from the RG-filtered supervisor"
     assert not closed.admissibility_violations, \
         "supervisor had to disable an uncontrollable transition"
-    if oracle == partition.m_a:
+    if oracle == frozenset(partition.m_a.tolist()):
         assert closed.isomorphic, "full cover must give the whole " \
             "authorized set"
         stats["isomorphic"] += 1
@@ -293,7 +294,7 @@ def _draw_case(rng):
             partition = partition_states(rg, spec)
         except ForbiddenInitialMarking:
             continue
-        if partition.m_f:
+        if len(partition.m_f):
             break
     return net, rg, spec
 

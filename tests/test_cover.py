@@ -13,7 +13,7 @@ from overseer import (
     select_final_cover,
 )
 from overseer import cover
-from overseer.errors import UncoverableState
+from overseer.errors import StateBudgetExceeded, UncoverableState
 
 
 def _m(support, width=8):
@@ -109,7 +109,7 @@ def test_exact_refuses_large_tables():
         [Marking.from_support(21, r) for r in rows],
         [Marking.from_support(21, c) for c in cols],
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(StateBudgetExceeded):
         select_final_cover(big, exact=True)
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from overseer import (
@@ -10,12 +11,13 @@ from overseer import (
     PetriNet,
     build_reachability_graph,
     deadlocks,
+    parse_predicate,
     partition_states,
     primal_bad,
 )
 from overseer.errors import ForbiddenInitialMarking
 
-from netgen import random_spec, safe_net
+from netgen import copies, random_spec, safe_net
 
 
 def _rg(net):
@@ -36,7 +38,7 @@ def test_deadlocks_found():
     net = _linear_net(True)
     rg = _rg(net)
     dead = deadlocks(rg)
-    assert [rg.marking(s).support() for s in sorted(dead)] == [(3,)]
+    assert [rg.marking(s).support() for s in dead.tolist()] == [(3,)]
 
 
 def test_primal_bad_union_of_sources():
@@ -108,9 +110,82 @@ def test_no_spec_means_nothing_forbidden():
     net = _linear_net(True)
     rg = _rg(net)
     partition = partition_states(rg, None)
-    assert partition.m_f == frozenset()
-    assert partition.m_a == partition.m_r
-    assert partition.m_b == frozenset()
+    assert partition.m_f.tolist() == []
+    assert partition.m_a.tolist() == list(partition.m_r)
+    assert partition.m_b.tolist() == []
+
+
+def _reference_partition(rg, spec):
+    """The partition by its definitions, in plain Python: the predicate
+    walked node by node for each marking, the uncontrollable closure
+    as a fixpoint, the border as the targets of controllable edges
+    from authorized to forbidden states.  Returns the primal bad states
+    and the outcome `partition_states` must give: sorted forbidden,
+    authorized and border ids, or the error."""
+    net = rg.net
+    states = range(rg.n_states)
+    edges = rg.edges.tolist()
+
+    def holds(node, mask):
+        kind = node[0]
+        if kind == "const":
+            return node[1]
+        if kind == "var":
+            return bool(mask >> net.place_index[node[1]] & 1)
+        if kind == "not":
+            return not holds(node[1], mask)
+        if kind == "and":
+            return holds(node[1], mask) and holds(node[2], mask)
+        return holds(node[1], mask) or holds(node[2], mask)
+
+    bad = set()
+    if spec.expr is not None:
+        node = parse_predicate(spec.expr)
+        bad |= {s for s in states if holds(node, rg.masks[s])}
+    explicit = {m.mask for m in spec.explicit}
+    bad |= {s for s in states if rg.masks[s] in explicit}
+    if spec.include_deadlocks:
+        bad |= set(states) - {s for s, _, _ in edges}
+
+    forbidden = set(bad)
+    changed = True
+    while changed:
+        changed = False
+        # sweeping against the edge order climbs a chain in one sweep
+        for s, t, d in reversed(edges):
+            if not net.controllable[t] and d in forbidden \
+                    and s not in forbidden:
+                forbidden.add(s)
+                changed = True
+
+    if 0 in forbidden:
+        outcome = ForbiddenInitialMarking
+    else:
+        border = {d for s, t, d in edges
+                  if net.controllable[t]
+                  and s not in forbidden and d in forbidden}
+        outcome = (sorted(forbidden),
+                   sorted(set(states) - forbidden), sorted(border))
+    return sorted(bad), outcome
+
+
+def _outcome(rg, spec):
+    try:
+        partition = partition_states(rg, spec)
+    except ForbiddenInitialMarking:
+        return ForbiddenInitialMarking
+    assert partition.m_r == range(rg.n_states)
+    for ids in (partition.m_f, partition.m_a, partition.m_b):
+        assert ids.dtype == np.intp
+    return (partition.m_f.tolist(), partition.m_a.tolist(),
+            partition.m_b.tolist())
+
+
+def _check_against_reference(rg, spec):
+    bad, outcome = _reference_partition(rg, spec)
+    assert primal_bad(rg, spec).tolist() == bad
+    assert _outcome(rg, spec) == outcome
+    return outcome
 
 
 def test_partition_invariants_on_random_nets():
@@ -119,24 +194,70 @@ def test_partition_invariants_on_random_nets():
     for _ in range(120):
         net, rg = safe_net(rng)
         spec = random_spec(rng, net, rg)
-        try:
-            partition = partition_states(rg, spec)
-        except ForbiddenInitialMarking:
+        if _check_against_reference(rg, spec) is ForbiddenInitialMarking:
             continue
+        partition = partition_states(rg, spec)
         checked += 1
-        assert partition.m_a | partition.m_f == partition.m_r
-        assert partition.m_a & partition.m_f == frozenset()
-        assert partition.m_b <= partition.m_f
-        assert 0 in partition.m_a
+        m_r = set(partition.m_r)
+        m_f = set(partition.m_f.tolist())
+        m_a = set(partition.m_a.tolist())
+        m_b = set(partition.m_b.tolist())
+        assert m_a | m_f == m_r
+        assert m_a & m_f == set()
+        assert m_b <= m_f
+        assert 0 in m_a
         # no uncontrollable edge may cross from authorized to forbidden
         edges = rg.edges.tolist()
         for s, t, d in edges:
-            if s in partition.m_a and d in partition.m_f:
+            if s in m_a and d in m_f:
                 assert net.controllable[t]
         # every border state has the defining predecessor
-        for b in partition.m_b:
+        for b in m_b:
             assert any(
-                net.controllable[t] and s in partition.m_a
+                net.controllable[t] and s in m_a
                 for s, t, d in edges if d == b
             )
     assert checked >= 40  # the suite must not be vacuous
+
+
+def test_partition_matches_reference_on_copies(two_machines):
+    doc = copies(two_machines, 3)
+    rg = _rg(doc.net)
+    m_f, m_a, m_b = _check_against_reference(rg, doc.spec)
+    assert (len(m_f), len(m_a), len(m_b)) == (1603, 125, 375)
+
+
+def _counter_chain(bits):
+    """A controllable step S -> G starts a `bits`-bit binary counter
+    whose uncontrollable increments run from 0 to all ones: a chain of
+    2^bits + 1 states.  Bit i is place b<i>, its complement n<i>; inc<k>
+    fires when exactly the k lowest bits are ones below a zero."""
+    places = ["S", "G"] + ["b%d" % i for i in range(bits)] \
+        + ["n%d" % i for i in range(bits)]
+    b = [2 + i for i in range(bits)]
+    n = [2 + bits + i for i in range(bits)]
+    pre = [[0]] + [[1] + b[:k] + [n[k]] for k in range(bits)]
+    post = [[1]] + [[1] + n[:k] + [b[k]] for k in range(bits)]
+    return PetriNet(
+        "counter", places, ["go"] + ["inc%d" % k for k in range(bits)],
+        [True] + [False] * bits, pre, post,
+        Marking.from_support(len(places), [0] + n),
+    )
+
+
+def test_closure_climbs_a_long_uncontrollable_chain():
+    # the last state is bad: the closure climbs the whole uncontrollable
+    # chain and stops at the controllable first step, which makes the
+    # state after it the only border state
+    net = _counter_chain(11)
+    rg = _rg(net)
+    last = rg.n_states - 1
+    assert last == 2048
+    assert [(s, d) for s, _, d in rg.edges.tolist()] \
+        == [(s, s + 1) for s in range(last)]
+    assert rg.uncontrollable.tolist() == [False] + [True] * (last - 1)
+    spec = BadStateSpec(expr=" & ".join("b%d" % i for i in range(11)))
+    m_f, m_a, m_b = _check_against_reference(rg, spec)
+    assert m_f == list(range(1, last + 1))
+    assert m_a == [0]
+    assert m_b == [1]

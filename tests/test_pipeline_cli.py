@@ -1,17 +1,25 @@
 """Pipeline orchestration and command-line behavior."""
 
+import hashlib
 import json
 
 import pytest
 
 from overseer import (
+    BadStateSpec,
+    NetDocument,
     PipelineOptions,
     parse_net,
     parse_net_file,
     run_pipeline,
 )
-from overseer.cli import main
-from overseer.errors import StageFailure, StateBudgetExceeded, UncoverableState
+from overseer.cli import _exit_code_for, main
+from overseer.errors import (
+    StageFailure,
+    StateBudgetExceeded,
+    UncoverableState,
+    UnknownPlaceName,
+)
 
 from netgen import copies
 
@@ -198,8 +206,10 @@ def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):
     assert twin["digest"] in text
 
     rg_dot = (tmp_path / "rg.dot").read_text()
-    assert 'fillcolor="gray25"' in rg_dot
-    assert "peripheries=2" in rg_dot
+    assert rg_dot.count('fillcolor="gray25"') == 7
+    assert rg_dot.count("peripheries=2") == 5
+    assert hashlib.sha256(rg_dot.encode()).hexdigest() == \
+        "6abaa2e6ef4373f7fb35881027e4d22950744ee461170a1ce895d6000c6cfeec"
     closed_dot = (tmp_path / "closed.dot").read_text()
     assert closed_dot.count(" -> ") == 5 + 1  # five firings plus init arrow
 
@@ -240,6 +250,39 @@ def test_cli_over_state_budget(tmp_path, capsys):
     rc = main([str(net), "--state-budget", "16"])
     assert rc == 2
     assert "over-states" in capsys.readouterr().err
+
+
+def test_cli_exact_cover_beyond_row_limit(tmp_path, capsys):
+    # 32 minimal over-states: more rows than the exhaustive search takes
+    net = tmp_path / "pairs.pnet"
+    net.write_text(PAIRS)
+    rc = main([str(net), "--exact-cover"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "overseer: error: cover: exact cover is exhaustive; "
+        "refusing 32 rows (limit 20)"
+    ]
+
+
+def test_unknown_place_in_forbidden_expr(tmp_path, capsys, two_machines):
+    # a .pnet file fails at parse time
+    text = ("net typo\nplaces A B\ninitial A\n"
+            "transition t controllable { in A ; out B }\n"
+            'forbidden { expr "B & Z" }\n')
+    with pytest.raises(UnknownPlaceName):
+        parse_net(text)
+    path = tmp_path / "typo.pnet"
+    path.write_text(text)
+    assert main([str(path)]) == 2
+    assert "unknown place 'Z'" in capsys.readouterr().err
+    # a spec built through the library fails in the partition stage
+    doc = NetDocument(two_machines.net, BadStateSpec(expr="P1 & Z"))
+    with pytest.raises(StageFailure) as err:
+        run_pipeline(doc)
+    assert err.value.stage == "partition"
+    assert isinstance(err.value.cause, UnknownPlaceName)
+    assert _exit_code_for(err.value) == 2
 
 
 def test_cli_forbidden_initial_marking(tmp_path, capsys):

@@ -166,8 +166,8 @@ def test_admissibility_violation_surfaces():
     ctrl = synthesize(net, cm)
     rg = build_reachability_graph(net)
     partition = StatePartition(
-        m_r=frozenset({0, 1}), m_f=frozenset({1}),
-        m_a=frozenset({0}), m_b=frozenset(),
+        m_r=range(2), m_f=np.array([1]),
+        m_a=np.array([0]), m_b=np.arange(0),
     )
     report = verify_closed_loop(net, ctrl, partition, rg)
     assert len(report.admissibility_violations) == 1
