@@ -23,11 +23,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
 
 from overseer import (
     minimal_elements,
-    over_states,
     parse_net,
     prune_authorized,
     run_pipeline,
 )
+from overseer.overstates import over_states
 from workloads import machines
 
 # the reference lists 28,646 sub-supports at k=3 and 822,878 at k=4
@@ -35,10 +35,10 @@ ORACLE_MAX_K = 3
 
 
 def reference_minimal(rg, partition):
-    border = rg.markings_of(partition.m_b)
-    authorized = rg.markings_of(partition.m_a)
-    union = {b.mask: b for m in border for b in over_states(m)}
-    return minimal_elements(prune_authorized(union.values(), authorized))
+    border = rg.masks_of(partition.m_b)
+    authorized = rg.masks_of(partition.m_a)
+    union = {b for m in border for b in over_states(m)}
+    return minimal_elements(prune_authorized(union, authorized))
 
 
 def main():
@@ -57,20 +57,22 @@ def main():
         best = float("inf")
         for _ in range(args.repeats):
             result = run_pipeline(doc)
-            best = min(best, dict(result.report.timings)["over-states"])
-        r = result.report
-        assert len(r.minimal) == 4 * k, len(r.minimal)
+            r = result.report.to_dict()
+            best = min(best, next(t["seconds"] for t in r["timings"]
+                                  if t["stage"] == "over-states"))
+        minimal = r["over_states"]["minimal"]
+        assert len(minimal) == 4 * k, len(minimal)
         assert len(result.constraints) == 2 * k, len(result.constraints)
-        assert r.closed_loop.isomorphic
+        assert result.closed.isomorphic
         checked = "-"
         if k <= ORACLE_MAX_K:
             ref = reference_minimal(result.rg, result.partition)
-            fmt = doc.net.format_marking
-            assert r.minimal == [fmt(b) for b in ref]
+            assert minimal == doc.net.format_masks(ref)
             checked = "same"
         print("%3d %8d %7d %8d %12d %9.1fms %7s"
-              % (k, r.reachable_count, r.border_count, len(r.minimal),
-                 len(result.constraints), best * 1e3, checked))
+              % (k, result.rg.n_states, len(result.partition.m_b),
+                 len(minimal), len(result.constraints), best * 1e3,
+                 checked))
 
 
 if __name__ == "__main__":

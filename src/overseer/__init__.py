@@ -11,9 +11,7 @@ from .cover import (
     EXACT_COVER_LIMIT,
     CoverTable,
     build_cover_table,
-    check_coverage,
     check_final_coverage,
-    minimum_cover_size,
     select_final_cover,
 )
 from .errors import (
@@ -44,10 +42,7 @@ from .net import (
 )
 from .overstates import (
     Constraint,
-    constraints_from,
-    dominated_by_authorized,
     minimal_elements,
-    over_states,
     overstate_union,
     prune_authorized,
 )
@@ -56,7 +51,6 @@ from .partition import (
     StatePartition,
     deadlocks,
     partition_states,
-    primal_bad,
 )
 from .pipeline import PipelineOptions, PipelineResult, run_pipeline
 from .pnet import NetDocument, parse_net, parse_net_file, serialize_net
@@ -113,22 +107,16 @@ __all__ = [
     "build_reachability_graph",
     "canonical_digest",
     "canonical_order",
-    "check_coverage",
     "check_final_coverage",
-    "constraints_from",
     "deadlocks",
-    "dominated_by_authorized",
     "empty_controller",
     "minimal_elements",
-    "minimum_cover_size",
-    "over_states",
     "overstate_union",
     "parse_net",
     "parse_net_file",
     "parse_predicate",
     "partition_states",
     "predicate_places",
-    "primal_bad",
     "prune_authorized",
     "reachability_backend",
     "run_pipeline",

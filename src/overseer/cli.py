@@ -150,7 +150,7 @@ def main(argv=None) -> int:
             print("overseer: warning: controller needs weighted arcs; "
                   "%s not written" % args.out, file=sys.stderr)
 
-    if not report.closed_loop.isomorphic and not args.fallback:
+    if not result.closed.isomorphic and not args.fallback:
         print("overseer: error: closed loop is not isomorphic to the "
               "authorized behavior", file=sys.stderr)
         return EXIT_VERIFY

@@ -1,16 +1,16 @@
 """Cover table over border states and selection of the final over-states.
 
-Rows are candidate over-states, columns border states; a row covers a
-column when the row lies inside it (row <= column as partial markings).
-Each row is stored as one int bitset over the columns (bit j = column
-j), and the number of rows covering each column is counted once, when
-the table is built; selection and the coverage checks work on those
-bitsets.  Selection works like a prime-implicant chart: essential rows
-first (sole cover of some column), then greedily the row covering the
-most still-uncovered columns, ties broken by smaller support then by
-support order.  An exhaustive minimum selection is available for small
-tables, both as a CLI option and as the oracle the greedy result is
-tested against.
+Rows are candidate over-states, columns border states, both int masks;
+a row covers a column when the row lies inside it (row <= column as
+partial markings).  Each row is stored as one int bitset over the
+columns (bit j = column j), and the number of rows covering each column
+is counted once, when the table is built; selection and the coverage
+checks work on those bitsets.  Selection works like a prime-implicant
+chart: essential rows first (sole cover of some column), then greedily
+the row covering the most still-uncovered columns, ties broken by
+smaller support then by support order.  An exhaustive minimum
+selection is available for small tables, both as a CLI option and as
+the oracle the greedy result is tested against.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StateBudgetExceeded, UncoverableState
-from .net import Marking, bit_rows
+from .net import bit_rows, canonical_key, support
 
 EXACT_COVER_LIMIT = 20
 
 
 @dataclass
 class CoverTable:
-    rows: list[Marking]
-    cols: list[Marking]
+    rows: list[int]
+    cols: list[int]
     bits: list[int]  # per row: the columns it covers
     counts: list[int]  # per column: how many rows cover it
     selected: list[bool] = field(default_factory=list)
@@ -44,10 +44,6 @@ class CoverTable:
         """The bitset of all columns."""
         return (1 << len(self.cols)) - 1
 
-    def cover_counts(self) -> list[int]:
-        """Per column: how many rows cover it."""
-        return list(self.counts)
-
     def final_counts(self) -> list[int]:
         """Per column: how many selected rows cover it."""
         return _column_counts(
@@ -55,7 +51,7 @@ class CoverTable:
             len(self.cols),
         )
 
-    def selected_rows(self) -> list[Marking]:
+    def selected_rows(self) -> list[int]:
         """Selected over-states in the order they were picked (essential
         rows first); constraint rows inherit this order."""
         if self.pick_order:
@@ -82,7 +78,7 @@ def build_cover_table(candidates, border) -> CoverTable:
     rows = list(candidates)
     cols = list(border)
     if len(rows) * len(cols) < _VECTOR_CELLS:
-        bits = [sum(1 << j for j, m in enumerate(cols) if b.issubset(m))
+        bits = [sum(1 << j for j, m in enumerate(cols) if not b & ~m)
                 for b in rows]
     else:
         bits = _row_bits(rows, cols)
@@ -90,12 +86,12 @@ def build_cover_table(candidates, border) -> CoverTable:
                       counts=_column_counts(bits, len(cols)))
 
 
-def _row_bits(rows: list[Marking], cols: list[Marking]) -> list[int]:
+def _row_bits(rows: list[int], cols: list[int]) -> list[int]:
     """Per row: the bitset of the columns that mark every place of it."""
-    width = cols[0].width
+    width = max(rows + cols).bit_length()
     # per place: the bitset of the columns that mark it
     step = (len(cols) + 7) // 8
-    raw = np.packbits(bit_rows([m.mask for m in cols], width), axis=0,
+    raw = np.packbits(bit_rows(cols, width), axis=0,
                       bitorder="little").T.tobytes()
     marked = [int.from_bytes(raw[p * step:(p + 1) * step], "little")
               for p in range(width)]
@@ -103,22 +99,18 @@ def _row_bits(rows: list[Marking], cols: list[Marking]) -> list[int]:
     bits = []
     for b in rows:
         covers = full
-        for p in b.support():
+        for p in support(b):
             covers &= marked[p]
         bits.append(covers)
     return bits
 
 
-def check_coverage(table: CoverTable) -> tuple[bool, list[Marking]]:
+def check_coverage(table: CoverTable) -> tuple[bool, list[int]]:
     """Is every border state covered by at least one candidate?  Returns
     the flag and the uncovered border states (maximal permissiveness is
     unreachable unless the list is empty)."""
     uncovered = [m for m, c in zip(table.cols, table.counts) if c == 0]
     return not uncovered, uncovered
-
-
-def _tie_key(b: Marking):
-    return (b.card, b.support())
 
 
 def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
@@ -139,7 +131,7 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         table.selected = _minimum_selection(table)
         table.pick_order = sorted(
             (i for i in range(len(table.rows)) if table.selected[i]),
-            key=lambda i: _tie_key(table.rows[i]),
+            key=lambda i: canonical_key(table.rows[i]),
         )
         return table
 
@@ -162,7 +154,7 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         selected[i] = True
         covered |= bits[i]
 
-    keys = [_tie_key(b) for b in table.rows]
+    keys = [canonical_key(b) for b in table.rows]
     full = table.full
     while covered != full:
         best = None
@@ -192,7 +184,7 @@ def _minimum_selection(table: CoverTable) -> list[bool]:
             "exact cover is exhaustive; refusing %d rows (limit %d)"
             % (n_rows, EXACT_COVER_LIMIT)
         )
-    order = sorted(range(n_rows), key=lambda i: _tie_key(table.rows[i]))
+    order = sorted(range(n_rows), key=lambda i: canonical_key(table.rows[i]))
     if not table.cols:
         return [False] * n_rows
     full = table.full

@@ -63,7 +63,8 @@ class UncontrollableBreach(OverseerError):
 
 class UncoverableState(OverseerError):
     """Some border state is covered by no candidate over-state, so a
-    maximally permissive token-sum supervisor does not exist."""
+    maximally permissive token-sum supervisor does not exist.
+    `uncovered` holds those border states as int masks."""
 
     def __init__(self, message, uncovered=()):
         super().__init__(message)

@@ -11,8 +11,9 @@ operations on uint64 masks; every other level, and every level of a
 wider net, takes a per-state loop over Python ints.  Both number states
 and edges the same way.  The reachability graph keeps what the search
 produces as flat data: one int mask per state and the edges as (source,
-transition, target) arrays grouped by source (CSR offsets).  `Marking`
-objects are made only when a caller asks for a state by id.
+transition, target) arrays grouped by source (CSR offsets).  The
+pipeline passes int masks from stage to stage; `Marking` objects are
+made only when a library caller asks for a state by id.
 """
 
 from __future__ import annotations
@@ -36,6 +37,27 @@ def bit_rows(masks, width: int) -> np.ndarray:
     return bits.reshape(len(masks), nbytes * 8)[:, :width]
 
 
+def support(mask: int) -> tuple[int, ...]:
+    """The places marked in `mask`, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def canonical_key(mask: int):
+    """(cardinality, support): the order of every listing of partial
+    markings the toolkit prints."""
+    return mask.bit_count(), support(mask)
+
+
+def canonical_order(masks) -> list[int]:
+    """Partial markings (int masks) sorted by `canonical_key`."""
+    return sorted(masks, key=canonical_key)
+
+
 def reachability_backend(n_places: int | None = None) -> str:
     """Name of the reachability kernel, as recorded in the report."""
     return "pure"
@@ -45,8 +67,7 @@ class Marking:
     """Boolean marking of a net with `width` places, bit i = place i.
 
     Also used for partial markings: `issubset` is the componentwise
-    partial order, `sort_key` the lexicographic total order over the
-    bit vector (used only to make output deterministic).
+    partial order.
     """
 
     __slots__ = ("width", "mask")
@@ -82,7 +103,7 @@ class Marking:
         return tuple((self.mask >> i) & 1 for i in range(self.width))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.width) if (self.mask >> i) & 1)
+        return support(self.mask)
 
     @property
     def card(self) -> int:
@@ -91,9 +112,6 @@ class Marking:
     def issubset(self, other: "Marking") -> bool:
         """Componentwise order: every marked place here is marked in other."""
         return self.mask & ~other.mask == 0
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.bits()
 
     def __eq__(self, other):
         return (
@@ -110,12 +128,6 @@ class Marking:
             self.width,
             format(self.mask, "0%db" % self.width)[::-1] if self.width else "0",
         )
-
-
-def canonical_order(markings) -> list[Marking]:
-    """Sort partial markings by (cardinality, support): the order used in
-    every listing the toolkit prints."""
-    return sorted(markings, key=lambda m: (m.card, m.support()))
 
 
 class PetriNet:
@@ -196,9 +208,6 @@ class PetriNet:
                     out.append((p, t))
         return out
 
-    def is_enabled(self, m: Marking, t: int) -> bool:
-        return self.pre_masks[t] & ~m.mask == 0
-
     def enabled(self, m: Marking) -> tuple[int, ...]:
         """Transitions enabled at m: every input place marked."""
         if m.width != self.n_places:
@@ -228,12 +237,7 @@ class PetriNet:
     def format_mask(self, mask: int) -> str:
         """Compact support form of a marking mask, e.g. P1P3P6; '-' for
         the empty marking."""
-        names = []
-        while mask:
-            low = mask & -mask
-            names.append(self.places[low.bit_length() - 1])
-            mask ^= low
-        return "".join(names) if names else "-"
+        return "".join([self.places[p] for p in support(mask)]) or "-"
 
     def format_masks(self, masks) -> list[str]:
         """`format_mask` of each mask.  Each 8-place chunk of a mask is
@@ -261,9 +265,6 @@ class PetriNet:
 
     def format_marking(self, m: Marking) -> str:
         return self.format_mask(m.mask)
-
-    def format_markings(self, markings) -> list[str]:
-        return [self.format_mask(m.mask) for m in markings]
 
     def __eq__(self, other):
         return (
@@ -323,6 +324,13 @@ class ReachabilityGraph:
         return self._flat[:3 * e].reshape(3, e).T
 
     @cached_property
+    def bits(self) -> np.ndarray:
+        """`bit_rows` of the state masks: one 0/1 row per state, one
+        column per place.  Unpacked once, on first use; the partition
+        and the closed-loop check both read it."""
+        return bit_rows(self.masks, self.net.n_places)
+
+    @cached_property
     def uncontrollable(self) -> np.ndarray:
         return self._uncontrollable.astype(bool)[self.tr]
 
@@ -339,9 +347,10 @@ class ReachabilityGraph:
     def marking(self, sid: int) -> Marking:
         return Marking(self.net.n_places, self.masks[sid])
 
-    def markings_of(self, ids) -> list[Marking]:
-        """Markings for a sorted id array, in that order."""
-        return [self.marking(i) for i in ids.tolist()]
+    def masks_of(self, ids) -> list[int]:
+        """The masks of the states in an id array, in that order."""
+        masks = self.masks
+        return [masks[i] for i in ids.tolist()]
 
     def __repr__(self):
         return "ReachabilityGraph(%d states, %d edges)" % (

@@ -1,16 +1,16 @@
 """Minimal over-states of the border states, and their constraints.
 
-An over-state is a partial marking b; forbidding b (through the token-sum
-constraint over its support) forbids every marking that covers it.  An
-over-state b of a border state m is a nonempty sub-support of m that no
+An over-state is a partial marking b, an int mask like every marking
+here; forbidding b (through the token-sum constraint over its support)
+forbids every marking that covers it.  An over-state b of a border state m is a nonempty sub-support of m that no
 authorized state covers.  For b inside m, "a does not cover b" means that
 b meets m & ~a, so the usable over-states of m are the transversals
 inside m of the hypergraph {m} + {m & ~a : a authorized} (the edge m
 keeps b nonempty), and the cheapest ones are its minimal transversals.
 They are computed directly with Berge's incremental algorithm on int
 masks, from the inclusion-minimal edges alone: an edge that contains
-another adds no constraint on a transversal.  On a net of at most 64
-places with many border x authorized pairs, numpy finds those minimal
+another adds no constraint on a transversal.  When the masks fit in
+64 bits and there are many border x authorized pairs, numpy finds those minimal
 edges for a block of border states at a time; otherwise Berge's own
 superset test drops the larger edges.  `over_states`, which lists every
 sub-support, remains as the reference the tests compare against.
@@ -24,21 +24,16 @@ from itertools import combinations
 import numpy as np
 
 from .errors import StateBudgetExceeded
-from .net import DEFAULT_STATE_BUDGET, Marking, canonical_order
-
-# An over-state is just a partial marking.
-OverState = Marking
+from .net import DEFAULT_STATE_BUDGET, canonical_order, support
 
 
-def over_states(m: Marking) -> list[Marking]:
+def over_states(m: int) -> list[int]:
     """All 2^n - 1 nonempty sub-supports of m, smallest first.  Exponential
     in the support; the reference enumeration for tests."""
-    support = m.support()
-    out = []
-    for size in range(1, len(support) + 1):
-        for combo in combinations(support, size):
-            out.append(Marking.from_support(m.width, combo))
-    return out
+    places = support(m)
+    return [sum(1 << p for p in combo)
+            for size in range(1, len(places) + 1)
+            for combo in combinations(places, size)]
 
 
 def minimal_transversals(edges, budget: int = DEFAULT_STATE_BUDGET
@@ -92,8 +87,8 @@ def _add_edge(family: list[int], e: int, budget: int) -> list[int]:
     return grown
 
 
-# A border x authorized product of at least this many pairs, on a net of
-# at most 64 places, is reduced to its minimal edges with numpy; a
+# A border x authorized product of at least this many pairs, of masks
+# that fit in 64 bits, is reduced to its minimal edges with numpy; a
 # smaller one goes to Berge edge by edge, which has no fixed cost.  On a
 # 2-core host the numpy step cost 0.1 ms for 5 x 5 pairs, where the int
 # path took 0.03 ms, and 0.27 ms for 50 x 25 pairs, where it took
@@ -104,25 +99,22 @@ _VECTOR_PAIRS = 256
 _BLOCK_CELLS = 1 << 18
 
 
-def overstate_union(border, authorized,
-                    budget: int = DEFAULT_STATE_BUDGET) -> list[Marking]:
+def overstate_union(border: list[int], authorized: list[int],
+                    budget: int = DEFAULT_STATE_BUDGET) -> list[int]:
     """Deduplicated union of the border states' minimal over-states, in
     canonical (cardinality, support) order.  A border state that some
     authorized state covers contributes none."""
-    border = list(border)
     if not border:
         return []
-    width = border[0].width
-    masks = [m.mask for m in border]
-    auth = [a.mask for a in authorized]
-    if width <= 64 and len(masks) * len(auth) >= _VECTOR_PAIRS:
-        hypergraphs = _minimal_edge_sets(masks, auth)
+    if (len(border) * len(authorized) >= _VECTOR_PAIRS
+            and max([*border, *authorized]).bit_length() <= 64):
+        hypergraphs = _minimal_edge_sets(border, authorized)
     else:
-        hypergraphs = ([m] + [m & ~a for a in auth] for m in masks)
+        hypergraphs = ([m] + [m & ~a for a in authorized] for m in border)
     found: set[int] = set()
     for edges in hypergraphs:
         found.update(minimal_transversals(edges, budget))
-    return canonical_order(Marking(width, b) for b in found)
+    return canonical_order(found)
 
 
 def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:
@@ -163,7 +155,7 @@ def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:
     return out
 
 
-def dominated_by_authorized(b: Marking, authorized) -> bool:
+def dominated_by_authorized(b: int, authorized) -> bool:
     """True iff some authorized marking covers b, i.e. forbidding b would
     forbid an authorized state.
 
@@ -171,27 +163,20 @@ def dominated_by_authorized(b: Marking, authorized) -> bool:
     over-state sets, without materializing that union (it is exponential
     in the authorized supports; this test is linear in |authorized|).
     """
-    return any(b.issubset(m) for m in authorized)
+    return any(not b & ~a for a in authorized)
 
 
-def prune_authorized(candidates, authorized) -> list[Marking]:
+def prune_authorized(candidates, authorized) -> list[int]:
     """Candidates whose constraints forbid no authorized state."""
     return [b for b in candidates if not dominated_by_authorized(b, authorized)]
 
 
-def minimal_elements(items) -> list[Marking]:
+def minimal_elements(items) -> list[int]:
     """Antichain of componentwise-minimal elements (duplicates collapse
-    to one).  A smaller over-state forbids everything a larger one does,
-    so only the minimal ones matter."""
-    unique = {}
-    for b in items:
-        unique.setdefault(b.mask, b)
-    pool = canonical_order(unique.values())
-    out = []
-    for b in pool:
-        if not any(o.mask != b.mask and o.issubset(b) for o in pool):
-            out.append(b)
-    return out
+    to one), in canonical order.  A smaller over-state forbids
+    everything a larger one does, so only the minimal ones matter."""
+    pool = canonical_order(set(items))
+    return [b for b in pool if not any(o != b and not o & ~b for o in pool)]
 
 
 @dataclass(frozen=True)
@@ -209,21 +194,18 @@ class Constraint:
             raise ValueError("bound must be |support| - 1 and nonnegative")
 
     @classmethod
-    def from_overstate(cls, b: Marking) -> "Constraint":
-        support = b.support()
-        return cls(support=support, bound=len(support) - 1)
+    def from_overstate(cls, b: int) -> "Constraint":
+        places = support(b)
+        return cls(support=places, bound=len(places) - 1)
 
-    def token_sum(self, m: Marking) -> int:
-        return sum(m.bit(p) for p in self.support)
+    def token_sum(self, m: int) -> int:
+        return sum(m >> p & 1 for p in self.support)
 
-    def satisfied_by(self, m: Marking) -> bool:
+    def satisfied_by(self, m: int) -> bool:
         return self.token_sum(m) <= self.bound
 
-    def violated_by(self, m: Marking) -> bool:
+    def violated_by(self, m: int) -> bool:
         return self.token_sum(m) > self.bound
-
-    def overstate(self, width: int) -> Marking:
-        return Marking.from_support(width, self.support)
 
     def format(self, places) -> str:
         terms = " + ".join("m(%s)" % places[p] for p in self.support)

@@ -14,13 +14,13 @@ module, and a bool mask over the states inside it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ForbiddenInitialMarking, UncontrollableBreach
-from .net import Marking, ReachabilityGraph, bit_rows
-from .predicate import evaluate_predicate
+from .net import Marking, ReachabilityGraph
+from .predicate import check_predicate, evaluate_predicate
 
 log = logging.getLogger(__name__)
 
@@ -31,12 +31,15 @@ class BadStateSpec:
 
     At least one source must be present; `expr` is a boolean place
     predicate, `explicit` a list of full markings, and
-    `include_deadlocks` adds every state without a successor.
+    `include_deadlocks` adds every state without a successor.  `tree`
+    is `expr` already parsed and checked against the net's places, as
+    `parse_net` leaves it; without it the partition parses `expr`.
     """
 
     expr: str | None = None
     explicit: tuple[Marking, ...] = ()
     include_deadlocks: bool = False
+    tree: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.expr is None and not self.explicit and not self.include_deadlocks:
@@ -66,8 +69,9 @@ def deadlocks(rg: ReachabilityGraph) -> np.ndarray:
 
 def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
     if spec.expr is not None:
-        bad = evaluate_predicate(spec.expr, rg.net.place_index,
-                                 bit_rows(rg.masks, rg.net.n_places))
+        places = rg.net.place_index
+        tree = spec.tree or check_predicate(spec.expr, places)
+        bad = evaluate_predicate(tree, places, rg.bits)
     else:
         bad = np.zeros(rg.n_states, dtype=bool)
     for m in spec.explicit:

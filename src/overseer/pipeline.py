@@ -2,7 +2,8 @@
 
 Stages: reachability graph, state partition, minimal over-states,
 cover selection, controller synthesis, closed-loop verification, report
-assembly.  Any stage error is re-raised as a StageFailure naming the
+assembly.  States cross the stage boundaries as int masks.  Any stage
+error is re-raised as a StageFailure naming the
 stage; the original exception rides along as the cause so callers can
 map it to an exit code.
 """
@@ -21,7 +22,6 @@ from .cover import (
 from .errors import OverseerError, StageFailure, UncoverableState, VerificationFailure
 from .net import (
     DEFAULT_STATE_BUDGET,
-    Marking,
     ReachabilityGraph,
     build_reachability_graph,
     reachability_backend,
@@ -34,7 +34,7 @@ from .overstates import (
 )
 from .partition import StatePartition, partition_states
 from .pnet import NetDocument
-from .report import ClosedLoopSummary, SynthesisReport
+from .report import SynthesisReport
 from .synthesis import (
     ClosedLoopReport,
     Controller,
@@ -98,24 +98,24 @@ def run_pipeline(doc: NetDocument,
         "partition", lambda: partition_states(rg, doc.spec)
     )
 
-    border_markings = rg.markings_of(partition.m_b)
+    border = rg.masks_of(partition.m_b)
 
     table: CoverTable | None = None
-    minimal: list[Marking] = []
-    chosen: list[Marking] = []
+    minimal: list[int] = []
+    chosen: list[int] = []
     final_counts: list[int] = []
-    uncovered: list[Marking] = []
+    uncovered: list[int] = []
     fallback_used = False
 
     if len(partition.m_f):
-        authorized_markings = rg.markings_of(partition.m_a)
+        authorized = rg.masks_of(partition.m_a)
 
         def _overstate_stage():
-            cand = overstate_union(border_markings, authorized_markings,
+            cand = overstate_union(border, authorized,
                                    budget=options.state_budget)
             # no authorized state covers a minimal transversal, so the
             # pruning must keep every candidate
-            kept = prune_authorized(cand, authorized_markings)
+            kept = prune_authorized(cand, authorized)
             if len(kept) != len(cand):
                 raise VerificationFailure(
                     "an over-state lies inside an authorized state"
@@ -125,7 +125,7 @@ def run_pipeline(doc: NetDocument,
         minimal = stages.run("over-states", _overstate_stage)
 
         def _cover_stage():
-            tbl = build_cover_table(minimal, border_markings)
+            tbl = build_cover_table(minimal, border)
             try:
                 select_final_cover(tbl, exact=options.exact_cover)
             except UncoverableState as exc:
@@ -160,7 +160,7 @@ def run_pipeline(doc: NetDocument,
     )
 
     report = _assemble_report(
-        doc, options, rg, partition, minimal, border_markings, table,
+        doc, options, rg, partition, minimal, border, table,
         chosen, final_counts, uncovered, fallback_used, constraints,
         controller, closed, stages.timings,
     )
@@ -184,11 +184,10 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
     also exclude the authorized states dominating the border state, so
     the result is flagged over-restrictive."""
     uncovered = list(exc.uncovered)
-    for m in uncovered:
-        if m.card == 0:
-            # an empty border marking admits no token-sum constraint at
-            # all; not even the fallback can forbid it
-            raise exc
+    if 0 in uncovered:
+        # an empty border marking admits no token-sum constraint at all;
+        # not even the fallback can forbid it
+        raise exc
     sub = build_cover_table(
         tbl.rows, [c for c, n in zip(tbl.cols, tbl.counts) if n])
     if sub.cols:
@@ -203,70 +202,77 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
     return tbl, chosen, final_counts, uncovered, True
 
 
-def _assemble_report(doc, options, rg, partition, minimal, border_markings,
-                     table, chosen, final_counts, uncovered, fallback_used,
+def _assemble_report(doc, options, rg, partition, minimal, border, table,
+                     chosen, final_counts, uncovered, fallback_used,
                      constraints, controller, closed,
                      timings) -> SynthesisReport:
     net = doc.net
-    fmt_masks = net.format_masks
-    masks = rg.masks
-    border = fmt_masks([m.mask for m in border_markings])
-    uncovered_masks = {m.mask for m in uncovered}
-    over_restrictive = [
-        Constraint.from_overstate(b).format(net.places)
-        for b in chosen if b.mask in uncovered_masks
-    ]
-    report = SynthesisReport(
-        net_name=net.name,
-        places=list(net.places),
-        transitions=list(net.transitions),
-        controllable=[t for t, c in zip(net.transitions, net.controllable)
-                      if c],
-        initial=net.format_marking(net.m0),
-        reachable_count=rg.n_states,
-        forbidden_count=len(partition.m_f),
-        authorized_count=len(partition.m_a),
-        border_count=len(partition.m_b),
-        authorized=fmt_masks([masks[s] for s in partition.m_a.tolist()]),
-        forbidden=fmt_masks([masks[s] for s in partition.m_f.tolist()]),
-        border=border,
-        minimal=fmt_masks([m.mask for m in minimal]),
-        cover_columns=list(border),
-        cover_counts=table.cover_counts() if table is not None else [],
-        final_counts=final_counts,
-        selected=fmt_masks([m.mask for m in chosen]),
-        selection_mode="exact" if options.exact_cover else "greedy",
-        constraints=[c.format(net.places) for c in constraints],
-        weight_rows=[[1 if p in c.support else 0
-                      for p in range(net.n_places)] for c in constraints],
-        control_places=list(controller.place_names),
-        control_incidence=[[int(v) for v in row]
-                           for row in controller.incidence],
-        control_initial=[int(v) for v in controller.initial],
-        bounds=[int(v) for v in controller.bounds],
-        no_constraints=not len(partition.m_f),
-        fallback_used=fallback_used,
-        uncovered=fmt_masks([m.mask for m in uncovered]),
-        over_restrictive=over_restrictive,
-        closed_loop=ClosedLoopSummary(
-            state_count=closed.state_count,
-            isomorphic=closed.isomorphic,
-            invariant_ok=closed.invariant_ok,
-            admissibility_violations=[
+    fmt = net.format_masks
+    border_names = fmt(border)
+    uncovered_set = set(uncovered)
+    timings = timings + [("total", sum(t for _, t in timings))]
+    return SynthesisReport({
+        "net": {
+            "name": net.name,
+            "places": list(net.places),
+            "transitions": list(net.transitions),
+            "controllable": [t for t, c in zip(net.transitions,
+                                               net.controllable) if c],
+            "initial": net.format_mask(net.m0.mask),
+        },
+        "partition": {
+            "reachable_count": rg.n_states,
+            "forbidden_count": len(partition.m_f),
+            "authorized_count": len(partition.m_a),
+            "border_count": len(partition.m_b),
+            "authorized": fmt(rg.masks_of(partition.m_a)),
+            "forbidden": fmt(rg.masks_of(partition.m_f)),
+            "border": border_names,
+        },
+        "over_states": {
+            "minimal": fmt(minimal),
+        },
+        "cover": {
+            "columns": list(border_names),
+            "cover_counts": list(table.counts) if table is not None else [],
+            "final_counts": final_counts,
+            "selected": fmt(chosen),
+            "selection_mode": "exact" if options.exact_cover else "greedy",
+        },
+        "controller": {
+            "no_constraints": not len(partition.m_f),
+            "constraints": [c.format(net.places) for c in constraints],
+            "weight_rows": controller.weights.tolist(),
+            "control_places": list(controller.place_names),
+            "control_incidence": controller.incidence.tolist(),
+            "control_initial": controller.initial.tolist(),
+            "bounds": controller.bounds.tolist(),
+        },
+        "fallback": {
+            "used": fallback_used,
+            "uncovered": fmt(uncovered),
+            "over_restrictive": [
+                Constraint.from_overstate(b).format(net.places)
+                for b in chosen if b in uncovered_set
+            ],
+        },
+        "closed_loop": {
+            "state_count": closed.state_count,
+            "isomorphic": closed.isomorphic,
+            "invariant_ok": closed.invariant_ok,
+            "admissibility_violations": [
                 v.format(net, controller)
                 for v in closed.admissibility_violations
             ],
-            missing_authorized=fmt_masks(closed.missing_authorized),
-            extra_states=fmt_masks(closed.extra_states),
-            edge_mismatches=list(closed.edge_mismatches),
-            max_control_marking=list(closed.max_control_marking),
-            notes=list(closed.notes),
-        ),
-        environment={
+            "missing_authorized": fmt(closed.missing_authorized),
+            "extra_states": fmt(closed.extra_states),
+            "edge_mismatches": list(closed.edge_mismatches),
+            "max_control_marking": list(closed.max_control_marking),
+            "notes": list(closed.notes),
+        },
+        "environment": {
             "reachability_kernel": reachability_backend(net.n_places),
         },
-        timings=list(timings) + [
-            ("total", sum(t for _, t in timings))
-        ],
-    )
-    return report
+        "timings": [{"stage": stage, "seconds": round(seconds, 6)}
+                    for stage, seconds in timings],
+    })

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import PnetSyntaxError, UnknownPlaceName
-from .net import Marking, PetriNet
+from .net import Marking, PetriNet, support
 from .partition import BadStateSpec
 from .predicate import CONSTANTS, check_predicate
 
@@ -320,7 +320,7 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
                         )
                     forb_deadlock = True
                 elif item == "state":
-                    support = []
+                    marked = []
                     while at() not in ("expr", "deadlock", "state", "}", None):
                         pname, pcol, pline = nxt("place name")
                         if not _NAME_RE.match(pname):
@@ -329,19 +329,19 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
                                 source, pline, pcol,
                             )
                         idx = resolve(pname, pline, pcol)
-                        if idx in support:
+                        if idx in marked:
                             raise PnetSyntaxError(
                                 "duplicate place %r in forbidden state"
                                 % pname, source, pline, pcol,
                             )
-                        support.append(idx)
-                    if not support:
+                        marked.append(idx)
+                    if not marked:
                         raise PnetSyntaxError(
                             "forbidden state lists no places",
                             source, iline, col,
                         )
                     forb_states.append(
-                        Marking.from_support(len(places), support)
+                        Marking.from_support(len(places), marked)
                     )
                 else:
                     raise PnetSyntaxError(
@@ -373,13 +373,16 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
     spec = None
     if saw_forbidden and (forb_expr is not None or forb_deadlock
                           or forb_states):
+        tree = None
         if forb_expr is not None:
-            # resolve names now so a bad expression fails at parse time
-            check_predicate(forb_expr, place_index, source)
+            # resolve names now so a bad expression fails at parse time;
+            # the spec keeps the tree, so the partition parses it no more
+            tree = check_predicate(forb_expr, place_index, source)
         spec = BadStateSpec(
             expr=forb_expr,
             explicit=tuple(forb_states),
             include_deadlocks=forb_deadlock,
+            tree=tree,
         )
     return NetDocument(net=net, spec=spec)
 
@@ -397,10 +400,8 @@ def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
         net.places[p] for p in net.m0.support()
     ))
     for t in range(net.n_transitions):
-        pre = " ".join(net.places[p]
-                       for p in Marking(net.n_places, net.pre_masks[t]).support())
-        post = " ".join(net.places[p]
-                        for p in Marking(net.n_places, net.post_masks[t]).support())
+        pre = " ".join(net.places[p] for p in support(net.pre_masks[t]))
+        post = " ".join(net.places[p] for p in support(net.post_masks[t]))
         kind = "controllable" if net.controllable[t] else "uncontrollable"
         lines.append(
             "transition %s %s { in%s ; out%s }" % (

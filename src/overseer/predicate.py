@@ -129,11 +129,12 @@ def check_predicate(text: str, place_index: dict[str, int],
     return node
 
 
-def evaluate_predicate(text: str, place_index: dict[str, int],
+def evaluate_predicate(tree, place_index: dict[str, int],
                        bits: np.ndarray) -> np.ndarray:
     """Per row of `bits` (one 0/1 column per place, as `net.bit_rows`
-    gives them), whether the predicate holds there: one array
-    operation per node of the tree."""
+    gives them), whether the predicate `tree` (from `parse_predicate`)
+    holds there: one array operation per node of the tree.  A name
+    not in `place_index` is an error."""
     marked = bits.T.astype(bool)  # marked[i]: per row, place i is marked
 
     def value(node):
@@ -141,6 +142,9 @@ def evaluate_predicate(text: str, place_index: dict[str, int],
         if kind == "const":
             return np.full(len(bits), node[1])
         if kind == "var":
+            if node[1] not in place_index:
+                raise UnknownPlaceName(
+                    "unknown place %r in forbidden expr" % node[1])
             return marked[place_index[node[1]]]
         if kind == "not":
             return ~value(node[1])
@@ -148,4 +152,4 @@ def evaluate_predicate(text: str, place_index: dict[str, int],
             return value(node[1]) & value(node[2])
         return value(node[1]) | value(node[2])
 
-    return value(check_predicate(text, place_index))
+    return value(tree)

@@ -31,7 +31,7 @@ from .errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
-from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
+from .net import Marking, PetriNet, ReachabilityGraph
 from .overstates import Constraint
 from .partition import StatePartition
 
@@ -187,17 +187,18 @@ def assemble_controlled_net(net: PetriNet, controller: Controller) -> PetriNet:
 @dataclass(frozen=True)
 class AdmissibilityViolation:
     """A control place was the sole reason an uncontrollable transition
-    was disabled: the supervisor would need authority it does not have."""
+    was disabled at plant marking `state` (an int mask): the supervisor
+    would need authority it does not have."""
 
     control_place: int
     transition: int
-    state: Marking
+    state: int
 
     def format(self, net: PetriNet, controller: Controller) -> str:
         return "%s alone disables uncontrollable %s at %s" % (
             controller.place_names[self.control_place],
             net.transitions[self.transition],
-            net.format_marking(self.state),
+            net.format_mask(self.state),
         )
 
 
@@ -268,8 +269,7 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     masks = rg.masks
     blocking = False
     if k:
-        control = controller.bounds \
-            - bit_rows(masks, net.n_places) @ controller.weights.T
+        control = controller.bounds - rg.bits @ controller.weights.T
         # the control marking after each plant edge
         after = control[rg.src] + controller.incidence.T[rg.tr]
         allowed = (after >= 0).all(axis=1)
@@ -336,7 +336,7 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
             if not net.controllable[t]:
                 violations.append(AdmissibilityViolation(
                     control_place=next(i for i, c in enumerate(row) if c < 0),
-                    transition=t, state=Marking(net.n_places, masks[s]),
+                    transition=t, state=masks[s],
                 ))
 
     isomorphic = (

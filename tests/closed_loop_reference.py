@@ -112,7 +112,7 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
                 if c + d < 0:
                     violations.append(AdmissibilityViolation(
                         control_place=i, transition=t,
-                        state=Marking(net.n_places, mask),
+                        state=mask,
                     ))
                     break
 

@@ -23,8 +23,6 @@ from overseer import (
     build_reachability_graph,
     check_final_coverage,
     minimal_elements,
-    minimum_cover_size,
-    over_states,
     overstate_union,
     parse_net_file,
     partition_states,
@@ -36,11 +34,14 @@ from overseer import (
     verify_closed_loop,
 )
 from overseer.cli import main as cli_main
+from overseer.cover import minimum_cover_size
 from overseer.errors import (
     ForbiddenInitialMarking,
     StageFailure,
     UncoverableState,
 )
+from overseer.net import support
+from overseer.overstates import over_states
 
 from conftest import FAILURE_DIR
 from netgen import random_spec, safe_net
@@ -93,9 +94,9 @@ def _reference_overstates(border, authorized):
     """The enumerating reference: every nonempty sub-support of every
     border state, deduplicated; those no authorized state covers; and
     their minimal elements."""
-    candidates = {b.mask: b for m in border for b in over_states(m)}
-    pruned = prune_authorized(candidates.values(), authorized)
-    return list(candidates.values()), pruned, minimal_elements(pruned)
+    candidates = list(dict.fromkeys(b for m in border for b in over_states(m)))
+    pruned = prune_authorized(candidates, authorized)
+    return candidates, pruned, minimal_elements(pruned)
 
 
 def test_criterion_1_partition(two_machines_path):
@@ -113,22 +114,22 @@ def test_criterion_2_over_states(two_machines_path):
     with _criterion("criterion 2 (over-state pipeline)"):
         doc, rg, partition = _example(two_machines_path)
         net = doc.net
-        border = rg.markings_of(partition.m_b)
-        authorized = rg.markings_of(partition.m_a)
+        border = rg.masks_of(partition.m_b)
+        authorized = rg.masks_of(partition.m_a)
         candidates, pruned, minimal = _reference_overstates(border,
                                                             authorized)
         # independent recount: all nonempty sub-supports of the border
         expected = set()
         for m in border:
-            s = m.support()
+            s = support(m)
             for k in range(1, len(s) + 1):
                 expected.update(combinations(s, k))
         assert len(expected) == 23
-        assert {b.support() for b in candidates} == expected
+        assert {support(b) for b in candidates} == expected
         assert len(candidates) == 23
-        assert {net.format_marking(b) for b in pruned} == EXPECTED_PRUNED
+        assert {net.format_mask(b) for b in pruned} == EXPECTED_PRUNED
         assert len(pruned) == 9
-        assert {net.format_marking(b) for b in minimal} == EXPECTED_MINIMAL
+        assert {net.format_mask(b) for b in minimal} == EXPECTED_MINIMAL
         # the transversal engine finds the minimal ones directly
         assert overstate_union(border, authorized) == minimal
 
@@ -137,15 +138,15 @@ def test_criterion_3_cover_table(two_machines_path):
     with _criterion("criterion 3 (cover table and selection)"):
         doc, rg, partition = _example(two_machines_path)
         net = doc.net
-        border = rg.markings_of(partition.m_b)
-        authorized = rg.markings_of(partition.m_a)
+        border = rg.masks_of(partition.m_b)
+        authorized = rg.masks_of(partition.m_a)
         _, _, minimal = _reference_overstates(border, authorized)
         assert overstate_union(border, authorized) == minimal
         table = build_cover_table(minimal, border)
         assert len(table.rows) == 4
-        assert table.cover_counts() == EXPECTED_COVER_COUNTS
+        assert table.counts == EXPECTED_COVER_COUNTS
         select_final_cover(table)
-        assert [net.format_marking(b) for b in table.selected_rows()] \
+        assert [net.format_mask(b) for b in table.selected_rows()] \
             == EXPECTED_SELECTED
         assert check_final_coverage(table)
         assert table.final_counts() == [1, 1, 1, 1, 1]
@@ -203,8 +204,8 @@ def _check_generated_net(net, rg, spec, stats):
         stats["m0_forbidden"] += 1
         return
 
-    border = rg.markings_of(partition.m_b)
-    authorized = rg.markings_of(partition.m_a)
+    border = rg.masks_of(partition.m_b)
+    authorized = rg.masks_of(partition.m_a)
 
     if not len(partition.m_f):
         stats["no_forbidden"] += 1
@@ -222,14 +223,13 @@ def _check_generated_net(net, rg, spec, stats):
     for b in minimal:
         c = Constraint.from_overstate(b)
         for mask in range(1 << net.n_places):
-            m = type(b)(net.n_places, mask)
-            assert c.violated_by(m) == b.issubset(m), \
+            assert c.violated_by(mask) == (not b & ~mask), \
                 "constraint and over-state disagree on %s" % bin(mask)
 
     # (b) minimal elements form an antichain
     for x in minimal:
         for y in minimal:
-            assert x == y or not x.issubset(y), "antichain violated"
+            assert x == y or x & ~y, "antichain violated"
 
     table = build_cover_table(minimal, border)
     try:
@@ -341,8 +341,9 @@ def test_criterion_7_negative_paths(tmp_path, drop_job_path, capsys):
         capsys.readouterr()
         doc = parse_net_file(drop_job_path)
         result = run_pipeline(doc, PipelineOptions(fallback=True))
-        assert result.report.fallback_used
-        assert result.report.over_restrictive == ["m(P1) <= 0"]
+        fallback = result.report.to_dict()["fallback"]
+        assert fallback["used"]
+        assert fallback["over_restrictive"] == ["m(P1) <= 0"]
         assert out.exists()
 
 

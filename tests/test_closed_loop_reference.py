@@ -36,7 +36,7 @@ RANDOM_NETS = 200
 
 
 def _violations(report):
-    return [(v.control_place, v.transition, v.state.mask)
+    return [(v.control_place, v.transition, v.state)
             for v in report.admissibility_violations]
 
 

@@ -5,19 +5,24 @@ import random
 import pytest
 
 from overseer import (
-    Marking,
     build_cover_table,
-    check_coverage,
     check_final_coverage,
-    minimum_cover_size,
     select_final_cover,
 )
 from overseer import cover
+from overseer.cover import check_coverage, minimum_cover_size
 from overseer.errors import StateBudgetExceeded, UncoverableState
+from overseer.net import support
 
 
-def _m(support, width=8):
-    return Marking.from_support(width, support)
+def _m(places):
+    """The mask of a set of places."""
+    return sum(1 << p for p in set(places))
+
+
+def _covers(row, col):
+    """The row's places all lie in the column's."""
+    return not _m(row) & ~_m(col)
 
 
 def _table(rows, cols):
@@ -44,20 +49,19 @@ def test_cells_are_subset_tests(monkeypatch):
         monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
         t = _table([[0], [0, 1]], [[0, 1, 2], [0, 3]])
         assert _cells(t) == [[True, True], [True, False]]
-        assert t.cover_counts() == [2, 1]
+        assert t.counts == [2, 1]
         t = _table(rows, cols)
-        assert _cells(t) == [[_m(r).issubset(_m(c)) for c in cols]
-                             for r in rows]
+        assert _cells(t) == [[_covers(r, c) for c in cols] for r in rows]
 
 
 def test_uncovered_column_detected():
     t = _table([[0]], [[0, 1], [2, 3]])
     ok, uncovered = check_coverage(t)
     assert not ok
-    assert [m.support() for m in uncovered] == [(2, 3)]
+    assert [support(m) for m in uncovered] == [(2, 3)]
     with pytest.raises(UncoverableState) as err:
         select_final_cover(t)
-    assert [m.support() for m in err.value.uncovered] == [(2, 3)]
+    assert [support(m) for m in err.value.uncovered] == [(2, 3)]
 
 
 def test_essential_rows_picked_first():
@@ -65,7 +69,7 @@ def test_essential_rows_picked_first():
     # and are picked in column order
     t = _table([[0], [1], [3]], [[0, 4], [1, 2], [3, 4]])
     select_final_cover(t)
-    picked = [m.support() for m in t.selected_rows()]
+    picked = [support(m) for m in t.selected_rows()]
     assert picked == [(0,), (1,), (3,)]
     assert check_final_coverage(t)
 
@@ -74,17 +78,17 @@ def test_greedy_prefers_larger_gain():
     # one row covers both columns, two rows cover one each
     t = _table([[0], [1], [2]], [[0, 2], [1, 2]])
     select_final_cover(t)
-    assert [m.support() for m in t.selected_rows()] == [(2,)]
+    assert [support(m) for m in t.selected_rows()] == [(2,)]
 
 
 def test_tie_broken_by_smaller_then_lex():
     t = _table([[4, 5], [1], [2]], [[1, 4, 5], [2, 4, 5]])
     select_final_cover(t)
     # all rows gain 1 except [4,5] which gains 2
-    assert [m.support() for m in t.selected_rows()] == [(4, 5)]
+    assert [support(m) for m in t.selected_rows()] == [(4, 5)]
     t2 = _table([[3], [1]], [[1, 3]])
     select_final_cover(t2)
-    assert [m.support() for m in t2.selected_rows()] == [(1,)]
+    assert [support(m) for m in t2.selected_rows()] == [(1,)]
 
 
 def test_exact_mode_finds_minimum():
@@ -105,10 +109,7 @@ def test_exact_mode_finds_minimum():
 def test_exact_refuses_large_tables():
     rows = [[i] for i in range(21)]
     cols = [[i] for i in range(21)]
-    big = build_cover_table(
-        [Marking.from_support(21, r) for r in rows],
-        [Marking.from_support(21, c) for c in cols],
-    )
+    big = _table(rows, cols)
     with pytest.raises(StateBudgetExceeded):
         select_final_cover(big, exact=True)
 
@@ -123,7 +124,7 @@ def test_empty_table_is_trivially_covered():
 def _reference_greedy(rows, cols):
     """The selection rule on a list-of-lists table, scanned in full:
     cover counts, greedy picks, final counts."""
-    cells = [[_m(r).issubset(_m(c)) for c in cols] for r in rows]
+    cells = [[_covers(r, c) for c in cols] for r in rows]
     counts = [sum(row[j] for row in cells) for j in range(len(cols))]
     picks = []
     for j in range(len(cols)):
@@ -162,19 +163,13 @@ def test_greedy_vs_exact_on_random_tables(monkeypatch):
         counts, picks, final = _reference_greedy(rows, cols)
         for cells in BOTH_PATHS:
             monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
-            greedy = build_cover_table(
-                [Marking.from_support(width, r) for r in rows],
-                [Marking.from_support(width, c) for c in cols],
-            )
-            assert greedy.cover_counts() == counts
+            greedy = _table(rows, cols)
+            assert greedy.counts == counts
             select_final_cover(greedy)
             assert check_final_coverage(greedy)
             assert greedy.pick_order == picks
             assert greedy.final_counts() == final
-        exact = build_cover_table(
-            [Marking.from_support(width, r) for r in rows],
-            [Marking.from_support(width, c) for c in cols],
-        )
+        exact = _table(rows, cols)
         select_final_cover(exact, exact=True)
         assert check_final_coverage(exact)
         assert sum(exact.selected) <= sum(greedy.selected)

@@ -15,6 +15,7 @@ from overseer import (
     build_reachability_graph,
     canonical_order,
 )
+from overseer.net import support
 from overseer.errors import (
     NotEnabled,
     SafenessViolation,
@@ -57,14 +58,9 @@ def test_marking_subset_is_partial_order():
 
 
 def test_canonical_order_sorts_by_size_then_support():
-    ms = [
-        Marking.from_support(4, [2, 3]),
-        Marking.from_support(4, [0]),
-        Marking.from_support(4, [1, 2]),
-        Marking.from_support(4, [3]),
-    ]
+    ms = [0b1100, 0b0001, 0b0110, 0b1000]
     ordered = canonical_order(ms)
-    assert [m.support() for m in ordered] == [(0,), (3,), (1, 2), (2, 3)]
+    assert [support(m) for m in ordered] == [(0,), (3,), (1, 2), (2, 3)]
 
 
 def test_fire_moves_token():

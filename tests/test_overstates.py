@@ -8,21 +8,24 @@ import pytest
 
 from overseer import (
     Constraint,
-    Marking,
-    constraints_from,
-    dominated_by_authorized,
     minimal_elements,
-    over_states,
     overstate_union,
     prune_authorized,
 )
 from overseer import overstates
 from overseer.errors import StateBudgetExceeded
-from overseer.overstates import minimal_transversals
+from overseer.net import support
+from overseer.overstates import (
+    constraints_from,
+    dominated_by_authorized,
+    minimal_transversals,
+    over_states,
+)
 
 
-def _m(support, width=6):
-    return Marking.from_support(width, support)
+def _m(places):
+    """The mask of a set of places."""
+    return sum(1 << p for p in set(places))
 
 
 def _reference(border, authorized):
@@ -36,7 +39,7 @@ def test_expansion_counts_all_nonempty_subsupports():
     m = _m([0, 2, 4])
     subs = over_states(m)
     assert len(subs) == 2 ** 3 - 1
-    assert {b.support() for b in subs} == {
+    assert {support(b) for b in subs} == {
         tuple(sorted(c))
         for k in (1, 2, 3)
         for c in combinations((0, 2, 4), k)
@@ -44,7 +47,7 @@ def test_expansion_counts_all_nonempty_subsupports():
 
 
 def test_expansion_ordered_small_to_large():
-    sizes = [b.card for b in over_states(_m([1, 3, 5]))]
+    sizes = [b.bit_count() for b in over_states(_m([1, 3, 5]))]
     assert sizes == sorted(sizes)
 
 
@@ -72,9 +75,9 @@ def test_union_deduplicates():
     # nothing authorized: each border state's minimal over-states are
     # its single places, and the shared place 1 is listed once
     u = overstate_union([_m([0, 1]), _m([1, 2])], [])
-    assert [b.support() for b in u] == [(0,), (1,), (2,)]
+    assert [support(b) for b in u] == [(0,), (1,), (2,)]
     u = overstate_union([_m([0, 1]), _m([1, 2])], [_m([1, 3])])
-    assert [b.support() for b in u] == [(0,), (2,)]
+    assert [support(b) for b in u] == [(0,), (2,)]
 
 
 def test_engine_without_over_states():
@@ -87,7 +90,7 @@ def test_engine_without_over_states():
         ([_m([1, 2]), _m([3, 4])], [_m([0, 1, 2])], [(3,), (4,)]),
     ):
         got = overstate_union(border, authorized)
-        assert [b.support() for b in got] == expected
+        assert [support(b) for b in got] == expected
         assert got == _reference(border, authorized)
     assert minimal_transversals([0b101, 0]) == []
     assert minimal_transversals([]) == [0]
@@ -98,7 +101,7 @@ def _minimal_edges(border, authorized):
     edges of {m} + {m & ~a}, sorted; each distinct set once."""
     out = set()
     for m in border:
-        edges = {m.mask} | {m.mask & ~a.mask for a in authorized}
+        edges = {m} | {m & ~a for a in authorized}
         if 0 not in edges:
             out.add(tuple(sorted(e for e in edges if not any(
                 f != e and not f & ~e for f in edges))))
@@ -124,16 +127,14 @@ def test_engine_matches_reference_on_random_masks(monkeypatch):
         density = rng.random()
 
         def draw():
-            return Marking(width, sum(
-                1 << p for p in range(width) if rng.random() < density))
+            return sum(1 << p for p in range(width) if rng.random() < density)
 
         border = [draw() for _ in range(rng.randint(1, 5))]
         authorized = [draw() for _ in range(rng.randint(0, 8))]
         got, by_numpy = _on_both_paths(monkeypatch, border, authorized)
         assert got == by_numpy == _reference(border, authorized)
-        assert overstates._minimal_edge_sets(
-            [m.mask for m in border], [a.mask for a in authorized]
-        ) == _minimal_edges(border, authorized)
+        assert overstates._minimal_edge_sets(border, authorized) \
+            == _minimal_edges(border, authorized)
         assert minimal_elements(prune_authorized(got, authorized)) == got
 
 
@@ -144,9 +145,9 @@ def test_wide_nets_take_the_int_path(monkeypatch):
     rng = random.Random(70)
     for _ in range(20):
         high = rng.sample(range(60, 70), 6)
-        border = [_m(rng.sample(high, rng.randint(1, 6)), width=70)
+        border = [_m(rng.sample(high, rng.randint(1, 6)))
                   for _ in range(3)]
-        authorized = [_m(rng.sample(high, rng.randint(0, 6)), width=70)
+        authorized = [_m(rng.sample(high, rng.randint(0, 6)))
                       for _ in range(4)]
         got = overstate_union(border, authorized)
         assert got == _reference(border, authorized)
@@ -157,17 +158,17 @@ def test_domination_by_authorized():
     assert dominated_by_authorized(_m([0, 1]), authorized)
     assert not dominated_by_authorized(_m([0, 3]), authorized)
     kept = prune_authorized([_m([0, 1]), _m([0, 3])], authorized)
-    assert [b.support() for b in kept] == [(0, 3)]
+    assert [support(b) for b in kept] == [(0, 3)]
 
 
 def test_minimal_elements_form_an_antichain():
     items = [_m([0]), _m([0, 1]), _m([2, 3]), _m([1, 2, 3]), _m([0])]
     mins = minimal_elements(items)
-    assert {b.support() for b in mins} == {(0,), (2, 3)}
+    assert {support(b) for b in mins} == {(0,), (2, 3)}
     for a in mins:
         for b in mins:
             if a != b:
-                assert not a.issubset(b)
+                assert a & ~b
 
 
 def test_minimal_elements_random_antichain():
@@ -175,18 +176,16 @@ def test_minimal_elements_random_antichain():
     for _ in range(200):
         width = rng.randint(1, 8)
         items = [
-            Marking.from_support(
-                width, rng.sample(range(width), rng.randint(1, width))
-            )
+            _m(rng.sample(range(width), rng.randint(1, width)))
             for _ in range(rng.randint(1, 12))
         ]
         mins = minimal_elements(items)
         # antichain, and every item is above some minimal element
         for a in mins:
             for b in mins:
-                assert a == b or not a.issubset(b)
+                assert a == b or a & ~b
         for it in items:
-            assert any(b.issubset(it) for b in mins)
+            assert any(not b & ~it for b in mins)
 
 
 def test_constraint_from_overstate():
@@ -201,9 +200,8 @@ def test_constraint_violated_iff_covering():
     b = _m([1, 4])
     c = Constraint.from_overstate(b)
     for mask in range(2 ** 6):
-        m = Marking(6, mask)
-        assert c.violated_by(m) == b.issubset(m)
-        assert c.satisfied_by(m) != c.violated_by(m)
+        assert c.violated_by(mask) == (not b & ~mask)
+        assert c.satisfied_by(mask) != c.violated_by(mask)
 
 
 def test_constraints_preserve_order():

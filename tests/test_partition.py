@@ -13,9 +13,9 @@ from overseer import (
     deadlocks,
     parse_predicate,
     partition_states,
-    primal_bad,
 )
 from overseer.errors import ForbiddenInitialMarking
+from overseer.partition import primal_bad
 
 from netgen import copies, random_spec, safe_net
 

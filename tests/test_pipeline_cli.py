@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
+import overseer.net
 from overseer import (
     BadStateSpec,
+    Marking,
     NetDocument,
     PipelineOptions,
     parse_net,
     parse_net_file,
+    predicate,
     run_pipeline,
 )
 from overseer.cli import _exit_code_for, main
@@ -55,22 +59,22 @@ forbidden {
 
 def test_pipeline_two_machines(two_machines):
     result = run_pipeline(two_machines)
-    r = result.report
-    assert r.reachable_count == 12
-    assert r.authorized_count == 5
-    assert r.selected == ["P4P6", "P2P7"]
-    assert r.closed_loop.isomorphic
+    r = result.report.to_dict()
+    assert r["partition"]["reachable_count"] == 12
+    assert r["partition"]["authorized_count"] == 5
+    assert r["cover"]["selected"] == ["P4P6", "P2P7"]
+    assert r["closed_loop"]["isomorphic"]
     assert result.closed.state_count == 5
 
 
 def test_pipeline_three_copies_of_two_machines(two_machines):
     result = run_pipeline(copies(two_machines, 3))
-    r = result.report
-    assert r.reachable_count == 12 ** 3
-    assert len(r.minimal) == 12
-    assert len(r.constraints) == 6
+    r = result.report.to_dict()
+    assert r["partition"]["reachable_count"] == 12 ** 3
+    assert len(r["over_states"]["minimal"]) == 12
+    assert len(r["controller"]["constraints"]) == 6
     assert result.closed.state_count == 5 ** 3
-    assert r.closed_loop.isomorphic
+    assert r["closed_loop"]["isomorphic"]
 
 
 def test_pipeline_no_forbidden_states():
@@ -80,9 +84,10 @@ def test_pipeline_no_forbidden_states():
         "transition r controllable { in B ; out A }\n"
     )
     result = run_pipeline(doc)
-    assert result.report.no_constraints
+    r = result.report.to_dict()
+    assert r["controller"]["no_constraints"]
     assert result.controller.k == 0
-    assert result.report.closed_loop.isomorphic
+    assert r["closed_loop"]["isomorphic"]
     assert "no constraints needed" in result.report.render_text()
 
 
@@ -145,20 +150,102 @@ def test_golden_digests(two_machines, drop_job):
     assert digests == GOLDEN_DIGESTS
 
 
+# sha256 of the text reports of the same three runs, with the timing
+# lines (those ending in " ms") dropped: the digest does not cover the
+# text layout.
+GOLDEN_TEXT = {
+    "two_machines":
+        "3db9ec009ef761b1b20834282c6e1210801655bf5385e220f5e3804357de4d09",
+    "drop_job --fallback":
+        "1a7c5c6ea763568e634ed276fb56c066cbf17872209b841e04cb1f35dd528863",
+    "two_machines x2":
+        "461cb99c75ed1cac6c90dcaf50ba58cf64b22873959d1d93b0701b3dc01a5220",
+}
+
+
+def _text_hash(report):
+    kept = [line for line in report.render_text().splitlines()
+            if not line.rstrip().endswith(" ms")]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def test_golden_text_reports(two_machines, drop_job):
+    fallback = PipelineOptions(fallback=True)
+    hashes = {
+        "two_machines": _text_hash(run_pipeline(two_machines).report),
+        "drop_job --fallback":
+            _text_hash(run_pipeline(drop_job, fallback).report),
+        "two_machines x2":
+            _text_hash(run_pipeline(copies(two_machines, 2)).report),
+    }
+    assert hashes == GOLDEN_TEXT
+
+
+def test_predicate_parsed_once_per_run(two_machines_path, monkeypatch):
+    calls = []
+    tokenize = predicate._tokenize
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(predicate, "_tokenize", counting_tokenize)
+    result = run_pipeline(parse_net_file(two_machines_path))
+    assert result.closed.isomorphic
+    assert len(calls) == 1
+
+
+def test_state_bits_unpacked_once_per_run(two_machines, monkeypatch):
+    calls = []
+    original = overseer.net.bit_rows
+
+    def counting_bit_rows(masks, width):
+        calls.append(masks)
+        return original(masks, width)
+
+    # every module that holds the function under its own name
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("overseer")
+                and getattr(module, "bit_rows", None) is original):
+            monkeypatch.setattr(module, "bit_rows", counting_bit_rows)
+    result = run_pipeline(two_machines)
+    assert result.controller.k == 2
+    assert sum(masks is result.rg.masks for masks in calls) == 1
+
+
+def test_pipeline_builds_no_markings(two_machines, drop_job, monkeypatch):
+    built = []
+    init = Marking.__init__
+
+    def counting_init(self, width, mask):
+        built.append(mask)
+        init(self, width, mask)
+
+    doc = copies(two_machines, 3)
+    monkeypatch.setattr(Marking, "__init__", counting_init)
+    result = run_pipeline(doc)
+    assert result.closed.state_count == 5 ** 3
+    result = run_pipeline(drop_job, PipelineOptions(fallback=True))
+    assert result.report.to_dict()["fallback"]["used"]
+    assert built == []
+
+
 def test_pipeline_exact_cover_matches_greedy_here(two_machines):
     result = run_pipeline(
         two_machines, PipelineOptions(exact_cover=True)
     )
-    assert sorted(result.report.selected) == ["P2P7", "P4P6"]
-    assert result.report.selection_mode == "exact"
+    cover = result.report.to_dict()["cover"]
+    assert sorted(cover["selected"]) == ["P2P7", "P4P6"]
+    assert cover["selection_mode"] == "exact"
 
 
 def test_pipeline_state_budget_bounds_over_states():
     doc = parse_net(PAIRS)
     result = run_pipeline(doc)
     assert result.rg.n_states == 7
-    assert len(result.report.minimal) == 32
-    assert result.report.closed_loop.isomorphic
+    r = result.report.to_dict()
+    assert len(r["over_states"]["minimal"]) == 32
+    assert r["closed_loop"]["isomorphic"]
     # 7 states fit a budget of 16, 32 transversals do not
     with pytest.raises(StageFailure) as err:
         run_pipeline(doc, PipelineOptions(state_budget=16))
@@ -174,12 +261,12 @@ def test_pipeline_uncoverable_without_fallback(drop_job):
 
 def test_pipeline_fallback_flags_over_restrictive(drop_job):
     result = run_pipeline(drop_job, PipelineOptions(fallback=True))
-    r = result.report
-    assert r.fallback_used
-    assert r.uncovered == ["P1"]
-    assert r.over_restrictive == ["m(P1) <= 0"]
-    assert not r.closed_loop.isomorphic
-    assert r.closed_loop.missing_authorized == ["P1P2"]
+    r = result.report.to_dict()
+    assert r["fallback"]["used"]
+    assert r["fallback"]["uncovered"] == ["P1"]
+    assert r["fallback"]["over_restrictive"] == ["m(P1) <= 0"]
+    assert not r["closed_loop"]["isomorphic"]
+    assert r["closed_loop"]["missing_authorized"] == ["P1P2"]
 
 
 def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):

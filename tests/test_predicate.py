@@ -11,7 +11,8 @@ IDX = {"P1": 0, "P2": 1, "P3": 2}
 
 
 def _truth(expr, bits):
-    return bool(evaluate_predicate(expr, IDX, np.array([bits]))[0])
+    tree = parse_predicate(expr)
+    return bool(evaluate_predicate(tree, IDX, np.array([bits]))[0])
 
 
 def test_single_place():
@@ -45,15 +46,18 @@ def test_unknown_place_rejected():
     with pytest.raises(UnknownPlaceName):
         check_predicate("P1 | P9", IDX)
     with pytest.raises(UnknownPlaceName):
-        evaluate_predicate("P9", IDX, np.zeros((1, 3), dtype=np.uint8))
+        evaluate_predicate(parse_predicate("P9"), IDX,
+                           np.zeros((1, 3), dtype=np.uint8))
 
 
 def test_whole_truth_table_in_one_call():
     # one row per marking of three places; every node is one array op
     bits = np.array([[m >> i & 1 for i in range(3)] for m in range(8)])
-    got = evaluate_predicate("!P1 & P2 | P3", IDX, bits).tolist()
+    got = evaluate_predicate(parse_predicate("!P1 & P2 | P3"), IDX,
+                             bits).tolist()
     assert got == [bool((not b[0] and b[1]) or b[2]) for b in bits.tolist()]
-    assert evaluate_predicate("true", IDX, bits).tolist() == [True] * 8
+    assert evaluate_predicate(parse_predicate("true"), IDX,
+                              bits).tolist() == [True] * 8
 
 
 @pytest.mark.parametrize("expr", ["", "P1 &", "& P1", "(P1", "P1)", "P1 P2",
