@@ -62,7 +62,7 @@ def main():
                                   if t["stage"] == "over-states"))
         minimal = r["over_states"]["minimal"]
         assert len(minimal) == 4 * k, len(minimal)
-        assert len(result.constraints) == 2 * k, len(result.constraints)
+        assert result.controller.k == 2 * k, result.controller.k
         assert result.closed.isomorphic
         checked = "-"
         if k <= ORACLE_MAX_K:
@@ -71,7 +71,7 @@ def main():
             checked = "same"
         print("%3d %8d %7d %8d %12d %9.1fms %7s"
               % (k, result.rg.n_states, len(result.partition.m_b),
-                 len(minimal), len(result.constraints), best * 1e3,
+                 len(minimal), result.controller.k, best * 1e3,
                  checked))
 
 

@@ -41,7 +41,6 @@ from .net import (
     reachability_backend,
 )
 from .overstates import (
-    Constraint,
     minimal_elements,
     overstate_union,
     prune_authorized,
@@ -58,7 +57,6 @@ from .predicate import parse_predicate, predicate_places
 from .report import SynthesisReport, canonical_digest
 from .synthesis import (
     ClosedLoopReport,
-    ConstraintMatrix,
     Controller,
     assemble_controlled_net,
     build_constraint_matrix,
@@ -72,8 +70,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BadStateSpec",
     "ClosedLoopReport",
-    "Constraint",
-    "ConstraintMatrix",
     "Controller",
     "CoverTable",
     "DEFAULT_STATE_BUDGET",

@@ -5,7 +5,11 @@ Exit codes: 0 success, 2 unreadable or invalid input (including a
 non-safe plant and a blown budget in reach, over-states or exact cover), 3
 synthesis impossible for the model, 4 a border state no over-state can
 express (rerun with --fallback for an over-restrictive controller), 5
-the closed loop failed verification.
+the closed loop failed verification.  When the fallback was used, 0
+also covers its over-restrictive closed loop, provided the place
+invariant holds, no control place disables an uncontrollable transition
+and no unauthorized state is reached.  An output file that cannot be
+written exits 2.
 """
 
 from __future__ import annotations
@@ -125,36 +129,47 @@ def main(argv=None) -> int:
     text = report.render_text()
     sys.stdout.write(text)
 
+    # path, then a callable rendering its content
+    outputs = []
     if args.report:
         text_path, json_path = _report_paths(args.report)
-        text_path.write_text(text, encoding="utf-8")
-        json_path.write_text(report.render_json(), encoding="utf-8")
-
+        outputs += [(text_path, lambda: text), (json_path, report.render_json)]
     if args.dot_rg:
-        Path(args.dot_rg).write_text(
-            rg_to_dot(result.rg, result.partition), encoding="utf-8"
-        )
+        outputs.append((args.dot_rg,
+                        lambda: rg_to_dot(result.rg, result.partition)))
     if args.dot_controlled:
-        Path(args.dot_controlled).write_text(
-            closed_loop_to_dot(doc.net, result.controller, result.closed),
-            encoding="utf-8",
-        )
-
+        outputs.append((args.dot_controlled, lambda: closed_loop_to_dot(
+            doc.net, result.controller, result.closed)))
     if args.out:
         if result.controller.k == 0 or result.controller.is_binary():
-            controlled = assemble_controlled_net(doc.net, result.controller)
-            Path(args.out).write_text(
-                serialize_net(controlled), encoding="utf-8"
-            )
+            outputs.append((args.out, lambda: serialize_net(
+                assemble_controlled_net(doc.net, result.controller))))
         else:
             print("overseer: warning: controller needs weighted arcs; "
                   "%s not written" % args.out, file=sys.stderr)
+    for path, render in outputs:
+        try:
+            Path(path).write_text(render(), encoding="utf-8")
+        except OSError as exc:
+            print("overseer: error: cannot write %s: %s" % (path, exc),
+                  file=sys.stderr)
+            return EXIT_INPUT
 
-    if not result.closed.isomorphic and not args.fallback:
+    closed = result.closed
+    if closed.isomorphic:
+        return EXIT_OK
+    if not result.fallback_used:
         print("overseer: error: closed loop is not isomorphic to the "
               "authorized behavior", file=sys.stderr)
         return EXIT_VERIFY
-    return EXIT_OK
+    # the fallback controller is over-restrictive by design: it may miss
+    # authorized states, but must still be a sound, admissible supervisor
+    if (closed.invariant_ok and not closed.admissibility_violations
+            and not closed.extra_states):
+        return EXIT_OK
+    print("overseer: error: the over-restrictive fallback controller "
+          "failed verification", file=sys.stderr)
+    return EXIT_VERIFY
 
 
 if __name__ == "__main__":

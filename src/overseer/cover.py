@@ -32,12 +32,14 @@ class CoverTable:
     cols: list[int]
     bits: list[int]  # per row: the columns it covers
     counts: list[int]  # per column: how many rows cover it
-    selected: list[bool] = field(default_factory=list)
-    pick_order: list[int] = field(default_factory=list)
+    # the selected rows, by index, in the order they were picked
+    picks: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not self.selected:
-            self.selected = [False] * len(self.rows)
+    @property
+    def selected(self) -> list[bool]:
+        """Per row: is it selected."""
+        chosen = set(self.picks)
+        return [i in chosen for i in range(len(self.rows))]
 
     @property
     def full(self) -> int:
@@ -46,17 +48,13 @@ class CoverTable:
 
     def final_counts(self) -> list[int]:
         """Per column: how many selected rows cover it."""
-        return _column_counts(
-            [b for b, keep in zip(self.bits, self.selected) if keep],
-            len(self.cols),
-        )
+        return _column_counts([self.bits[i] for i in self.picks],
+                              len(self.cols))
 
     def selected_rows(self) -> list[int]:
         """Selected over-states in the order they were picked (essential
         rows first); constraint rows inherit this order."""
-        if self.pick_order:
-            return [self.rows[i] for i in self.pick_order]
-        return [b for b, keep in zip(self.rows, self.selected) if keep]
+        return [self.rows[i] for i in self.picks]
 
 
 # A table of at least this many cells is built and counted with numpy;
@@ -114,7 +112,7 @@ def check_coverage(table: CoverTable) -> tuple[bool, list[int]]:
 
 
 def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
-    """Fill table.selected with a cover of all columns.
+    """Fill table.picks with a cover of all columns.
 
     Greedy mode: essential rows (sole cover of a column) first, then the
     row covering the most uncovered columns; ties go to the smallest,
@@ -128,15 +126,10 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
             uncovered=uncovered,
         )
     if exact:
-        table.selected = _minimum_selection(table)
-        table.pick_order = sorted(
-            (i for i in range(len(table.rows)) if table.selected[i]),
-            key=lambda i: canonical_key(table.rows[i]),
-        )
+        table.picks = _minimum_selection(table)
         return table
 
     bits = table.bits
-    selected = [False] * len(bits)
     # the essential rows, in the order of their first essential column
     seen = shared = 0
     for b in bits:
@@ -151,7 +144,6 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
     picks = sorted(first, key=first.__getitem__)
     covered = 0
     for i in picks:
-        selected[i] = True
         covered |= bits[i]
 
     keys = [canonical_key(b) for b in table.rows]
@@ -160,24 +152,22 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         best = None
         best_key = None
         for i, b in enumerate(bits):
-            if selected[i]:
-                continue
+            # a picked row gains nothing: its columns are covered
             gain = (b & ~covered).bit_count()
             if gain == 0:
                 continue
             key = (-gain,) + keys[i]
             if best_key is None or key < best_key:
                 best, best_key = i, key
-        selected[best] = True
         picks.append(best)
         covered |= bits[best]
 
-    table.selected = selected
-    table.pick_order = picks
+    table.picks = picks
     return table
 
 
-def _minimum_selection(table: CoverTable) -> list[bool]:
+def _minimum_selection(table: CoverTable) -> list[int]:
+    """The rows of a minimum cover, in canonical order (exhaustive)."""
     n_rows = len(table.rows)
     if n_rows > EXACT_COVER_LIMIT:
         raise StateBudgetExceeded(
@@ -186,7 +176,7 @@ def _minimum_selection(table: CoverTable) -> list[bool]:
         )
     order = sorted(range(n_rows), key=lambda i: canonical_key(table.rows[i]))
     if not table.cols:
-        return [False] * n_rows
+        return []
     full = table.full
     for size in range(1, n_rows + 1):
         for combo in combinations(order, size):
@@ -194,16 +184,13 @@ def _minimum_selection(table: CoverTable) -> list[bool]:
             for i in combo:
                 covered |= table.bits[i]
             if covered == full:
-                selected = [False] * n_rows
-                for i in combo:
-                    selected[i] = True
-                return selected
+                return list(combo)
     raise UncoverableState("no selection covers every border state")
 
 
 def minimum_cover_size(table: CoverTable) -> int:
     """Size of a minimum cover (exhaustive oracle for small tables)."""
-    return sum(_minimum_selection(table))
+    return len(_minimum_selection(table))
 
 
 def check_final_coverage(table: CoverTable) -> bool:
@@ -211,7 +198,6 @@ def check_final_coverage(table: CoverTable) -> bool:
     With this, the selected constraints define exactly the authorized
     behavior; a count above one is merely redundant coverage."""
     covered = 0
-    for b, keep in zip(table.bits, table.selected):
-        if keep:
-            covered |= b
+    for i in table.picks:
+        covered |= table.bits[i]
     return covered == table.full

@@ -1,12 +1,14 @@
-"""Minimal over-states of the border states, and their constraints.
+"""Minimal over-states of the border states.
 
 An over-state is a partial marking b, an int mask like every marking
-here; forbidding b (through the token-sum constraint over its support)
-forbids every marking that covers it.  An over-state b of a border state m is a nonempty sub-support of m that no
-authorized state covers.  For b inside m, "a does not cover b" means that
-b meets m & ~a, so the usable over-states of m are the transversals
-inside m of the hypergraph {m} + {m & ~a : a authorized} (the edge m
-keeps b nonempty), and the cheapest ones are its minimal transversals.
+here; forbidding b (through the token-sum constraint over its support,
+`synthesis.build_constraint_matrix`) forbids every marking that covers
+it.  An over-state b of a border state m is a nonempty sub-support of m
+that no authorized state covers.  For b inside m, "a does not cover b"
+means that b meets m & ~a, so the usable over-states of m are the
+transversals inside m of the hypergraph {m} + {m & ~a : a authorized}
+(the edge m keeps b nonempty), and the cheapest ones are its minimal
+transversals.
 They are computed directly with Berge's incremental algorithm on int
 masks, from the inclusion-minimal edges alone: an edge that contains
 another adds no constraint on a transversal.  When the masks fit in
@@ -18,7 +20,6 @@ sub-support, remains as the reference the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -177,41 +178,3 @@ def minimal_elements(items) -> list[int]:
     everything a larger one does, so only the minimal ones matter."""
     pool = canonical_order(set(items))
     return [b for b in pool if not any(o != b and not o & ~b for o in pool)]
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Token-sum inequality: sum of markings over `support` <= bound,
-    with bound = |support| - 1.  A marking violates it exactly when it
-    covers the corresponding over-state (all support places marked)."""
-
-    support: tuple[int, ...]
-    bound: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(sorted(self.support)))
-        if self.bound != len(self.support) - 1 or self.bound < 0:
-            raise ValueError("bound must be |support| - 1 and nonnegative")
-
-    @classmethod
-    def from_overstate(cls, b: int) -> "Constraint":
-        places = support(b)
-        return cls(support=places, bound=len(places) - 1)
-
-    def token_sum(self, m: int) -> int:
-        return sum(m >> p & 1 for p in self.support)
-
-    def satisfied_by(self, m: int) -> bool:
-        return self.token_sum(m) <= self.bound
-
-    def violated_by(self, m: int) -> bool:
-        return self.token_sum(m) > self.bound
-
-    def format(self, places) -> str:
-        terms = " + ".join("m(%s)" % places[p] for p in self.support)
-        return "%s <= %d" % (terms, self.bound)
-
-
-def constraints_from(overstates) -> list[Constraint]:
-    """One token-sum constraint per over-state, in the given order."""
-    return [Constraint.from_overstate(b) for b in overstates]

@@ -27,7 +27,6 @@ from .net import (
     reachability_backend,
 )
 from .overstates import (
-    Constraint,
     minimal_elements,
     overstate_union,
     prune_authorized,
@@ -40,6 +39,7 @@ from .synthesis import (
     Controller,
     build_constraint_matrix,
     empty_controller,
+    format_constraint,
     synthesize,
     verify_closed_loop,
 )
@@ -59,10 +59,10 @@ class PipelineResult:
     rg: ReachabilityGraph
     partition: StatePartition
     table: CoverTable | None
-    constraints: list[Constraint]
     controller: Controller
     closed: ClosedLoopReport
     report: SynthesisReport
+    fallback_used: bool
 
 
 class _Stages:
@@ -143,13 +143,11 @@ def run_pipeline(doc: NetDocument,
         )
 
         def _synth_stage():
-            cs = [Constraint.from_overstate(b) for b in chosen]
-            cm = build_constraint_matrix(cs, net.n_places)
-            return cs, synthesize(net, cm, constraints=cs)
+            weights, bounds = build_constraint_matrix(chosen, net.n_places)
+            return synthesize(net, weights, bounds)
 
-        constraints, controller = stages.run("synthesize", _synth_stage)
+        controller = stages.run("synthesize", _synth_stage)
     else:
-        constraints = []
         controller = stages.run(
             "synthesize", lambda: empty_controller(net)
         )
@@ -161,7 +159,7 @@ def run_pipeline(doc: NetDocument,
 
     report = _assemble_report(
         doc, options, rg, partition, minimal, border, table,
-        chosen, final_counts, uncovered, fallback_used, constraints,
+        chosen, final_counts, uncovered, fallback_used,
         controller, closed, stages.timings,
     )
     return PipelineResult(
@@ -170,10 +168,10 @@ def run_pipeline(doc: NetDocument,
         rg=rg,
         partition=partition,
         table=table,
-        constraints=constraints,
         controller=controller,
         closed=closed,
         report=report,
+        fallback_used=fallback_used,
     )
 
 
@@ -195,8 +193,7 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
     chosen = sub.selected_rows() + uncovered
     # rows are shared with the full table; only the full-state
     # constraints live outside it
-    tbl.selected = list(sub.selected)
-    tbl.pick_order = list(sub.pick_order)
+    tbl.picks = sub.picks
     extra = build_cover_table(uncovered, tbl.cols).counts
     final_counts = [a + b for a, b in zip(tbl.final_counts(), extra)]
     return tbl, chosen, final_counts, uncovered, True
@@ -204,12 +201,17 @@ def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
 
 def _assemble_report(doc, options, rg, partition, minimal, border, table,
                      chosen, final_counts, uncovered, fallback_used,
-                     constraints, controller, closed,
-                     timings) -> SynthesisReport:
+                     controller, closed, timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_masks
     border_names = fmt(border)
     uncovered_set = set(uncovered)
+    # row i of the controller is the constraint of chosen[i]
+    constraints = [
+        format_constraint(net.places, row, bound)
+        for row, bound in zip(controller.weights.tolist(),
+                              controller.bounds.tolist())
+    ]
     timings = timings + [("total", sum(t for _, t in timings))]
     return SynthesisReport({
         "net": {
@@ -241,7 +243,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border, table,
         },
         "controller": {
             "no_constraints": not len(partition.m_f),
-            "constraints": [c.format(net.places) for c in constraints],
+            "constraints": constraints,
             "weight_rows": controller.weights.tolist(),
             "control_places": list(controller.place_names),
             "control_incidence": controller.incidence.tolist(),
@@ -252,8 +254,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border, table,
             "used": fallback_used,
             "uncovered": fmt(uncovered),
             "over_restrictive": [
-                Constraint.from_overstate(b).format(net.places)
-                for b in chosen if b in uncovered_set
+                c for b, c in zip(chosen, constraints) if b in uncovered_set
             ],
         },
         "closed_loop": {

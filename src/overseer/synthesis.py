@@ -31,37 +31,31 @@ from .errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
-from .net import Marking, PetriNet, ReachabilityGraph
-from .overstates import Constraint
+from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
 from .partition import StatePartition
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Token-sum constraints in matrix form: one 0/1 row per constraint
-    over the plant places, and the per-row bound."""
-
-    weights: np.ndarray  # k x |P|, entries 0/1
-    bounds: np.ndarray   # k
-
-    @property
-    def k(self) -> int:
-        return self.weights.shape[0]
-
-
-def build_constraint_matrix(constraints, n_places: int) -> ConstraintMatrix:
-    constraints = list(constraints)
-    if not constraints:
+def build_constraint_matrix(overstates, n_places: int
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """The constraint rows (weights, bounds) of over-states given as int
+    masks: row i is the 0/1 support of over-state i and bound i its size
+    minus one, so a marking violates row i exactly when it covers
+    over-state i."""
+    overstates = list(overstates)
+    if not overstates:
         raise EmptyConstraintSet("no constraints to synthesize from")
-    weights = np.zeros((len(constraints), n_places), dtype=int)
-    bounds = np.zeros(len(constraints), dtype=int)
-    for i, c in enumerate(constraints):
-        for p in c.support:
-            if not 0 <= p < n_places:
-                raise ValueError("constraint place index %d out of range" % p)
-            weights[i, p] = 1
-        bounds[i] = c.bound
-    return ConstraintMatrix(weights=weights, bounds=bounds)
+    for b in overstates:
+        if b <= 0 or b >> n_places:
+            raise ValueError("over-state %#x is empty or names a place "
+                             "beyond the net's %d" % (b, n_places))
+    weights = bit_rows(overstates, n_places).astype(int)
+    return weights, weights.sum(axis=1) - 1
+
+
+def format_constraint(places, row, bound) -> str:
+    """A 0/1 constraint row as text, e.g. `m(P4) + m(P6) <= 1`."""
+    terms = " + ".join("m(%s)" % p for p, w in zip(places, row) if w)
+    return "%s <= %d" % (terms, bound)
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,6 @@ class Controller:
     bounds: np.ndarray          # k
     weights: np.ndarray         # k x |P|, the constraint rows
     place_names: tuple[str, ...]
-    constraints: tuple[Constraint, ...] = ()
 
     @property
     def k(self) -> int:
@@ -96,7 +89,6 @@ def empty_controller(net: PetriNet) -> Controller:
         bounds=np.zeros(0, dtype=int),
         weights=np.zeros((0, net.n_places), dtype=int),
         place_names=(),
-        constraints=(),
     )
 
 
@@ -112,19 +104,20 @@ def _fresh_names(count: int, taken) -> tuple[str, ...]:
     return tuple(names)
 
 
-def synthesize(net: PetriNet, cm: ConstraintMatrix,
-               constraints=()) -> Controller:
-    """Invariant-based controller: incidence = -(weights @ plant
-    incidence), initial marking = bounds - weights @ m0."""
-    if cm.weights.shape[1] != net.n_places:
+def synthesize(net: PetriNet, weights, bounds) -> Controller:
+    """Invariant-based controller for the constraints weights @ m <=
+    bounds (any integer rows): incidence = -(weights @ plant incidence),
+    initial marking = bounds - weights @ m0."""
+    weights = np.array(weights, dtype=int)
+    bounds = np.array(bounds, dtype=int)
+    if weights.shape[1] != net.n_places:
         raise ValueError(
             "constraint matrix has %d columns, net has %d places"
-            % (cm.weights.shape[1], net.n_places)
+            % (weights.shape[1], net.n_places)
         )
-    w_plant = net.incidence()
-    incidence = -(cm.weights @ w_plant)
+    incidence = -(weights @ net.incidence())
     m0_vec = np.array(net.m0.bits(), dtype=int)
-    initial = cm.bounds - cm.weights @ m0_vec
+    initial = bounds - weights @ m0_vec
     if (initial < 0).any():
         violated = [int(i) for i in np.flatnonzero(initial < 0)]
         raise InitialMarkingViolation(
@@ -134,10 +127,9 @@ def synthesize(net: PetriNet, cm: ConstraintMatrix,
     return Controller(
         incidence=incidence,
         initial=initial,
-        bounds=cm.bounds.copy(),
-        weights=cm.weights.copy(),
-        place_names=_fresh_names(cm.k, net.places),
-        constraints=tuple(constraints),
+        bounds=bounds,
+        weights=weights,
+        place_names=_fresh_names(len(weights), net.places),
     )
 
 
@@ -214,7 +206,7 @@ class ClosedLoopReport:
 
     state_count: int
     projections: list[int]
-    control_markings: np.ndarray  # state_count x k
+    control_markings: np.ndarray  # state_count x k, a narrow int type
     edges: np.ndarray             # E x 3
     isomorphic: bool
     missing_authorized: list[int]
@@ -269,9 +261,22 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     masks = rg.masks
     blocking = False
     if k:
-        control = controller.bounds - rg.bits @ controller.weights.T
+        # control markings, and their sums with an incidence entry, stay
+        # within `limit` of zero, so these (states x k) and (edges x k)
+        # arrays take the narrowest integer type that holds it (on k
+        # rows, plain lists beat numpy reductions).  The 0/1 bits read
+        # as int8 are no copy; the product widens them only to `dtype`.
+        limit = (max(map(abs, controller.bounds.tolist()))
+                 + max(sum(map(abs, row))
+                       for row in controller.weights.tolist())
+                 + max(map(abs, controller.incidence.ravel().tolist()),
+                       default=0))
+        dtype = np.min_scalar_type(-limit - 1)
+        weights = controller.weights.T.astype(dtype)
+        control = (controller.bounds.astype(dtype)
+                   - rg.bits.view(np.int8) @ weights)
         # the control marking after each plant edge
-        after = control[rg.src] + controller.incidence.T[rg.tr]
+        after = control[rg.src] + controller.incidence.T.astype(dtype)[rg.tr]
         allowed = (after >= 0).all(axis=1)
         blocking = not allowed.all()
     else:

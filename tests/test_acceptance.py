@@ -16,7 +16,6 @@ from itertools import combinations
 from pathlib import Path
 
 from overseer import (
-    Constraint,
     PipelineOptions,
     build_cover_table,
     build_constraint_matrix,
@@ -40,7 +39,7 @@ from overseer.errors import (
     StageFailure,
     UncoverableState,
 )
-from overseer.net import support
+from overseer.net import bit_rows, support
 from overseer.overstates import over_states
 
 from conftest import FAILURE_DIR
@@ -220,10 +219,12 @@ def _check_generated_net(net, rg, spec, stats):
         "transversal engine and enumerating reference disagree"
 
     # (a) constraint semantics == covering semantics, exhaustively
+    every = bit_rows(range(1 << net.n_places), net.n_places)
     for b in minimal:
-        c = Constraint.from_overstate(b)
-        for mask in range(1 << net.n_places):
-            assert c.violated_by(mask) == (not b & ~mask), \
+        (row,), (bound,) = build_constraint_matrix([b], net.n_places)
+        violated = every @ row > bound
+        for mask, v in enumerate(violated.tolist()):
+            assert v == (not b & ~mask), \
                 "constraint and over-state disagree on %s" % bin(mask)
 
     # (b) minimal elements form an antichain
@@ -247,19 +248,17 @@ def _check_generated_net(net, rg, spec, stats):
         ), "greedy beat the exhaustive minimum"
 
     # (c) selected constraints split authorized from border exactly
-    constraints = [Constraint.from_overstate(b) for b in selected]
-    for m in authorized:
-        for c in constraints:
-            assert c.satisfied_by(m), \
-                "authorized %s violates %s" % (m, c)
-    for m in border:
-        assert any(c.violated_by(m) for c in constraints), \
+    weights, bounds = build_constraint_matrix(selected, net.n_places)
+    sums = bit_rows(authorized, net.n_places) @ weights.T
+    for m, row in zip(authorized, sums):
+        assert (row <= bounds).all(), \
+            "authorized %s violates a constraint" % (m,)
+    sums = bit_rows(border, net.n_places) @ weights.T
+    for m, row in zip(border, sums):
+        assert (row > bounds).any(), \
             "border state %s slips through" % (m,)
 
-    controller = synthesize(
-        net, build_constraint_matrix(constraints, net.n_places),
-        constraints=constraints,
-    )
+    controller = synthesize(net, weights, bounds)
     closed = verify_closed_loop(net, controller, partition, rg)
 
     # (d) the defining place invariant holds on every reachable state

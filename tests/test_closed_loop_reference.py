@@ -11,7 +11,6 @@ import pytest
 
 from overseer import (
     BadStateSpec,
-    ConstraintMatrix,
     Marking,
     NetDocument,
     PetriNet,
@@ -68,7 +67,7 @@ def _token_sum(net, rows):
         weights[i, list(support)] = 1
     bounds = np.array([bound for _, bound in rows], dtype=int)
     try:
-        return synthesize(net, ConstraintMatrix(weights, bounds))
+        return synthesize(net, weights, bounds)
     except InitialMarkingViolation:
         return None
 
@@ -155,6 +154,24 @@ def test_wider_than_64_places():
     ctrl = _token_sum(net, [((69,), 0)])
     got = assert_matches_reference(net, ctrl, partition, rg)
     assert got.state_count == 69 and got.isomorphic
+
+
+def test_token_sums_beyond_int8():
+    # 130 marked places, one of which a transition empties: the token
+    # sum over them is 130 at m0, beyond an int8, and a bound of 300
+    # leaves a control marking of 170
+    n = 130
+    net = PetriNet(
+        "many", ["p%d" % i for i in range(n + 1)], ["t"], [True],
+        [[0]], [[n]], Marking.from_support(n + 1, range(n)),
+    )
+    rg = build_reachability_graph(net)
+    partition = partition_states(rg, None)
+    for bound, markings in ((130, [[0], [1]]), (300, [[170], [171]])):
+        ctrl = _token_sum(net, [(range(n), bound)])
+        got = assert_matches_reference(net, ctrl, partition, rg)
+        assert got.control_markings.tolist() == markings
+        assert got.isomorphic
 
 
 def test_random_nets():

@@ -98,11 +98,12 @@ def test_exact_mode_finds_minimum():
     cols = [[0, 1, 7], [1, 2, 7], [2, 3, 7], [0, 6, 7], [3, 6, 7]]
     t = _table(rows, cols)
     select_final_cover(t, exact=True)
-    exact_size = sum(t.selected)
+    exact_size = len(t.picks)
+    assert sum(t.selected) == exact_size
     assert exact_size == minimum_cover_size(_table(rows, cols))
     t2 = _table(rows, cols)
     select_final_cover(t2)
-    assert sum(t2.selected) >= exact_size
+    assert len(t2.picks) >= exact_size
     assert check_final_coverage(t2)
 
 
@@ -167,9 +168,10 @@ def test_greedy_vs_exact_on_random_tables(monkeypatch):
             assert greedy.counts == counts
             select_final_cover(greedy)
             assert check_final_coverage(greedy)
-            assert greedy.pick_order == picks
+            assert greedy.picks == picks
+            assert greedy.selected == [i in picks for i in range(len(rows))]
             assert greedy.final_counts() == final
         exact = _table(rows, cols)
         select_final_cover(exact, exact=True)
         assert check_final_coverage(exact)
-        assert sum(exact.selected) <= sum(greedy.selected)
+        assert len(exact.picks) <= len(greedy.picks)

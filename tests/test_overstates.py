@@ -1,5 +1,5 @@
 """Minimal over-states (the transversal engine against the enumerating
-reference), pruning, minimal elements, constraints."""
+reference), pruning, minimal elements."""
 
 import random
 from itertools import combinations
@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from overseer import (
-    Constraint,
     minimal_elements,
     overstate_union,
     prune_authorized,
@@ -16,7 +15,6 @@ from overseer import overstates
 from overseer.errors import StateBudgetExceeded
 from overseer.net import support
 from overseer.overstates import (
-    constraints_from,
     dominated_by_authorized,
     minimal_transversals,
     over_states,
@@ -186,31 +184,3 @@ def test_minimal_elements_random_antichain():
                 assert a == b or a & ~b
         for it in items:
             assert any(not b & ~it for b in mins)
-
-
-def test_constraint_from_overstate():
-    c = Constraint.from_overstate(_m([1, 4]))
-    assert c.support == (1, 4)
-    assert c.bound == 1
-    assert c.format(["P%d" % (i + 1) for i in range(6)]) \
-        == "m(P2) + m(P5) <= 1"
-
-
-def test_constraint_violated_iff_covering():
-    b = _m([1, 4])
-    c = Constraint.from_overstate(b)
-    for mask in range(2 ** 6):
-        assert c.violated_by(mask) == (not b & ~mask)
-        assert c.satisfied_by(mask) != c.violated_by(mask)
-
-
-def test_constraints_preserve_order():
-    cs = constraints_from([_m([2, 3]), _m([0])])
-    assert [c.support for c in cs] == [(2, 3), (0,)]
-
-
-def test_constraint_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        Constraint(support=(1, 2), bound=2)
-    with pytest.raises(ValueError):
-        Constraint(support=(), bound=-1)

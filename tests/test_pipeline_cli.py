@@ -407,3 +407,38 @@ def test_cli_unreachable_authorized_state_is_exit_5(tmp_path, capsys):
     rc = main([str(net)])
     assert rc == 5
     assert "not isomorphic" in capsys.readouterr().err
+
+
+def test_cli_fallback_does_not_hide_unverified_loop(tmp_path, capsys):
+    # no border state is uncoverable, so the fallback is not used and
+    # the loop that misses B fails as it does without --fallback
+    net = tmp_path / "three.pnet"
+    net.write_text(THREE_STEP)
+    rc = main([str(net), "--fallback"])
+    assert rc == 5
+    assert "not isomorphic" in capsys.readouterr().err
+
+
+def test_cli_inadmissible_fallback_is_exit_5(drop_job_path, tmp_path,
+                                              capsys):
+    # with load uncontrollable, the fallback's control place is the sole
+    # reason load cannot fire: not an admissible supervisor
+    net = tmp_path / "drop_u.pnet"
+    net.write_text(drop_job_path.read_text().replace(
+        "transition load controllable", "transition load uncontrollable"))
+    rc = main([str(net), "--fallback"])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert "Pc1 alone disables uncontrollable load" in captured.out
+    assert "fallback controller failed verification" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--report", "--out", "--dot-rg",
+                                  "--dot-controlled"])
+def test_cli_unwritable_output_is_exit_2(flag, tmp_path, two_machines_path,
+                                         capsys):
+    path = tmp_path / "no" / "such" / "file"
+    rc = main([str(two_machines_path), flag, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("overseer: error: cannot write %s" % path)

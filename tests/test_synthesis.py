@@ -5,7 +5,6 @@ import pytest
 
 from overseer import (
     BadStateSpec,
-    Constraint,
     Marking,
     PetriNet,
     StatePartition,
@@ -24,6 +23,12 @@ from overseer.errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
+from overseer.synthesis import format_constraint
+
+
+def _m(places):
+    """The mask of a set of places."""
+    return sum(1 << p for p in set(places))
 
 
 def _simple_net():
@@ -37,13 +42,13 @@ def _simple_net():
 
 
 def test_constraint_matrix_layout():
-    cm = build_constraint_matrix(
-        [Constraint(support=(0, 2), bound=1), Constraint(support=(1,), bound=0)],
+    weights, bounds = build_constraint_matrix(
+        [_m([0, 2]), _m([1])],
         n_places=4,
     )
-    assert cm.weights.tolist() == [[1, 0, 1, 0], [0, 1, 0, 0]]
-    assert cm.bounds.tolist() == [1, 0]
-    assert cm.k == 2
+    assert weights.tolist() == [[1, 0, 1, 0], [0, 1, 0, 0]]
+    assert bounds.tolist() == [1, 0]
+    assert len(weights) == 2
 
 
 def test_constraint_matrix_requires_constraints():
@@ -51,13 +56,44 @@ def test_constraint_matrix_requires_constraints():
         build_constraint_matrix([], n_places=3)
 
 
+def test_constraint_row_of_overstate():
+    weights, bounds = build_constraint_matrix([_m([1, 4])], 6)
+    assert weights.tolist() == [[0, 1, 0, 0, 1, 0]]
+    assert bounds.tolist() == [1]
+    assert format_constraint(["P%d" % (i + 1) for i in range(6)],
+                             weights[0], bounds[0]) \
+        == "m(P2) + m(P5) <= 1"
+
+
+def test_constraint_row_violated_iff_covering():
+    b = _m([1, 4])
+    weights, bounds = build_constraint_matrix([b], 6)
+    for mask in range(2 ** 6):
+        total = int(weights[0] @ Marking(6, mask).bits())
+        assert (total > bounds[0]) == (not b & ~mask)
+        assert (total <= bounds[0]) != (total > bounds[0])
+
+
+def test_constraint_rows_preserve_order():
+    weights, _ = build_constraint_matrix([_m([2, 3]), _m([0])], 4)
+    assert [tuple(np.flatnonzero(row)) for row in weights] == [(2, 3), (0,)]
+
+
+def test_constraint_matrix_rejects_bad_overstates():
+    # an empty over-state, and one naming a place the net does not have
+    with pytest.raises(ValueError):
+        build_constraint_matrix([_m([1]), 0], 3)
+    with pytest.raises(ValueError):
+        build_constraint_matrix([_m([1, 3])], 3)
+
+
 def test_controller_incidence_is_negated_weighted_incidence():
     net = _simple_net()
-    cm = build_constraint_matrix([Constraint(support=(2,), bound=0)], 3)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([2])], 3)
+    ctrl = synthesize(net, weights, bounds)
     # risk moves a token into C: the control place must feed risk
     w = net.incidence()
-    assert (ctrl.incidence == -(cm.weights @ w)).all()
+    assert (ctrl.incidence == -(weights @ w)).all()
     assert ctrl.incidence.tolist() == [[0, 0, -1]]
     assert ctrl.initial.tolist() == [0]
     assert ctrl.place_names == ("Pc1",)
@@ -65,9 +101,9 @@ def test_controller_incidence_is_negated_weighted_incidence():
 
 def test_initial_marking_violation():
     net = _simple_net()
-    cm = build_constraint_matrix([Constraint(support=(0,), bound=0)], 3)
+    weights, bounds = build_constraint_matrix([_m([0])], 3)
     with pytest.raises(InitialMarkingViolation):
-        synthesize(net, cm)
+        synthesize(net, weights, bounds)
 
 
 def test_control_place_names_avoid_collisions():
@@ -75,15 +111,15 @@ def test_control_place_names_avoid_collisions():
         "named", ["Pc1", "X"], ["t"], [True],
         [[0]], [[1]], Marking.from_support(2, [0]),
     )
-    cm = build_constraint_matrix([Constraint(support=(1,), bound=0)], 2)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([1])], 2)
+    ctrl = synthesize(net, weights, bounds)
     assert ctrl.place_names[0] not in net.places
 
 
 def test_assembled_net_matches_incidence():
     net = _simple_net()
-    cm = build_constraint_matrix([Constraint(support=(1, 2), bound=1)], 3)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([1, 2])], 3)
+    ctrl = synthesize(net, weights, bounds)
     controlled = assemble_controlled_net(net, ctrl)
     assert controlled.places == ("A", "B", "C", "Pc1")
     w = controlled.incidence()
@@ -101,8 +137,8 @@ def test_non_binary_controller_refused_as_net():
         "pair", ["A", "B", "D"], ["both"], [True],
         [[2]], [[0, 1]], Marking.from_support(3, [2]),
     )
-    cm = build_constraint_matrix([Constraint(support=(0, 1), bound=1)], 3)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([0, 1])], 3)
+    ctrl = synthesize(net, weights, bounds)
     assert not ctrl.is_binary()
     with pytest.raises(NonBinaryController):
         assemble_controlled_net(net, ctrl)
@@ -117,8 +153,8 @@ def test_multi_token_control_place_verified_without_assembly():
         Marking.from_support(5, [0, 1]),
     )
     # at most two of A, B, C marked at once
-    cm = build_constraint_matrix([Constraint(support=(2, 3, 4), bound=2)], 5)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([2, 3, 4])], 5)
+    ctrl = synthesize(net, weights, bounds)
     assert ctrl.initial.tolist() == [2]
     rg = build_reachability_graph(net)
     partition = partition_states(rg, None)
@@ -143,11 +179,11 @@ def test_supervisor_blocks_exactly_the_border(two_machines):
     net = two_machines.net
     rg = build_reachability_graph(net)
     partition = partition_states(rg, two_machines.spec)
-    cm = build_constraint_matrix(
-        [Constraint(support=(3, 5), bound=1), Constraint(support=(1, 6), bound=1)],
+    weights, bounds = build_constraint_matrix(
+        [_m([3, 5]), _m([1, 6])],
         net.n_places,
     )
-    ctrl = synthesize(net, cm)
+    ctrl = synthesize(net, weights, bounds)
     report = verify_closed_loop(net, ctrl, partition, rg)
     assert report.isomorphic
     assert report.state_count == len(partition.m_a)
@@ -162,8 +198,8 @@ def test_admissibility_violation_surfaces():
         "unc", ["A", "B"], ["risk"], [False],
         [[0]], [[1]], Marking.from_support(2, [0]),
     )
-    cm = build_constraint_matrix([Constraint(support=(1,), bound=0)], 2)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([1])], 2)
+    ctrl = synthesize(net, weights, bounds)
     rg = build_reachability_graph(net)
     partition = StatePartition(
         m_r=range(2), m_f=np.array([1]),
@@ -182,8 +218,8 @@ def test_over_restrictive_controller_reports_missing_states():
     rg = build_reachability_graph(net)
     partition = partition_states(rg, None)
     # pointless constraint: forbid B although B is authorized
-    cm = build_constraint_matrix([Constraint(support=(1,), bound=0)], 3)
-    ctrl = synthesize(net, cm)
+    weights, bounds = build_constraint_matrix([_m([1])], 3)
+    ctrl = synthesize(net, weights, bounds)
     report = verify_closed_loop(net, ctrl, partition, rg)
     assert not report.isomorphic
     assert [Marking(3, m).support() for m in report.missing_authorized] \
@@ -193,6 +229,6 @@ def test_over_restrictive_controller_reports_missing_states():
 
 def test_weight_row_shape_checked():
     net = _simple_net()
-    cm = build_constraint_matrix([Constraint(support=(0,), bound=0)], 5)
+    weights, bounds = build_constraint_matrix([_m([0])], 5)
     with pytest.raises(ValueError):
-        synthesize(net, cm)
+        synthesize(net, weights, bounds)
