@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 
     try:
         doc = parse_net_file(args.net)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print("overseer: error: cannot read %s: %s" % (args.net, exc),
               file=sys.stderr)
         return EXIT_INPUT

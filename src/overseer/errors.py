@@ -15,6 +15,7 @@ class PnetError(OverseerError):
 
 class PnetSyntaxError(PnetError):
     def __init__(self, message, source="<string>", line=None, column=None):
+        self.message = message
         self.source = source
         self.line = line
         self.column = column

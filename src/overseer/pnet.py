@@ -1,4 +1,4 @@
-"""Reading and writing the line-oriented .pnet text format.
+"""Reading and writing the .pnet text format.
 
 A document looks like:
 
@@ -14,11 +14,13 @@ A document looks like:
       state P2 P3
     }
 
-`#` starts a comment outside quotes.  Arc multiplicity is fixed at one:
-naming a place twice in the same in or out list is rejected rather than
-interpreted as a weight-2 arc.  `serialize_net` emits a canonical form
-(declared order for places and transitions, place order inside arc
-lists) so that parse and print round-trip byte-identically.
+Each directive takes one line, except the forbidden block, which runs to
+the first line holding a `}`.  `#` starts a comment outside quotes.  Arc
+multiplicity is fixed at one: naming a place twice in the same in or out
+list is rejected rather than interpreted as a weight-2 arc.
+`serialize_net` emits a canonical form (declared order for places and
+transitions, place order inside arc lists) so that parse and print
+round-trip byte-identically.
 """
 
 from __future__ import annotations
@@ -32,9 +34,13 @@ from .partition import BadStateSpec
 from .predicate import CONSTANTS, check_predicate
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
+_TOKEN_RE = re.compile(r'"[^"]*"|#|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
 
-_KEYWORDS = ("net", "places", "initial", "transition", "forbidden")
+# a forbidden `state` list runs up to the next item or the `}`
+_ITEM_STOP = ("expr", "deadlock", "state", "}")
+_ITEMS = "'expr', 'deadlock', 'state' or '}'"
+_ARC_TWICE = ("place %%r listed twice in the %s list of %r; "
+              "arc weights other than 1 are not supported")
 
 
 @dataclass
@@ -45,345 +51,228 @@ class NetDocument:
     spec: BadStateSpec | None = None
 
 
-def _strip_comment(line: str) -> str:
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
+class _Cursor:
+    """The `(text, column, line)` tokens of a document.  `next_line`
+    starts on the next line that holds a token; `gather` appends one
+    more line, as the forbidden block does up to its `}`.  A line is
+    tokenized when it is reached, so the first error in the text is
+    the one reported."""
 
-
-def _tokens(line: str, lineno: int, source: str):
-    out = []
-    for m in _TOKEN_RE.finditer(line):
-        text = m.group(0)
-        col = m.start() + 1
-        if len(text) == 1 and not (text.isalnum() or text in '{};_"'):
-            raise PnetSyntaxError(
-                "unexpected character %r" % text, source, lineno, col
-            )
-        if text == '"':
-            raise PnetSyntaxError(
-                "unterminated string", source, lineno, col
-            )
-        out.append((text, col))
-    return out
-
-
-class _LineParser:
-    """One pass over the token stream of a single logical block."""
-
-    def __init__(self, tokens, source, lineno):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, source: str):
+        self.lines = iter(text.splitlines())
         self.source = source
-        self.lineno = lineno
+        self.line = 0
+        self.tokens: list[tuple[str, int, int]] = []
+        self.pos = 0
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def gather(self) -> bool:
+        """Append the tokens of the next line; False at the end."""
+        text = next(self.lines, None)
+        if text is None:
+            return False
+        self.line += 1
+        for m in _TOKEN_RE.finditer(text):
+            tok = m.group(0)
+            if tok == "#":
+                break
+            col = m.start() + 1
+            if tok == '"':
+                raise PnetSyntaxError(
+                    "unterminated string", self.source, self.line, col
+                )
+            if len(tok) == 1 and not (tok.isalnum() or tok in "{};_"):
+                raise PnetSyntaxError("unexpected character %r" % tok,
+                                      self.source, self.line, col)
+            self.tokens.append((tok, col, self.line))
+        return True
+
+    def next_line(self) -> bool:
+        self.tokens, self.pos = [], 0
+        while not self.tokens:
+            if not self.gather():
+                return False
+        return True
+
+    def error(self, message: str, tok) -> PnetSyntaxError:
+        return PnetSyntaxError(message, self.source, tok[2], tok[1])
 
     def peek(self):
-        return self.tokens[self.pos][0] if not self.done() else None
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos][0]
+        return None
 
     def take(self, what: str):
-        if self.done():
-            raise PnetSyntaxError(
-                "expected %s, found end of line" % what,
-                self.source, self.lineno,
-            )
-        text, col = self.tokens[self.pos]
+        if self.pos >= len(self.tokens):
+            raise PnetSyntaxError("expected %s, found end of line" % what,
+                                  self.source, self.line)
         self.pos += 1
-        return text, col
+        return self.tokens[self.pos - 1]
 
     def expect(self, literal: str):
-        text, col = self.take("'%s'" % literal)
-        if text != literal:
-            raise PnetSyntaxError(
-                "expected '%s', found %r" % (literal, text),
-                self.source, self.lineno, col,
-            )
+        tok = self.take("'%s'" % literal)
+        if tok[0] != literal:
+            raise self.error("expected '%s', found %r" % (literal, tok[0]),
+                             tok)
 
-    def take_name(self, what: str):
-        text, col = self.take(what)
-        if not _NAME_RE.match(text):
-            raise PnetSyntaxError(
-                "expected %s, found %r" % (what, text),
-                self.source, self.lineno, col,
-            )
-        return text, col
+    def name(self, what: str):
+        tok = self.take(what)
+        if not _NAME_RE.match(tok[0]):
+            raise self.error("expected %s, found %r" % (what, tok[0]), tok)
+        return tok
+
+    def end(self, what: str):
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            raise self.error("trailing %r after %s" % (tok[0], what), tok)
+
+    def places(self, index, stop, duplicate: str) -> list:
+        """Place names up to a token in `stop` (None: the end of the
+        tokens).  With an `index` each becomes its place number and an
+        unknown name is an error; without one the names are being
+        declared and must not be a predicate constant.  A name read
+        twice is the error `duplicate % name`."""
+        picked = []
+        while self.peek() not in stop:
+            tok = name, col, line = self.name("place name")
+            if index is None:
+                if name in CONSTANTS:
+                    raise self.error("place name %r is reserved for the "
+                                     "predicate constant" % name, tok)
+                p = name
+            else:
+                p = index.get(name)
+                if p is None:
+                    raise UnknownPlaceName("%s:%d:%d: unknown place %r"
+                                           % (self.source, line, col, name))
+            if p in picked:
+                raise self.error(duplicate % name, tok)
+            picked.append(p)
+        return picked
 
 
 def parse_net(text: str, source: str = "<string>") -> NetDocument:
     """Parse .pnet text into a validated NetDocument."""
-    name = None
-    places: list[str] = []
+    name = places = initial = expr = None
     place_index: dict[str, int] = {}
-    initial: list[int] = []
-    saw_initial = False
     t_names: list[str] = []
     t_ctrl: list[bool] = []
     t_pre: list[list[int]] = []
     t_post: list[list[int]] = []
-    forb_expr = None
-    forb_deadlock = False
-    forb_states: list[Marking] = []
-    saw_forbidden = False
+    forbidden = deadlock = False
+    states: list[Marking] = []
 
-    def resolve(pname, lineno, col):
-        idx = place_index.get(pname)
-        if idx is None:
-            raise UnknownPlaceName(
-                "%s:%d:%d: unknown place %r" % (source, lineno, col, pname)
-            )
-        return idx
+    cur = _Cursor(text, source)
+    while cur.next_line():
+        head = cur.take("directive")
+        directive = head[0]
 
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        raw = _strip_comment(lines[i])
-        i += 1
-        toks = _tokens(raw, lineno, source)
-        if not toks:
-            continue
-        head, hcol = toks[0]
-        lp = _LineParser(toks[1:], source, lineno)
-
-        if head == "net":
+        if directive == "net":
             if name is not None:
-                raise PnetSyntaxError(
-                    "duplicate net line", source, lineno, hcol
-                )
-            name, _ = lp.take_name("net name")
+                raise cur.error("duplicate net line", head)
+            name = cur.name("net name")[0]
+            cur.end("net name")
 
-        elif head == "places":
-            if places:
-                raise PnetSyntaxError(
-                    "duplicate places line", source, lineno, hcol
-                )
-            while not lp.done():
-                pname, col = lp.take_name("place name")
-                if pname in place_index:
-                    raise PnetSyntaxError(
-                        "duplicate place %r" % pname, source, lineno, col
-                    )
-                if pname in CONSTANTS:
-                    raise PnetSyntaxError(
-                        "place name %r is reserved for the predicate "
-                        "constant" % pname, source, lineno, col,
-                    )
-                place_index[pname] = len(places)
-                places.append(pname)
+        elif directive == "places":
+            if places is not None:
+                raise cur.error("duplicate places line", head)
+            places = cur.places(None, (None,), "duplicate place %r")
             if not places:
-                raise PnetSyntaxError(
-                    "places line declares no places", source, lineno, hcol
-                )
+                raise cur.error("places line declares no places", head)
+            place_index = {p: i for i, p in enumerate(places)}
 
-        elif head == "initial":
-            if saw_initial:
-                raise PnetSyntaxError(
-                    "duplicate initial line", source, lineno, hcol
-                )
-            saw_initial = True
-            while not lp.done():
-                pname, col = lp.take_name("place name")
-                idx = resolve(pname, lineno, col)
-                if idx in initial:
-                    raise PnetSyntaxError(
-                        "duplicate place %r in initial marking" % pname,
-                        source, lineno, col,
-                    )
-                initial.append(idx)
+        elif directive == "initial":
+            if initial is not None:
+                raise cur.error("duplicate initial line", head)
+            initial = cur.places(place_index, (None,),
+                                 "duplicate place %r in initial marking")
 
-        elif head == "transition":
-            tname, tcol = lp.take_name("transition name")
+        elif directive == "transition":
+            tok = cur.name("transition name")
+            tname = tok[0]
             if tname in t_names:
-                raise PnetSyntaxError(
-                    "duplicate transition %r" % tname, source, lineno, tcol
-                )
-            kind, kcol = lp.take("'controllable' or 'uncontrollable'")
-            if kind not in ("controllable", "uncontrollable"):
-                raise PnetSyntaxError(
-                    "expected 'controllable' or 'uncontrollable', found %r"
-                    % kind, source, lineno, kcol,
-                )
-            lp.expect("{")
-            lp.expect("in")
-            pre: list[int] = []
-            while lp.peek() not in (";", None):
-                pname, col = lp.take_name("place name")
-                idx = resolve(pname, lineno, col)
-                if idx in pre:
-                    raise PnetSyntaxError(
-                        "place %r listed twice in the in list of %r; "
-                        "arc weights other than 1 are not supported"
-                        % (pname, tname), source, lineno, col,
-                    )
-                pre.append(idx)
-            lp.expect(";")
-            lp.expect("out")
-            post: list[int] = []
-            while lp.peek() not in ("}", None):
-                pname, col = lp.take_name("place name")
-                idx = resolve(pname, lineno, col)
-                if idx in post:
-                    raise PnetSyntaxError(
-                        "place %r listed twice in the out list of %r; "
-                        "arc weights other than 1 are not supported"
-                        % (pname, tname), source, lineno, col,
-                    )
-                post.append(idx)
-            lp.expect("}")
-            if not lp.done():
-                text2, col = lp.take("")
-                raise PnetSyntaxError(
-                    "trailing %r after transition" % text2,
-                    source, lineno, col,
-                )
+                raise cur.error("duplicate transition %r" % tname, tok)
+            kind = cur.take("'controllable' or 'uncontrollable'")
+            if kind[0] not in ("controllable", "uncontrollable"):
+                raise cur.error("expected 'controllable' or "
+                                "'uncontrollable', found %r" % kind[0], kind)
+            cur.expect("{")
+            cur.expect("in")
+            t_pre.append(cur.places(place_index, (";", None),
+                                    _ARC_TWICE % ("in", tname)))
+            cur.expect(";")
+            cur.expect("out")
+            t_post.append(cur.places(place_index, ("}", None),
+                                     _ARC_TWICE % ("out", tname)))
+            cur.expect("}")
+            cur.end("transition")
             t_names.append(tname)
-            t_ctrl.append(kind == "controllable")
-            t_pre.append(pre)
-            t_post.append(post)
+            t_ctrl.append(kind[0] == "controllable")
 
-        elif head == "forbidden":
-            if saw_forbidden:
-                raise PnetSyntaxError(
-                    "duplicate forbidden block", source, lineno, hcol
-                )
-            saw_forbidden = True
-            # gather (token, col, line) until the close brace, possibly
-            # spanning several lines
-            body = [(t, c, lineno) for t, c in lp.tokens[lp.pos:]]
-            open_line = lineno
-            if not body or body[0][0] != "{":
-                raise PnetSyntaxError(
-                    "expected '{' after forbidden", source, lineno, hcol
-                )
-            body = body[1:]
-            closed = any(t == "}" for t, _, _ in body)
-            while not closed:
-                if i >= len(lines):
-                    raise PnetSyntaxError(
-                        "forbidden block is never closed",
-                        source, open_line,
-                    )
-                more_line = i + 1
-                more = [
-                    (t, c, more_line)
-                    for t, c in _tokens(
-                        _strip_comment(lines[i]), more_line, source
-                    )
-                ]
-                i += 1
-                body.extend(more)
-                closed = any(t == "}" for t, _, _ in more)
-            pos = 0
-
-            def nxt(what):
-                nonlocal pos
-                if pos >= len(body):
-                    raise PnetSyntaxError(
-                        "expected %s before end of forbidden block" % what,
-                        source, open_line,
-                    )
-                tok = body[pos]
-                pos += 1
-                return tok
-
-            def at():
-                return body[pos][0] if pos < len(body) else None
-
-            while True:
-                item, col, iline = nxt("'expr', 'deadlock', 'state' or '}'")
-                if item == "}":
-                    break
-                if item == "expr":
-                    if forb_expr is not None:
-                        raise PnetSyntaxError(
-                            "duplicate expr in forbidden block",
-                            source, iline, col,
-                        )
-                    quoted, qcol, qline = nxt("quoted expression")
-                    if not (quoted.startswith('"') and quoted.endswith('"')):
-                        raise PnetSyntaxError(
-                            "expr needs a quoted expression, found %r"
-                            % quoted, source, qline, qcol,
-                        )
-                    forb_expr = quoted[1:-1]
-                elif item == "deadlock":
-                    if forb_deadlock:
-                        raise PnetSyntaxError(
-                            "duplicate deadlock in forbidden block",
-                            source, iline, col,
-                        )
-                    forb_deadlock = True
-                elif item == "state":
-                    marked = []
-                    while at() not in ("expr", "deadlock", "state", "}", None):
-                        pname, pcol, pline = nxt("place name")
-                        if not _NAME_RE.match(pname):
-                            raise PnetSyntaxError(
-                                "expected place name, found %r" % pname,
-                                source, pline, pcol,
-                            )
-                        idx = resolve(pname, pline, pcol)
-                        if idx in marked:
-                            raise PnetSyntaxError(
-                                "duplicate place %r in forbidden state"
-                                % pname, source, pline, pcol,
-                            )
-                        marked.append(idx)
+        elif directive == "forbidden":
+            if forbidden:
+                raise cur.error("duplicate forbidden block", head)
+            forbidden = True
+            if cur.peek() != "{":
+                raise cur.error("expected '{' after forbidden", head)
+            cur.pos += 1
+            seen = cur.pos
+            while all(tok[0] != "}" for tok in cur.tokens[seen:]):
+                seen = len(cur.tokens)
+                if not cur.gather():
+                    raise PnetSyntaxError("forbidden block is never closed",
+                                          source, head[2])
+            while (item := cur.take(_ITEMS))[0] != "}":
+                if item[0] == "expr":
+                    if expr is not None:
+                        raise cur.error("duplicate expr in forbidden block",
+                                        item)
+                    expr = cur.take("quoted expression")
+                    if not expr[0].startswith('"'):
+                        raise cur.error("expr needs a quoted expression, "
+                                        "found %r" % expr[0], expr)
+                elif item[0] == "deadlock":
+                    if deadlock:
+                        raise cur.error(
+                            "duplicate deadlock in forbidden block", item)
+                    deadlock = True
+                elif item[0] == "state":
+                    marked = cur.places(
+                        place_index, _ITEM_STOP,
+                        "duplicate place %r in forbidden state")
                     if not marked:
-                        raise PnetSyntaxError(
-                            "forbidden state lists no places",
-                            source, iline, col,
-                        )
-                    forb_states.append(
-                        Marking.from_support(len(places), marked)
-                    )
+                        raise cur.error("forbidden state lists no places",
+                                        item)
+                    states.append(Marking.from_support(len(places), marked))
                 else:
-                    raise PnetSyntaxError(
-                        "expected 'expr', 'deadlock', 'state' or '}', "
-                        "found %r" % item, source, iline, col,
-                    )
-            if pos < len(body):
-                text2, col, tline = body[pos]
-                raise PnetSyntaxError(
-                    "trailing %r after forbidden block" % text2,
-                    source, tline, col,
-                )
+                    raise cur.error("expected %s, found %r"
+                                    % (_ITEMS, item[0]), item)
+            cur.end("forbidden block")
 
         else:
-            raise PnetSyntaxError(
-                "unknown directive %r" % head, source, lineno, hcol
-            )
+            raise cur.error("unknown directive %r" % directive, head)
 
     if name is None:
         raise PnetSyntaxError("missing net line", source)
-    if not places:
+    if places is None:
         raise PnetSyntaxError("missing places line", source)
 
-    net = PetriNet(
-        name, places, t_names, t_ctrl, t_pre, t_post,
-        Marking.from_support(len(places), initial),
-    )
-
-    spec = None
-    if saw_forbidden and (forb_expr is not None or forb_deadlock
-                          or forb_states):
-        tree = None
-        if forb_expr is not None:
-            # resolve names now so a bad expression fails at parse time;
-            # the spec keeps the tree, so the partition parses it no more
-            tree = check_predicate(forb_expr, place_index, source)
-        spec = BadStateSpec(
-            expr=forb_expr,
-            explicit=tuple(forb_states),
-            include_deadlocks=forb_deadlock,
-            tree=tree,
-        )
+    net = PetriNet(name, places, t_names, t_ctrl, t_pre, t_post,
+                   Marking.from_support(len(places), initial or ()))
+    if expr is None and not deadlock and not states:
+        return NetDocument(net=net)
+    tree = None
+    if expr is not None:
+        # checked last, as an expr may name places declared after it;
+        # the spec keeps the tree, so the partition parses it no more
+        quoted, col, line = expr
+        expr = quoted[1:-1]
+        try:
+            tree = check_predicate(expr, place_index,
+                                   "%s:%d:%d" % (source, line, col))
+        except PnetSyntaxError as exc:
+            raise PnetSyntaxError(exc.message, source, line, col) from None
+    spec = BadStateSpec(expr=expr, explicit=tuple(states),
+                        include_deadlocks=deadlock, tree=tree)
     return NetDocument(net=net, spec=spec)
 
 

@@ -316,6 +316,27 @@ def test_cli_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_undecodable_file(tmp_path, capsys):
+    bad = tmp_path / "bad.pnet"
+    bad.write_bytes(b"net n\nplaces A\xe9\n")
+    assert main([str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("overseer: error: cannot read %s: " % bad)
+    assert "utf-8" in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("A & (B", "missing ')' in predicate 'A & (B'"),
+    ("A | Z", "unknown place 'Z' in forbidden expr 'A | Z'"),
+])
+def test_cli_expr_error_location(expr, message, tmp_path, capsys):
+    bad = tmp_path / "bad.pnet"
+    bad.write_text('net n\nplaces A B\nforbidden {\n  expr "%s"\n}\n' % expr)
+    assert main([str(bad)]) == 2
+    assert capsys.readouterr().err == "overseer: error: %s:4:8: %s\n" % (
+        bad, message)
+
+
 def test_cli_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.pnet"
     bad.write_text("net x\nplaces A\ntransition t { in ; out }\n")

@@ -73,12 +73,6 @@ def test_unknown_place_in_expr():
         parse_net(bad)
 
 
-def test_duplicate_place_declaration():
-    with pytest.raises(PnetSyntaxError) as err:
-        parse_net("net n\nplaces A A\n")
-    assert err.value.line == 2
-
-
 @pytest.mark.parametrize("name", ["true", "false"])
 def test_predicate_constant_is_not_a_place_name(name):
     # in an expr the constant would silently shadow such a place
@@ -105,16 +99,187 @@ def test_syntax_error_location():
     assert str(err.value).startswith("f.pnet:3:")
 
 
-def test_missing_sections_rejected():
-    with pytest.raises(PnetSyntaxError):
-        parse_net("places A\n")
-    with pytest.raises(PnetSyntaxError):
-        parse_net("net n\n")
+# every place parse_net raises: (id, text, exception, line, column, str)
+H = "net n\nplaces A B\n"
+T = H + "transition t controllable "
+F = H + "forbidden "
+ERRORS = [
+    ("unexpected-character", H + "initial A $\n", PnetSyntaxError, 3, 11,
+     "<string>:3:11: unexpected character '$'"),
+    ("unterminated-string", F + '{ expr "A }\n', PnetSyntaxError, 3, 18,
+     "<string>:3:18: unterminated string"),
+    ("net-name-at-end-of-line", "net\n", PnetSyntaxError, 1, None,
+     "<string>:1: expected net name, found end of line"),
+    ("net-name-not-a-name", "net {\n", PnetSyntaxError, 1, 5,
+     "<string>:1:5: expected net name, found '{'"),
+    ("duplicate-net-line", "net n\nnet m\n", PnetSyntaxError, 2, 1,
+     "<string>:2:1: duplicate net line"),
+    ("duplicate-places-line", H + "places C\n", PnetSyntaxError, 3, 1,
+     "<string>:3:1: duplicate places line"),
+    ("duplicate-place", "net n\nplaces A B A\n", PnetSyntaxError, 2, 12,
+     "<string>:2:12: duplicate place 'A'"),
+    ("reserved-constant", "net n\nplaces A true\n", PnetSyntaxError, 2, 10,
+     "<string>:2:10: place name 'true' is reserved for the predicate "
+     "constant"),
+    ("empty-places-line", "net n\nplaces\n", PnetSyntaxError, 2, 1,
+     "<string>:2:1: places line declares no places"),
+    ("duplicate-initial-line", H + "initial A\ninitial B\n",
+     PnetSyntaxError, 4, 1,
+     "<string>:4:1: duplicate initial line"),
+    ("duplicate-initial-place", H + "initial A B A\n", PnetSyntaxError, 3, 13,
+     "<string>:3:13: duplicate place 'A' in initial marking"),
+    ("unknown-initial-place", H + "initial A Z\n",
+     UnknownPlaceName, None, None,
+     "<string>:3:11: unknown place 'Z'"),
+    ("duplicate-transition", H + 2 * "transition t controllable {in;out}\n",
+     PnetSyntaxError, 4, 12,
+     "<string>:4:12: duplicate transition 't'"),
+    ("bad-controllability", H + "transition t loud { in A ; out B }\n",
+     PnetSyntaxError, 3, 14,
+     "<string>:3:14: expected 'controllable' or 'uncontrollable', found "
+     "'loud'"),
+    ("transition-at-end-of-line", H + "transition t\n",
+     PnetSyntaxError, 3, None,
+     "<string>:3: expected 'controllable' or 'uncontrollable', found end of "
+     "line"),
+    ("transition-missing-brace", T + "in A ; out B\n", PnetSyntaxError, 3, 27,
+     "<string>:3:27: expected '{', found 'in'"),
+    ("transition-missing-in", T + "{ out B }\n", PnetSyntaxError, 3, 29,
+     "<string>:3:29: expected 'in', found 'out'"),
+    ("duplicate-in-place", T + "{ in A A ; out B }\n", PnetSyntaxError, 3, 34,
+     "<string>:3:34: place 'A' listed twice in the in list of 't'; arc "
+     "weights other than 1 are not supported"),
+    ("duplicate-out-place", T + "{ in A ; out B B }\n", PnetSyntaxError, 3, 42,
+     "<string>:3:42: place 'B' listed twice in the out list of 't'; arc "
+     "weights other than 1 are not supported"),
+    ("in-list-without-semicolon", T + "{ in A }\n", PnetSyntaxError, 3, 34,
+     "<string>:3:34: expected place name, found '}'"),
+    ("out-read-as-place", T + "{ in A out B }\n", UnknownPlaceName, None, None,
+     "<string>:3:34: unknown place 'out'"),
+    ("transition-missing-out", T + "{ in A ; B }\n", PnetSyntaxError, 3, 36,
+     "<string>:3:36: expected 'out', found 'B'"),
+    ("transition-never-closed", T + "{ in A ; out B\n",
+     PnetSyntaxError, 3, None,
+     "<string>:3: expected '}', found end of line"),
+    ("trailing-after-transition", T + "{ in A ; out B } x\n",
+     PnetSyntaxError, 3, 44,
+     "<string>:3:44: trailing 'x' after transition"),
+    ("duplicate-forbidden-block", F + "{ deadlock }\nforbidden { deadlock }\n",
+     PnetSyntaxError, 4, 1,
+     "<string>:4:1: duplicate forbidden block"),
+    ("forbidden-at-end-of-line", F + "\n", PnetSyntaxError, 3, 1,
+     "<string>:3:1: expected '{' after forbidden"),
+    ("forbidden-missing-brace", F + "deadlock\n", PnetSyntaxError, 3, 1,
+     "<string>:3:1: expected '{' after forbidden"),
+    ("forbidden-never-closed", F + "{\n  deadlock\n", PnetSyntaxError, 3, None,
+     "<string>:3: forbidden block is never closed"),
+    ("trailing-after-block", F + "{ deadlock } x\n", PnetSyntaxError, 3, 24,
+     "<string>:3:24: trailing 'x' after forbidden block"),
+    ("trailing-brace-after-block", F + "{\n  deadlock\n} }\n",
+     PnetSyntaxError, 5, 3,
+     "<string>:5:3: trailing '}' after forbidden block"),
+    ("duplicate-expr", F + '{ expr "A" expr "B" }\n', PnetSyntaxError, 3, 22,
+     "<string>:3:22: duplicate expr in forbidden block"),
+    ("duplicate-deadlock", F + "{ deadlock deadlock }\n",
+     PnetSyntaxError, 3, 22,
+     "<string>:3:22: duplicate deadlock in forbidden block"),
+    ("empty-state", F + "{ state }\n", PnetSyntaxError, 3, 13,
+     "<string>:3:13: forbidden state lists no places"),
+    ("state-before-item", F + "{ state deadlock }\n", PnetSyntaxError, 3, 13,
+     "<string>:3:13: forbidden state lists no places"),
+    ("unquoted-expr", F + "{ expr A }\n", PnetSyntaxError, 3, 18,
+     "<string>:3:18: expr needs a quoted expression, found 'A'"),
+    ("expr-at-close-brace", F + "{ expr }\n", PnetSyntaxError, 3, 18,
+     "<string>:3:18: expr needs a quoted expression, found '}'"),
+    ("unknown-item", F + "{ foo }\n", PnetSyntaxError, 3, 13,
+     "<string>:3:13: expected 'expr', 'deadlock', 'state' or '}', found "
+     "'foo'"),
+    ("state-non-name", F + "{ state A ; }\n", PnetSyntaxError, 3, 21,
+     "<string>:3:21: expected place name, found ';'"),
+    ("duplicate-state-place", F + "{ state A B A }\n", PnetSyntaxError, 3, 23,
+     "<string>:3:23: duplicate place 'A' in forbidden state"),
+    ("unknown-state-place-on-later-line", F + "{\n  state A\n  Z\n}\n",
+     UnknownPlaceName, None, None,
+     "<string>:5:3: unknown place 'Z'"),
+    ("later-block-line-tokenized-first", F + "{ bogus\n  $ }\n",
+     PnetSyntaxError, 4, 3,
+     "<string>:4:3: unexpected character '$'"),
+    ("bad-character-in-unclosed-block", F + "{\n  deadlock\n  $\n",
+     PnetSyntaxError, 5, 3,
+     "<string>:5:3: unexpected character '$'"),
+    ("unknown-directive", H + "arc A B\n", PnetSyntaxError, 3, 1,
+     "<string>:3:1: unknown directive 'arc'"),
+    ("missing-net-line", "places A\n", PnetSyntaxError, None, None,
+     "<string>: missing net line"),
+    ("missing-places-line", "net n\n", PnetSyntaxError, None, None,
+     "<string>: missing places line"),
+    ("line-tokenized-before-read", "net n\nnet m $\n", PnetSyntaxError, 2, 7,
+     "<string>:2:7: unexpected character '$'"),
+    ("non-ascii-letter", H + "initial é\n", PnetSyntaxError, 3, 9,
+     "<string>:3:9: expected place name, found 'é'"),
+    ("digit-before-name", H + "initial 1A\n", PnetSyntaxError, 3, 9,
+     "<string>:3:9: expected place name, found '1'"),
+    # the net line takes nothing after the name, and an expr's errors
+    # point at its quoted expression
+    ("words-after-net-name", "net n extra words\nplaces A\n",
+     PnetSyntaxError, 1, 7,
+     "<string>:1:7: trailing 'extra' after net name"),
+    ("expr-syntax-error", F + '{ expr "A & (B" }\n', PnetSyntaxError, 3, 18,
+     "<string>:3:18: missing ')' in predicate 'A & (B'"),
+    ("expr-unknown-place", F + '{\n  deadlock\n  expr "A | Z"\n}\n',
+     UnknownPlaceName, None, None,
+     "<string>:5:8: unknown place 'Z' in forbidden expr 'A | Z'"),
+    ("hash-inside-quotes", F + '{ expr "A # B" }\n', PnetSyntaxError, 3, 18,
+     "<string>:3:18: bad character '#' in predicate"),
+    ("empty-expr", F + '{ expr "" }\n', PnetSyntaxError, 3, 18,
+     "<string>:3:18: empty predicate"),
+]
 
 
-def test_unclosed_forbidden_block():
-    with pytest.raises(PnetSyntaxError):
-        parse_net("net n\nplaces A\ninitial A\nforbidden {\n  deadlock\n")
+@pytest.mark.parametrize(
+    "text, exc, line, column, message",
+    [row[1:] for row in ERRORS], ids=[row[0] for row in ERRORS],
+)
+def test_error_contract(text, exc, line, column, message):
+    with pytest.raises(exc) as err:
+        parse_net(text)
+    assert type(err.value) is exc
+    assert getattr(err.value, "line", None) == line
+    assert getattr(err.value, "column", None) == column
+    assert str(err.value) == message
+
+
+# inputs that are easy to misread: (id, text, canonical form)
+VALID = [
+    ("hash-after-block-is-comment", F + '{ expr "A" } # "x#y" $\n',
+     H + "initial \nforbidden {\n  expr \"A\"\n}\n"),
+    ("quote-inside-comment", 'net n # a "quoted # comment\nplaces A B\n',
+     H + "initial \n"),
+    ("crlf-line-ends",
+     "net n\r\nplaces A B\r\ninitial A\r\nforbidden {\r\n  deadlock\r\n}\r\n",
+     H + "initial A\nforbidden {\n  deadlock\n}\n"),
+    ("state-over-two-lines", F + "{\n  state A\n    B\n  deadlock\n}\n",
+     H + "initial \nforbidden {\n  deadlock\n  state A B\n}\n"),
+    ("items-share-a-line", F + '{ state A deadlock state B expr "!A" }\n',
+     H + "initial \nforbidden {\n  expr \"!A\"\n  deadlock\n"
+     "  state A\n  state B\n}\n"),
+    ("expr-on-its-own-line", F + '{\n  expr\n  "A"\n}\n',
+     H + "initial \nforbidden {\n  expr \"A\"\n}\n"),
+    ("empty-forbidden-block", F + "{ }\n", H + "initial \n"),
+    ("no-initial-line-and-empty-arcs", T + "{ in ; out }\n",
+     H + "initial \ntransition t controllable { in ; out }\n"),
+    ("expr-names-later-places", 'forbidden { expr "A" }\n' + H,
+     H + "initial \nforbidden {\n  expr \"A\"\n}\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, canonical", [row[1:] for row in VALID],
+    ids=[row[0] for row in VALID],
+)
+def test_valid_edge_cases(text, canonical):
+    doc = parse_net(text)
+    assert serialize_net(doc.net, doc.spec) == canonical
 
 
 def test_round_trip_fixed():
