@@ -14,7 +14,12 @@ timing is reported.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src")]
 
 from overseer import Marking, PetriNet, build_reachability_graph
 

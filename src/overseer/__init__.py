@@ -19,7 +19,6 @@ from .errors import (
     ForbiddenInitialMarking,
     InitialMarkingViolation,
     NonBinaryController,
-    NotEnabled,
     OverseerError,
     PnetError,
     PnetSyntaxError,
@@ -80,7 +79,6 @@ __all__ = [
     "Marking",
     "NetDocument",
     "NonBinaryController",
-    "NotEnabled",
     "OverseerError",
     "PetriNet",
     "PipelineOptions",

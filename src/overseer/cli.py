@@ -44,6 +44,18 @@ EXIT_UNCOVERABLE = 4
 EXIT_VERIFY = 5
 
 
+def _at_least_one(text: str) -> int:
+    """An int argument of 1 or more."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % text) from None
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="overseer",
@@ -60,11 +72,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="write the plant reachability graph as DOT")
     p.add_argument("--dot-controlled", metavar="FILE",
                    help="write the closed-loop state graph as DOT")
-    p.add_argument("--state-budget", metavar="N", type=int,
+    p.add_argument("--state-budget", metavar="N", type=_at_least_one,
                    default=DEFAULT_STATE_BUDGET,
                    help="abort when the plant has more than N states, "
                         "or the over-state search holds more than N "
-                        "minimal transversals (default %(default)s)")
+                        "minimal transversals; N >= 1 (default %(default)s)")
     p.add_argument("--fallback", action="store_true",
                    help="on uncoverable border states, emit an "
                         "over-restrictive controller instead of failing")

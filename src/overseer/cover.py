@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import StateBudgetExceeded, UncoverableState
+from .errors import StateBudgetExceeded
 from .net import bit_rows, canonical_key, support
 
 EXACT_COVER_LIMIT = 20
@@ -42,9 +42,17 @@ class CoverTable:
         return [i in chosen for i in range(len(self.rows))]
 
     @property
-    def full(self) -> int:
-        """The bitset of all columns."""
-        return (1 << len(self.cols)) - 1
+    def coverable(self) -> int:
+        """The bitset of the columns some row covers."""
+        covered = 0
+        for b in self.bits:
+            covered |= b
+        return covered
+
+    @property
+    def uncovered(self) -> list[int]:
+        """The columns no row covers."""
+        return [m for m, c in zip(self.cols, self.counts) if c == 0]
 
     def final_counts(self) -> list[int]:
         """Per column: how many selected rows cover it."""
@@ -103,34 +111,22 @@ def _row_bits(rows: list[int], cols: list[int]) -> list[int]:
     return bits
 
 
-def check_coverage(table: CoverTable) -> tuple[bool, list[int]]:
-    """Is every border state covered by at least one candidate?  Returns
-    the flag and the uncovered border states (maximal permissiveness is
-    unreachable unless the list is empty)."""
-    uncovered = [m for m, c in zip(table.cols, table.counts) if c == 0]
-    return not uncovered, uncovered
-
-
 def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
-    """Fill table.picks with a cover of all columns.
+    """Fill table.picks with a cover of the columns some row covers;
+    `table.uncovered` lists the others.
 
     Greedy mode: essential rows (sole cover of a column) first, then the
     row covering the most uncovered columns; ties go to the smallest,
     then first-in-support-order over-state.  Exact mode swaps in the
     provably minimum selection (exhaustive, so only for small tables).
     """
-    complete, uncovered = check_coverage(table)
-    if not complete:
-        raise UncoverableState(
-            "%d border state(s) covered by no over-state" % len(uncovered),
-            uncovered=uncovered,
-        )
     if exact:
         table.picks = _minimum_selection(table)
         return table
 
     bits = table.bits
-    # the essential rows, in the order of their first essential column
+    # the essential rows, in the order of their first essential column;
+    # `seen` is every column some row covers, the greedy loop's target
     seen = shared = 0
     for b in bits:
         shared |= seen & b
@@ -147,8 +143,7 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         covered |= bits[i]
 
     keys = [canonical_key(b) for b in table.rows]
-    full = table.full
-    while covered != full:
+    while covered != seen:
         best = None
         best_key = None
         for i, b in enumerate(bits):
@@ -175,29 +170,23 @@ def _minimum_selection(table: CoverTable) -> list[int]:
             % (n_rows, EXACT_COVER_LIMIT)
         )
     order = sorted(range(n_rows), key=lambda i: canonical_key(table.rows[i]))
-    if not table.cols:
-        return []
-    full = table.full
-    for size in range(1, n_rows + 1):
+    target = table.coverable
+    # all rows together cover the target, so some size up to n_rows does
+    for size in range(n_rows + 1):
         for combo in combinations(order, size):
             covered = 0
             for i in combo:
                 covered |= table.bits[i]
-            if covered == full:
+            if covered == target:
                 return list(combo)
-    raise UncoverableState("no selection covers every border state")
-
-
-def minimum_cover_size(table: CoverTable) -> int:
-    """Size of a minimum cover (exhaustive oracle for small tables)."""
-    return len(_minimum_selection(table))
 
 
 def check_final_coverage(table: CoverTable) -> bool:
-    """Every border state covered by at least one *selected* over-state.
-    With this, the selected constraints define exactly the authorized
-    behavior; a count above one is merely redundant coverage."""
+    """Every border state that some over-state covers is covered by a
+    *selected* one.  With no `uncovered` column, the selected
+    constraints define exactly the authorized behavior; a count above
+    one is merely redundant coverage."""
     covered = 0
     for i in table.picks:
         covered |= table.bits[i]
-    return covered == table.full
+    return covered == table.coverable

@@ -31,10 +31,6 @@ class UnknownPlaceName(PnetError):
     """A place name does not resolve against the net."""
 
 
-class NotEnabled(OverseerError):
-    """fire() called for a transition that is not enabled."""
-
-
 class SafenessViolation(OverseerError):
     """A firing would put a second token into a place; the net is not safe."""
 

@@ -12,8 +12,8 @@ wider net, takes a per-state loop over Python ints.  Both number states
 and edges the same way.  The reachability graph keeps what the search
 produces as flat data: one int mask per state and the edges as (source,
 transition, target) arrays grouped by source (CSR offsets).  The
-pipeline passes int masks from stage to stage; `Marking` objects are
-made only when a library caller asks for a state by id.
+pipeline passes int masks from stage to stage; `Marking` is only the
+type of a net's initial marking and of explicit forbidden states.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NotEnabled, SafenessViolation, StateBudgetExceeded
+from .errors import SafenessViolation, StateBudgetExceeded
 
 DEFAULT_STATE_BUDGET = 1 << 20
 
@@ -64,11 +64,7 @@ def reachability_backend(n_places: int | None = None) -> str:
 
 
 class Marking:
-    """Boolean marking of a net with `width` places, bit i = place i.
-
-    Also used for partial markings: `issubset` is the componentwise
-    partial order.
-    """
+    """Boolean marking of a net with `width` places, bit i = place i."""
 
     __slots__ = ("width", "mask")
 
@@ -79,39 +75,14 @@ class Marking:
         self.mask = mask
 
     @classmethod
-    def from_bits(cls, bits) -> "Marking":
-        bits = list(bits)
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1, False, True):
-                raise ValueError("marking bits must be 0 or 1")
-            if b:
-                mask |= 1 << i
-        return cls(len(bits), mask)
-
-    @classmethod
     def from_support(cls, width: int, support) -> "Marking":
         mask = 0
         for i in support:
             mask |= 1 << i
         return cls(width, mask)
 
-    def bit(self, i: int) -> int:
-        return (self.mask >> i) & 1
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.width))
-
     def support(self) -> tuple[int, ...]:
         return support(self.mask)
-
-    @property
-    def card(self) -> int:
-        return bin(self.mask).count("1")
-
-    def issubset(self, other: "Marking") -> bool:
-        """Componentwise order: every marked place here is marked in other."""
-        return self.mask & ~other.mask == 0
 
     def __eq__(self, other):
         return (
@@ -169,18 +140,6 @@ class PetriNet:
             mask |= 1 << i
         return mask
 
-    @classmethod
-    def from_matrices(cls, name, places, transitions, controllable, pre, post,
-                      m0: Marking) -> "PetriNet":
-        """Build from |P| x |T| 0/1 arrays (rejects weighted arcs)."""
-        pre = np.asarray(pre)
-        post = np.asarray(post)
-        if not np.isin(pre, (0, 1)).all() or not np.isin(post, (0, 1)).all():
-            raise ValueError("arc weights must be 0 or 1")
-        pre_sets = [np.flatnonzero(pre[:, t]).tolist() for t in range(pre.shape[1])]
-        post_sets = [np.flatnonzero(post[:, t]).tolist() for t in range(post.shape[1])]
-        return cls(name, places, transitions, controllable, pre_sets, post_sets, m0)
-
     @property
     def n_places(self) -> int:
         return len(self.places)
@@ -189,50 +148,11 @@ class PetriNet:
     def n_transitions(self) -> int:
         return len(self.transitions)
 
-    def pre_matrix(self) -> np.ndarray:
-        return bit_rows(self.pre_masks, self.n_places).T.astype(int, order="C")
-
-    def post_matrix(self) -> np.ndarray:
-        return bit_rows(self.post_masks, self.n_places).T.astype(int, order="C")
-
     def incidence(self) -> np.ndarray:
-        return self.post_matrix() - self.pre_matrix()
-
-    def self_loops(self) -> list[tuple[int, int]]:
-        """(place, transition) pairs with both an input and an output arc."""
-        out = []
-        for t in range(self.n_transitions):
-            both = self.pre_masks[t] & self.post_masks[t]
-            for p in range(self.n_places):
-                if (both >> p) & 1:
-                    out.append((p, t))
-        return out
-
-    def enabled(self, m: Marking) -> tuple[int, ...]:
-        """Transitions enabled at m: every input place marked."""
-        if m.width != self.n_places:
-            raise ValueError("marking width does not match net")
-        return tuple(
-            t for t in range(self.n_transitions)
-            if self.pre_masks[t] & ~m.mask == 0
-        )
-
-    def fire(self, m: Marking, t: int) -> Marking:
-        """Fire t at m.  Raises NotEnabled or, if a place would receive a
-        second token, SafenessViolation."""
-        if self.pre_masks[t] & ~m.mask:
-            raise NotEnabled(
-                "transition %s not enabled at %s"
-                % (self.transitions[t], self.format_marking(m))
-            )
-        gained = self.post_masks[t] & ~self.pre_masks[t]
-        if gained & m.mask:
-            raise SafenessViolation(
-                "firing %s at %s puts a second token into a place; "
-                "the net is not safe"
-                % (self.transitions[t], self.format_marking(m))
-            )
-        return Marking(m.width, (m.mask & ~self.pre_masks[t]) | self.post_masks[t])
+        """|P| x |T| token change of each firing (a self-loop nets 0)."""
+        n = self.n_places
+        return (bit_rows(self.post_masks, n).astype(int)
+                - bit_rows(self.pre_masks, n)).T
 
     def format_mask(self, mask: int) -> str:
         """Compact support form of a marking mask, e.g. P1P3P6; '-' for
@@ -262,9 +182,6 @@ class PetriNet:
         # the masks of the 8-place chunks, and a memo of the names of
         # the chunk values seen so far
         return [0xFF << s for s in range(0, self.n_places, 8)], {0: ""}
-
-    def format_marking(self, m: Marking) -> str:
-        return self.format_mask(m.mask)
 
     def __eq__(self, other):
         return (
@@ -341,11 +258,9 @@ class ReachabilityGraph:
         # search's own dict would hold it for the whole run
         return {m: s for s, m in enumerate(self.masks)}
 
-    def state_id(self, m: Marking) -> int | None:
-        return self._index.get(m.mask)
-
-    def marking(self, sid: int) -> Marking:
-        return Marking(self.net.n_places, self.masks[sid])
+    def state_id(self, mask: int) -> int | None:
+        """The id of the state with marking `mask`, or None."""
+        return self._index.get(mask)
 
     def masks_of(self, ids) -> list[int]:
         """The masks of the states in an id array, in that order."""

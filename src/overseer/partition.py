@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ForbiddenInitialMarking, UncontrollableBreach
 from .net import Marking, ReachabilityGraph
-from .predicate import check_predicate, evaluate_predicate
+from .predicate import evaluate_predicate, parse_predicate
 
 log = logging.getLogger(__name__)
 
@@ -32,14 +32,15 @@ class BadStateSpec:
     At least one source must be present; `expr` is a boolean place
     predicate, `explicit` a list of full markings, and
     `include_deadlocks` adds every state without a successor.  `tree`
-    is `expr` already parsed and checked against the net's places, as
-    `parse_net` leaves it; without it the partition parses `expr`.
+    is `expr` parsed, when the spec is built: a syntax error in `expr`
+    raises PnetSyntaxError there.  Its place names are checked against
+    a net only when the partition evaluates it.
     """
 
     expr: str | None = None
     explicit: tuple[Marking, ...] = ()
     include_deadlocks: bool = False
-    tree: tuple | None = field(default=None, compare=False, repr=False)
+    tree: tuple | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.expr is None and not self.explicit and not self.include_deadlocks:
@@ -48,15 +49,15 @@ class BadStateSpec:
                 "or the deadlock flag"
             )
         object.__setattr__(self, "explicit", tuple(self.explicit))
+        object.__setattr__(self, "tree", None if self.expr is None
+                           else parse_predicate(self.expr))
 
 
 @dataclass(frozen=True, eq=False)
 class StatePartition:
-    """State sets over one reachability graph: reachable (every id),
-    forbidden, authorized (the complement), and border forbidden, each
-    of the last three a sorted id array."""
+    """State sets over one reachability graph, each a sorted id array:
+    forbidden, authorized (the complement), and border forbidden."""
 
-    m_r: range
     m_f: np.ndarray
     m_a: np.ndarray
     m_b: np.ndarray
@@ -68,10 +69,10 @@ def deadlocks(rg: ReachabilityGraph) -> np.ndarray:
 
 
 def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
-    if spec.expr is not None:
-        places = rg.net.place_index
-        tree = spec.tree or check_predicate(spec.expr, places)
-        bad = evaluate_predicate(tree, places, rg.bits)
+    """Per state, whether it matches the forbidden-state description,
+    before any closure."""
+    if spec.tree is not None:
+        bad = evaluate_predicate(spec.tree, rg.net.place_index, rg.bits)
     else:
         bad = np.zeros(rg.n_states, dtype=bool)
     for m in spec.explicit:
@@ -80,22 +81,17 @@ def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
                 "explicit bad marking has %d bits, net has %d places"
                 % (m.width, rg.net.n_places)
             )
-        sid = rg.state_id(m)
+        sid = rg.state_id(m.mask)
         if sid is None:
             log.warning(
                 "explicit bad state %s is not reachable; ignored",
-                rg.net.format_marking(m),
+                rg.net.format_mask(m.mask),
             )
         else:
             bad[sid] = True
     if spec.include_deadlocks:
         bad[deadlocks(rg)] = True
     return bad
-
-
-def primal_bad(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
-    """States matching the forbidden-state description before any closure."""
-    return _primal_mask(rg, spec).nonzero()[0]
 
 
 def _crossings(rg: ReachabilityGraph, forbidden: np.ndarray):
@@ -145,8 +141,7 @@ def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StateP
                  else _primal_mask(rg, spec))
     m_f = forbidden.nonzero()[0]
     if not len(m_f):
-        return StatePartition(m_r=range(n), m_f=m_f, m_a=np.arange(n),
-                              m_b=m_f)
+        return StatePartition(m_f=m_f, m_a=np.arange(n), m_b=m_f)
     # the closure only adds states, so a bad m0 needs none
     _refuse_forbidden_m0(rg, forbidden)
     entering, unc_in = _crossings(rg, forbidden)
@@ -171,7 +166,6 @@ def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StateP
             )
         m_f = forbidden.nonzero()[0]
     return StatePartition(
-        m_r=range(n),
         m_f=m_f,
         m_a=(~forbidden).nonzero()[0],
         # the targets of the entering edges, all of them controllable

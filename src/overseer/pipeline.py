@@ -105,7 +105,6 @@ def run_pipeline(doc: NetDocument,
     chosen: list[int] = []
     final_counts: list[int] = []
     uncovered: list[int] = []
-    fallback_used = False
 
     if len(partition.m_f):
         authorized = rg.masks_of(partition.m_a)
@@ -126,19 +125,30 @@ def run_pipeline(doc: NetDocument,
 
         def _cover_stage():
             tbl = build_cover_table(minimal, border)
-            try:
-                select_final_cover(tbl, exact=options.exact_cover)
-            except UncoverableState as exc:
-                if not options.fallback:
-                    raise
-                return _fallback_cover(tbl, exc, options)
+            uncovered = tbl.uncovered
+            # the fallback forbids each uncovered border state outright
+            # with a full-support constraint, which an empty marking
+            # does not have
+            if uncovered and (not options.fallback or 0 in uncovered):
+                raise UncoverableState(
+                    "%d border state(s) covered by no over-state"
+                    % len(uncovered), uncovered=uncovered,
+                )
+            select_final_cover(tbl, exact=options.exact_cover)
             if not check_final_coverage(tbl):
                 raise VerificationFailure(
                     "selected over-states leave a border state uncovered"
                 )
-            return tbl, tbl.selected_rows(), tbl.final_counts(), [], False
+            final_counts = tbl.final_counts()
+            if uncovered:
+                # the full-support constraints also exclude the
+                # authorized states above their border state: the
+                # result is flagged over-restrictive
+                extra = build_cover_table(uncovered, tbl.cols).counts
+                final_counts = [a + b for a, b in zip(final_counts, extra)]
+            return tbl, tbl.selected_rows() + uncovered, final_counts, uncovered
 
-        table, chosen, final_counts, uncovered, fallback_used = stages.run(
+        table, chosen, final_counts, uncovered = stages.run(
             "cover", _cover_stage
         )
 
@@ -159,8 +169,8 @@ def run_pipeline(doc: NetDocument,
 
     report = _assemble_report(
         doc, options, rg, partition, minimal, border, table,
-        chosen, final_counts, uncovered, fallback_used,
-        controller, closed, stages.timings,
+        chosen, final_counts, uncovered, controller, closed,
+        stages.timings,
     )
     return PipelineResult(
         doc=doc,
@@ -171,37 +181,13 @@ def run_pipeline(doc: NetDocument,
         controller=controller,
         closed=closed,
         report=report,
-        fallback_used=fallback_used,
+        fallback_used=bool(uncovered),
     )
 
 
-def _fallback_cover(tbl: CoverTable, exc: UncoverableState,
-                    options: PipelineOptions):
-    """Cover what can be covered, then forbid each uncoverable border
-    state outright with a full-support constraint.  Those constraints
-    also exclude the authorized states dominating the border state, so
-    the result is flagged over-restrictive."""
-    uncovered = list(exc.uncovered)
-    if 0 in uncovered:
-        # an empty border marking admits no token-sum constraint at all;
-        # not even the fallback can forbid it
-        raise exc
-    sub = build_cover_table(
-        tbl.rows, [c for c, n in zip(tbl.cols, tbl.counts) if n])
-    if sub.cols:
-        select_final_cover(sub, exact=options.exact_cover)
-    chosen = sub.selected_rows() + uncovered
-    # rows are shared with the full table; only the full-state
-    # constraints live outside it
-    tbl.picks = sub.picks
-    extra = build_cover_table(uncovered, tbl.cols).counts
-    final_counts = [a + b for a, b in zip(tbl.final_counts(), extra)]
-    return tbl, chosen, final_counts, uncovered, True
-
-
 def _assemble_report(doc, options, rg, partition, minimal, border, table,
-                     chosen, final_counts, uncovered, fallback_used,
-                     controller, closed, timings) -> SynthesisReport:
+                     chosen, final_counts, uncovered, controller, closed,
+                     timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_masks
     border_names = fmt(border)
@@ -251,7 +237,7 @@ def _assemble_report(doc, options, rg, partition, minimal, border, table,
             "bounds": controller.bounds.tolist(),
         },
         "fallback": {
-            "used": fallback_used,
+            "used": bool(uncovered),
             "uncovered": fmt(uncovered),
             "over_restrictive": [
                 c for b, c in zip(chosen, constraints) if b in uncovered_set

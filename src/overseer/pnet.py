@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .errors import PnetSyntaxError, UnknownPlaceName
 from .net import Marking, PetriNet, support
 from .partition import BadStateSpec
-from .predicate import CONSTANTS, check_predicate
+from .predicate import CONSTANTS, predicate_places
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r'"[^"]*"|#|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
@@ -260,19 +260,23 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
                    Marking.from_support(len(places), initial or ()))
     if expr is None and not deadlock and not states:
         return NetDocument(net=net)
-    tree = None
+    # the spec parses the expr; its places are checked last, as it may
+    # name places declared after it.  Its errors point at its string.
+    where = None
     if expr is not None:
-        # checked last, as an expr may name places declared after it;
-        # the spec keeps the tree, so the partition parses it no more
         quoted, col, line = expr
-        expr = quoted[1:-1]
-        try:
-            tree = check_predicate(expr, place_index,
-                                   "%s:%d:%d" % (source, line, col))
-        except PnetSyntaxError as exc:
-            raise PnetSyntaxError(exc.message, source, line, col) from None
-    spec = BadStateSpec(expr=expr, explicit=tuple(states),
-                        include_deadlocks=deadlock, tree=tree)
+        expr, where = quoted[1:-1], (line, col)
+    try:
+        spec = BadStateSpec(expr=expr, explicit=tuple(states),
+                            include_deadlocks=deadlock)
+    except PnetSyntaxError as exc:
+        raise PnetSyntaxError(exc.message, source, *where) from None
+    if spec.tree is not None:
+        unknown = sorted(predicate_places(spec.tree) - place_index.keys())
+        if unknown:
+            raise UnknownPlaceName(
+                "%s:%d:%d: unknown place %r in forbidden expr %r"
+                % (source, *where, unknown[0], expr))
     return NetDocument(net=net, spec=spec)
 
 
@@ -306,7 +310,7 @@ def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
         if spec.include_deadlocks:
             lines.append("  deadlock")
         for m in spec.explicit:
-            if m.card == 0:
+            if not m.mask:
                 raise ValueError(
                     "the text format cannot express the empty marking as "
                     "an explicit forbidden state; use an expr like %r"

@@ -117,18 +117,6 @@ def predicate_places(node) -> set[str]:
     return predicate_places(node[1]) | predicate_places(node[2])
 
 
-def check_predicate(text: str, place_index: dict[str, int],
-                    source: str = "<spec>"):
-    """Parse `text` and check that it names only places of
-    `place_index`; an unknown name is an error.  Returns the tree."""
-    node = parse_predicate(text)
-    unknown = sorted(predicate_places(node) - place_index.keys())
-    if unknown:
-        raise UnknownPlaceName("%s: unknown place %r in forbidden expr %r"
-                               % (source, unknown[0], text))
-    return node
-
-
 def evaluate_predicate(tree, place_index: dict[str, int],
                        bits: np.ndarray) -> np.ndarray:
     """Per row of `bits` (one 0/1 column per place, as `net.bit_rows`

@@ -116,8 +116,7 @@ def synthesize(net: PetriNet, weights, bounds) -> Controller:
             % (weights.shape[1], net.n_places)
         )
     incidence = -(weights @ net.incidence())
-    m0_vec = np.array(net.m0.bits(), dtype=int)
-    initial = bounds - weights @ m0_vec
+    initial = bounds - weights @ bit_rows([net.m0.mask], net.n_places)[0]
     if (initial < 0).any():
         violated = [int(i) for i in np.flatnonzero(initial < 0)]
         raise InitialMarkingViolation(
@@ -215,7 +214,6 @@ class ClosedLoopReport:
     admissibility_violations: list[AdmissibilityViolation]
     invariant_ok: bool
     max_control_marking: tuple[int, ...]
-    gated_transitions: list[int]
     notes: list[str] = field(default_factory=list)
 
 
@@ -223,20 +221,19 @@ def _walk(offsets, dst, allowed):
     """Breadth-first search from state 0 over the allowed edges, taken
     in edge order, so states are numbered the way the plant's own search
     numbers them.  Returns the states reached, in discovery order, and
-    every edge leaving them, grouped by source in that order."""
-    starts = offsets.tolist()
-    targets = dst.tolist()
-    ok = allowed.tolist()
+    every edge leaving them, grouped by source in that order.  Reads
+    the arrays at the states reached only, which may be few of the
+    plant's."""
     order = [0]
     seen = {0}
     leaving = []
     for s in order:
-        lo, hi = starts[s], starts[s + 1]
+        lo, hi = offsets[s:s + 2].tolist()
         leaving.extend(range(lo, hi))
-        for e in range(lo, hi):
-            if ok[e] and targets[e] not in seen:
-                seen.add(targets[e])
-                order.append(targets[e])
+        for d, ok in zip(dst[lo:hi].tolist(), allowed[lo:hi].tolist()):
+            if ok and d not in seen:
+                seen.add(d)
+                order.append(d)
     return np.array(order, dtype=np.intp), np.array(leaving, dtype=np.intp)
 
 
@@ -351,14 +348,12 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         and invariant_ok
     )
 
-    gated = []
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):
         feeders = [name for name, d in zip(controller.place_names, col)
                    if d < 0]
         if feeders:
             kind = "controllable" if net.controllable[t] else "uncontrollable"
-            gated.append(t)
             notes.append(
                 "%s transition %s is now gated by %s"
                 % (kind, net.transitions[t], ", ".join(feeders))
@@ -379,6 +374,5 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         admissibility_violations=violations,
         invariant_ok=invariant_ok,
         max_control_marking=max_ctrl,
-        gated_transitions=gated,
         notes=notes,
     )

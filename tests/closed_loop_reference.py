@@ -16,7 +16,7 @@ from collections import deque
 import numpy as np
 
 from overseer.errors import VerificationFailure
-from overseer.net import Marking, bit_rows
+from overseer.net import bit_rows, support
 from overseer.synthesis import AdmissibilityViolation, ClosedLoopReport
 
 
@@ -84,7 +84,7 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
     for s, t, _ in edges:
         closed_enabled[s].add(t)
     for sid, mask in enumerate(proj_masks):
-        pid = rg.state_id(Marking(net.n_places, mask))
+        pid = rg.state_id(mask)
         if pid is None or pid not in authorized_ids:
             continue
         lo, hi = rg.offsets[pid], rg.offsets[pid + 1]
@@ -93,8 +93,7 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
             if d in authorized_ids
         }
         got = closed_enabled[sid]
-        at = "".join(net.places[i]
-                     for i in Marking(net.n_places, mask).support()) or "-"
+        at = "".join(net.places[i] for i in support(mask)) or "-"
         for t in sorted(expected - got):
             edge_mismatches.append(
                 "%s misses %s at %s" % (net.name, net.transitions[t], at))
@@ -116,7 +115,6 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
                     ))
                     break
 
-    gated = [t for t, col in enumerate(cols) if min(col, default=0) < 0]
     max_ctrl = tuple(
         max(ctrl[i] for ctrl in control_markings) for i in range(k)
     )
@@ -134,6 +132,5 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
         admissibility_violations=violations,
         invariant_ok=invariant_ok,
         max_control_marking=max_ctrl,
-        gated_transitions=gated,
         notes=[],
     )

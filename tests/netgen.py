@@ -86,7 +86,7 @@ def random_spec(rng: random.Random, net: PetriNet, rg) -> BadStateSpec:
         include_deadlocks = rng.random() < 0.3
         explicit = []
         # the text format cannot name the empty marking as a state
-        pool = [rg.marking(s) for s in range(1, rg.n_states) if rg.masks[s]]
+        pool = [Marking(net.n_places, m) for m in rg.masks[1:] if m]
         if rng.random() < 0.3 and pool:
             explicit = rng.sample(pool, rng.randint(1, min(2, len(pool))))
         if expr is None and not include_deadlocks and not explicit:

@@ -33,12 +33,7 @@ from overseer import (
     verify_closed_loop,
 )
 from overseer.cli import main as cli_main
-from overseer.cover import minimum_cover_size
-from overseer.errors import (
-    ForbiddenInitialMarking,
-    StageFailure,
-    UncoverableState,
-)
+from overseer.errors import ForbiddenInitialMarking, StageFailure
 from overseer.net import bit_rows, support
 from overseer.overstates import over_states
 
@@ -233,19 +228,19 @@ def _check_generated_net(net, rg, spec, stats):
             assert x == y or x & ~y, "antichain violated"
 
     table = build_cover_table(minimal, border)
-    try:
-        select_final_cover(table)
-    except UncoverableState:
+    if table.uncovered:
         stats["uncoverable"] += 1
         return
+    select_final_cover(table)
 
     # (f) greedy result is a valid cover, never below the true minimum
     assert check_final_coverage(table), "greedy cover left a column bare"
     selected = table.selected_rows()
     if len(table.rows) <= 20:
-        assert len(selected) >= minimum_cover_size(
-            build_cover_table(table.rows, table.cols)
-        ), "greedy beat the exhaustive minimum"
+        exact = select_final_cover(
+            build_cover_table(table.rows, table.cols), exact=True)
+        assert len(selected) >= len(exact.picks), \
+            "greedy beat the exhaustive minimum"
 
     # (c) selected constraints split authorized from border exactly
     weights, bounds = build_constraint_matrix(selected, net.n_places)

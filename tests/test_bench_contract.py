@@ -4,20 +4,30 @@
 counts from their arguments and results; the benchmark's per-layer
 metrics are sums of those counts.  They must stay plain ints equal to
 the true sizes, or the benchmark's output is malformed.
+`perfbench/workloads.py` builds its nets through the library's
+`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.
 """
 
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import overseer.cli
-from overseer import serialize_net
+from overseer import (
+    StageFailure,
+    build_reachability_graph,
+    parse_net,
+    run_pipeline,
+    serialize_net,
+)
 
 ROOT = Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 import oracle  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 from reach_bench import ring_net  # noqa: E402
 
 
@@ -66,3 +76,30 @@ def test_counts_are_true_ints(which, tmp_path, two_machines, two_machines_path,
         got = counts[span]
         assert got == expected, span
         assert all(type(v) is int for v in got.values()), (span, got)
+
+
+def test_workload_builders_run_through_the_pipeline():
+    rng = random.Random(0)
+    # (text, plant states, closed-loop states, constraints)
+    families = [(workloads.machines(2, rng), 144, 25, 4),
+                (workloads.rings(2, rng), 9, 9, 0)]
+    for text, states, closed, constraints in families:
+        result = run_pipeline(parse_net(text))
+        assert result.rg.n_states == states
+        assert result.closed.state_count == closed
+        assert result.controller.k == constraints
+        assert result.closed.isomorphic
+    outcomes = set()
+    for _ in range(6):
+        case = workloads.random_case(rng)
+        doc = parse_net(case.text)
+        masks, _ = oracle.explore(case.pre, case.post, case.m0,
+                                  workloads.GEN_BUDGET)
+        assert build_reachability_graph(doc.net).masks == masks
+        try:
+            result = run_pipeline(doc)
+        except StageFailure as exc:
+            outcomes.add(exc.stage)
+        else:
+            outcomes.add(result.closed.isomorphic)
+    assert len(outcomes) > 1  # the cases do not all end the same way

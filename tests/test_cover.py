@@ -1,6 +1,7 @@
 """Cover table construction and final over-state selection."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,8 +11,7 @@ from overseer import (
     select_final_cover,
 )
 from overseer import cover
-from overseer.cover import check_coverage, minimum_cover_size
-from overseer.errors import StateBudgetExceeded, UncoverableState
+from overseer.errors import StateBudgetExceeded
 from overseer.net import support
 
 
@@ -55,13 +55,15 @@ def test_cells_are_subset_tests(monkeypatch):
 
 
 def test_uncovered_column_detected():
-    t = _table([[0]], [[0, 1], [2, 3]])
-    ok, uncovered = check_coverage(t)
-    assert not ok
-    assert [support(m) for m in uncovered] == [(2, 3)]
-    with pytest.raises(UncoverableState) as err:
-        select_final_cover(t)
-    assert [support(m) for m in err.value.uncovered] == [(2, 3)]
+    t = _table([[0], [1]], [[0, 1], [2, 3], [0, 4]])
+    assert [support(m) for m in t.uncovered] == [(2, 3)]
+    # the selection covers the columns some row covers, in both modes
+    for exact in (False, True):
+        select_final_cover(t, exact=exact)
+        assert [support(m) for m in t.selected_rows()] == [(0,)]
+        assert check_final_coverage(t)
+        assert t.final_counts() == [1, 0, 1]
+    assert _table([[0]], [[0, 1]]).uncovered == []
 
 
 def test_essential_rows_picked_first():
@@ -100,7 +102,10 @@ def test_exact_mode_finds_minimum():
     select_final_cover(t, exact=True)
     exact_size = len(t.picks)
     assert sum(t.selected) == exact_size
-    assert exact_size == minimum_cover_size(_table(rows, cols))
+    # no selection of fewer rows covers every column
+    assert not any(
+        all(any(_covers(rows[i], c) for i in combo) for c in cols)
+        for combo in combinations(range(len(rows)), exact_size - 1))
     t2 = _table(rows, cols)
     select_final_cover(t2)
     assert len(t2.picks) >= exact_size

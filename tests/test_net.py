@@ -16,11 +16,7 @@ from overseer import (
     canonical_order,
 )
 from overseer.net import support
-from overseer.errors import (
-    NotEnabled,
-    SafenessViolation,
-    StateBudgetExceeded,
-)
+from overseer.errors import SafenessViolation, StateBudgetExceeded
 
 from netgen import random_net, safe_net
 
@@ -40,21 +36,14 @@ def _chain_net():
 
 def test_marking_basics():
     m = Marking.from_support(5, [0, 3])
-    assert m.bits() == (1, 0, 0, 1, 0)
+    assert m.mask == 0b01001
     assert m.support() == (0, 3)
-    assert m.card == 2
-    assert m == Marking.from_bits([1, 0, 0, 1, 0])
+    assert m == Marking(5, 0b01001)
+    assert m != Marking(6, 0b01001)
     assert hash(m) == hash(Marking(5, m.mask))
-
-
-def test_marking_subset_is_partial_order():
-    a = Marking.from_support(4, [1])
-    b = Marking.from_support(4, [1, 2])
-    c = Marking.from_support(4, [3])
-    assert a.issubset(b)
-    assert not b.issubset(a)
-    assert not a.issubset(c)
-    assert a.issubset(a)
+    assert repr(m) == "Marking(5, 0b10010)"
+    with pytest.raises(ValueError):
+        Marking(3, 0b1000)
 
 
 def test_canonical_order_sorts_by_size_then_support():
@@ -64,17 +53,16 @@ def test_canonical_order_sorts_by_size_then_support():
 
 
 def test_fire_moves_token():
-    net = _chain_net()
-    m1 = net.fire(net.m0, 0)
-    assert m1.support() == (1,)
-    m2 = net.fire(m1, 1)
-    assert m2.support() == (2,)
+    rg = build_reachability_graph(_chain_net())
+    assert [support(m) for m in rg.masks] == [(0,), (1,), (2,)]
+    assert rg.edges.tolist() == [[0, 0, 1], [1, 1, 2]]
 
 
 def test_fire_requires_enabledness():
-    net = _chain_net()
-    with pytest.raises(NotEnabled):
-        net.fire(net.m0, 1)
+    # t2 needs B: it does not fire at m0, and C is a deadlock
+    rg = build_reachability_graph(_chain_net())
+    assert rg.tr[rg.offsets[0]:rg.offsets[1]].tolist() == [0]
+    assert rg.offsets[3] == rg.offsets[2]
 
 
 def test_fire_rejects_unsafe_result():
@@ -85,7 +73,7 @@ def test_fire_rejects_unsafe_result():
     )
     # A is consumed and reproduced (self-loop, fine); B already marked
     with pytest.raises(SafenessViolation):
-        net.fire(net.m0, 0)
+        build_reachability_graph(net)
 
 
 def test_self_loop_is_not_a_safeness_violation():
@@ -93,11 +81,10 @@ def test_self_loop_is_not_a_safeness_violation():
         "loop", ["A"], ["t"], [True],
         [[0]], [[0]], Marking.from_support(1, [0]),
     )
-    assert net.fire(net.m0, 0) == net.m0
     rg = build_reachability_graph(net)
     assert rg.n_states == 1
     assert rg.edges.tolist() == [[0, 0, 0]]
-    assert net.self_loops() == [(0, 0)]
+    assert net.pre_masks == net.post_masks == (1,)
 
 
 def test_incidence_loses_self_loops_but_pre_post_keep_them():
@@ -105,20 +92,9 @@ def test_incidence_loses_self_loops_but_pre_post_keep_them():
         "loop2", ["A", "B"], ["t"], [True],
         [[0, 1]], [[1]], Marking.from_support(2, [0, 1]),
     )
-    w = net.incidence()
-    assert w[1, 0] == 0  # consumed and reproduced
-    assert net.pre_matrix()[1, 0] == 1
-    assert net.post_matrix()[1, 0] == 1
-
-
-def test_from_matrices_rejects_weights():
-    pre = np.array([[2], [0]])
-    post = np.array([[0], [1]])
-    with pytest.raises(ValueError):
-        PetriNet.from_matrices(
-            "w", ["A", "B"], ["t"], [True], pre, post,
-            Marking.from_support(2, [0]),
-        )
+    assert net.incidence().tolist() == [[-1], [0]]  # B: consumed, reproduced
+    assert net.pre_masks == (0b11,)
+    assert net.post_masks == (0b10,)
 
 
 def test_reachability_bfs_order_deterministic():
@@ -128,9 +104,9 @@ def test_reachability_bfs_order_deterministic():
     )
     rg = build_reachability_graph(net)
     # state 0 is m0; successors numbered in transition order
-    assert rg.marking(0) == net.m0
-    assert rg.marking(1).support() == (1,)
-    assert rg.marking(2).support() == (2,)
+    assert rg.masks[0] == net.m0.mask
+    assert support(rg.masks[1]) == (1,)
+    assert support(rg.masks[2]) == (2,)
     assert rg.edges.tolist() == [[0, 0, 1], [0, 1, 2]]
 
 
@@ -169,7 +145,7 @@ def test_reachability_wider_than_64_places():
     net = _wide_chain_net(n)
     rg = build_reachability_graph(net)
     assert rg.n_states == n
-    assert rg.marking(rg.n_states - 1).support() == (n - 1,)
+    assert support(rg.masks[-1]) == (n - 1,)
 
 
 def test_unsafe_net_detected_during_exploration():
@@ -188,15 +164,15 @@ def test_edge_rows_agree_with_firing():
         net, rg = safe_net(rng)
         assert rg.edges.shape == (len(rg.src), 3)
         assert rg.offsets[0] == 0 and rg.offsets[-1] == len(rg.edges)
-        for s in range(rg.n_states):
-            m = rg.marking(s)
+        for s, m in enumerate(rg.masks):
             assert rg.state_id(m) == s
             rows = rg.edges[rg.offsets[s]:rg.offsets[s + 1]].tolist()
             # the rows of s: its enabled transitions, in index order
-            assert [t for _, t, _ in rows] == list(net.enabled(m))
+            assert [t for _, t, _ in rows] == [
+                t for t, pre in enumerate(net.pre_masks) if not pre & ~m]
             for src, t, d in rows:
                 assert src == s
-                assert rg.marking(d) == net.fire(m, t)
+                assert rg.masks[d] == m & ~net.pre_masks[t] | net.post_masks[t]
 
 
 @pytest.mark.parametrize("width", [0, 1, 27, 70])
@@ -207,10 +183,8 @@ def test_format_mask_matches_support_form(width):
     masks = {0, (1 << width) - 1}
     masks.update(rng.getrandbits(width) for _ in range(200) if width)
     for mask in sorted(masks):
-        m = Marking(width, mask)
-        expected = "".join(places[i] for i in m.support()) or "-"
+        expected = "".join(places[i] for i in support(mask)) or "-"
         assert net.format_mask(mask) == expected
-        assert net.format_marking(m) == expected
     ordered = sorted(masks)
     assert net.format_masks(ordered) == [net.format_mask(m) for m in ordered]
 
@@ -222,8 +196,8 @@ def _explore_outcome(net, budget):
         rg = build_reachability_graph(net, budget=budget)
     except (SafenessViolation, StateBudgetExceeded) as exc:
         return type(exc), str(exc)
-    for s in range(rg.n_states):
-        assert rg.state_id(rg.marking(s)) == s
+    for s, m in enumerate(rg.masks):
+        assert rg.state_id(m) == s
     return rg.masks, [tuple(e) for e in rg.edges.tolist()], \
         rg.offsets.tolist()
 

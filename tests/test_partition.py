@@ -14,8 +14,9 @@ from overseer import (
     parse_predicate,
     partition_states,
 )
-from overseer.errors import ForbiddenInitialMarking
-from overseer.partition import primal_bad
+from overseer.errors import ForbiddenInitialMarking, PnetSyntaxError
+from overseer.net import support
+from overseer.partition import _primal_mask
 
 from netgen import copies, random_spec, safe_net
 
@@ -38,7 +39,7 @@ def test_deadlocks_found():
     net = _linear_net(True)
     rg = _rg(net)
     dead = deadlocks(rg)
-    assert [rg.marking(s).support() for s in dead.tolist()] == [(3,)]
+    assert [support(rg.masks[s]) for s in dead.tolist()] == [(3,)]
 
 
 def test_primal_bad_union_of_sources():
@@ -49,8 +50,22 @@ def test_primal_bad_union_of_sources():
         explicit=(Marking.from_support(4, [1]),),
         include_deadlocks=True,
     )
-    bad = primal_bad(rg, spec)
-    assert {rg.marking(s).support() for s in bad} == {(1,), (2,), (3,)}
+    bad = _primal_mask(rg, spec).nonzero()[0].tolist()
+    assert {support(rg.masks[s]) for s in bad} == {(1,), (2,), (3,)}
+
+
+def test_spec_parses_its_expr():
+    spec = BadStateSpec(expr="C | !D")
+    assert spec.tree == parse_predicate("C | !D")
+    assert spec == BadStateSpec(expr="C | !D")
+    assert "tree" not in repr(spec)
+    assert BadStateSpec(include_deadlocks=True).tree is None
+    # a syntax error raises when the spec is built, not in the partition
+    with pytest.raises(PnetSyntaxError):
+        BadStateSpec(expr="C & (D")
+    # the tree always comes from the expr
+    with pytest.raises(TypeError):
+        BadStateSpec(expr="C", tree=("var", "D"))
 
 
 def test_closure_climbs_uncontrollable_edges():
@@ -60,11 +75,11 @@ def test_closure_climbs_uncontrollable_edges():
     rg = _rg(net)
     spec = BadStateSpec(expr="C")
     partition = partition_states(rg, spec)
-    forbidden = {rg.marking(s).support() for s in partition.m_f}
+    forbidden = {support(rg.masks[s]) for s in partition.m_f}
     # C is bad; B reaches C by uncontrollable t2, so B is forbidden too.
     # D stays authorized: the closure walks backward, not forward.
     assert forbidden == {(1,), (2,)}
-    authorized = {rg.marking(s).support() for s in partition.m_a}
+    authorized = {support(rg.masks[s]) for s in partition.m_a}
     assert authorized == {(0,), (3,)}
 
 
@@ -72,10 +87,10 @@ def test_controllable_edges_stop_the_closure():
     net = _linear_net(True)
     rg = _rg(net)
     partition = partition_states(rg, BadStateSpec(expr="C"))
-    forbidden = {rg.marking(s).support() for s in partition.m_f}
+    forbidden = {support(rg.masks[s]) for s in partition.m_f}
     # t2 is controllable, so B stays authorized
     assert forbidden == {(2,)}
-    border = {rg.marking(s).support() for s in partition.m_b}
+    border = {support(rg.masks[s]) for s in partition.m_b}
     assert border == {(2,)}
 
 
@@ -83,7 +98,7 @@ def test_border_needs_authorized_controllable_predecessor():
     net = _linear_net(False)
     rg = _rg(net)
     partition = partition_states(rg, BadStateSpec(expr="C"))
-    border = {rg.marking(s).support() for s in partition.m_b}
+    border = {support(rg.masks[s]) for s in partition.m_b}
     # the authorized->forbidden crossing is A --t1--> B (controllable)
     assert border == {(1,)}
 
@@ -111,7 +126,7 @@ def test_no_spec_means_nothing_forbidden():
     rg = _rg(net)
     partition = partition_states(rg, None)
     assert partition.m_f.tolist() == []
-    assert partition.m_a.tolist() == list(partition.m_r)
+    assert partition.m_a.tolist() == list(range(rg.n_states))
     assert partition.m_b.tolist() == []
 
 
@@ -174,7 +189,6 @@ def _outcome(rg, spec):
         partition = partition_states(rg, spec)
     except ForbiddenInitialMarking:
         return ForbiddenInitialMarking
-    assert partition.m_r == range(rg.n_states)
     for ids in (partition.m_f, partition.m_a, partition.m_b):
         assert ids.dtype == np.intp
     return (partition.m_f.tolist(), partition.m_a.tolist(),
@@ -183,7 +197,7 @@ def _outcome(rg, spec):
 
 def _check_against_reference(rg, spec):
     bad, outcome = _reference_partition(rg, spec)
-    assert primal_bad(rg, spec).tolist() == bad
+    assert _primal_mask(rg, spec).nonzero()[0].tolist() == bad
     assert _outcome(rg, spec) == outcome
     return outcome
 
@@ -198,7 +212,7 @@ def test_partition_invariants_on_random_nets():
             continue
         partition = partition_states(rg, spec)
         checked += 1
-        m_r = set(partition.m_r)
+        m_r = set(range(rg.n_states))
         m_f = set(partition.m_f.tolist())
         m_a = set(partition.m_a.tolist())
         m_b = set(partition.m_b.tolist())

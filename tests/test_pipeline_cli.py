@@ -257,6 +257,21 @@ def test_pipeline_uncoverable_without_fallback(drop_job):
     with pytest.raises(StageFailure) as err:
         run_pipeline(drop_job)
     assert isinstance(err.value.cause, UncoverableState)
+    assert str(err.value) == "cover: 1 border state(s) covered by no over-state"
+    assert err.value.cause.uncovered == (1 << drop_job.net.place_index["P1"],)
+
+
+def test_pipeline_fallback_cannot_forbid_the_empty_marking():
+    # the border state is the empty marking: no token sum forbids it,
+    # not even the fallback's full-support one
+    doc = parse_net("net drain\nplaces A\ninitial A\n"
+                    "transition t controllable { in A ; out }\n"
+                    'forbidden { expr "!A" }\n')
+    for fallback in (False, True):
+        with pytest.raises(StageFailure) as err:
+            run_pipeline(doc, PipelineOptions(fallback=fallback))
+        assert err.value.stage == "cover"
+        assert err.value.cause.uncovered == (0,)
 
 
 def test_pipeline_fallback_flags_over_restrictive(drop_job):
@@ -350,6 +365,18 @@ def test_cli_state_budget_exhausted(two_machines_path, capsys):
     rc = main([str(two_machines_path), "--state-budget", "4"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_cli_state_budget_below_one_is_refused(budget, tmp_path, capsys):
+    # one state, which no budget below 1 admits
+    net = tmp_path / "still.pnet"
+    net.write_text("net still\nplaces A\ninitial A\n")
+    with pytest.raises(SystemExit) as exc:
+        main([str(net), "--state-budget", budget])
+    assert exc.value.code == 2
+    assert ("argument --state-budget: must be at least 1, got %s" % budget
+            in capsys.readouterr().err)
 
 
 def test_cli_over_state_budget(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from overseer import parse_predicate, predicate_places
 from overseer.errors import PnetSyntaxError, UnknownPlaceName
-from overseer.predicate import check_predicate, evaluate_predicate
+from overseer.predicate import evaluate_predicate
 
 IDX = {"P1": 0, "P2": 1, "P3": 2}
 
@@ -43,8 +43,6 @@ def test_places_collected():
 
 
 def test_unknown_place_rejected():
-    with pytest.raises(UnknownPlaceName):
-        check_predicate("P1 | P9", IDX)
     with pytest.raises(UnknownPlaceName):
         evaluate_predicate(parse_predicate("P9"), IDX,
                            np.zeros((1, 3), dtype=np.uint8))

@@ -23,6 +23,7 @@ from overseer.errors import (
     InitialMarkingViolation,
     NonBinaryController,
 )
+from overseer.net import bit_rows, support
 from overseer.synthesis import format_constraint
 
 
@@ -68,8 +69,8 @@ def test_constraint_row_of_overstate():
 def test_constraint_row_violated_iff_covering():
     b = _m([1, 4])
     weights, bounds = build_constraint_matrix([b], 6)
-    for mask in range(2 ** 6):
-        total = int(weights[0] @ Marking(6, mask).bits())
+    for mask, bits in enumerate(bit_rows(range(2 ** 6), 6)):
+        total = int(weights[0] @ bits)
         assert (total > bounds[0]) == (not b & ~mask)
         assert (total <= bounds[0]) != (total > bounds[0])
 
@@ -202,7 +203,7 @@ def test_admissibility_violation_surfaces():
     ctrl = synthesize(net, weights, bounds)
     rg = build_reachability_graph(net)
     partition = StatePartition(
-        m_r=range(2), m_f=np.array([1]),
+        m_f=np.array([1]),
         m_a=np.array([0]), m_b=np.arange(0),
     )
     report = verify_closed_loop(net, ctrl, partition, rg)
@@ -222,7 +223,7 @@ def test_over_restrictive_controller_reports_missing_states():
     ctrl = synthesize(net, weights, bounds)
     report = verify_closed_loop(net, ctrl, partition, rg)
     assert not report.isomorphic
-    assert [Marking(3, m).support() for m in report.missing_authorized] \
+    assert [support(m) for m in report.missing_authorized] \
         == [(1,), (2,)]
     assert report.edge_mismatches
 
