@@ -367,6 +367,9 @@ def _explore(pre_masks, post_masks, m0, budget, tail):
     [lo, len(masks)) as one batch in (state, transition) order numbers
     states and edges exactly as expanding them one by one does, so each
     level takes whichever step is faster at its width."""
+    if budget < 1:
+        # m0 is state 0 and counts against the budget like any other
+        raise StateBudgetExceeded("state budget %d exhausted" % budget)
     # a firing creates a second token iff it produces into a marked place
     # it does not also consume from
     moves = [(t, pre, post, post & ~pre)

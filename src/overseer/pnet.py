@@ -39,6 +39,10 @@ _TOKEN_RE = re.compile(r'"[^"]*"|#|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
 # a forbidden `state` list runs up to the next item or the `}`
 _ITEM_STOP = ("expr", "deadlock", "state", "}")
 _ITEMS = "'expr', 'deadlock', 'state' or '}'"
+# words no place may be named: the predicate would read a constant, and
+# a `state` list would stop at an item keyword
+_RESERVED = {**dict.fromkeys(CONSTANTS, "the predicate constant"),
+             **dict.fromkeys(_ITEM_STOP[:3], "a forbidden block item")}
 _ARC_TWICE = ("place %%r listed twice in the %s list of %r; "
               "arc weights other than 1 are not supported")
 
@@ -129,15 +133,15 @@ class _Cursor:
         """Place names up to a token in `stop` (None: the end of the
         tokens).  With an `index` each becomes its place number and an
         unknown name is an error; without one the names are being
-        declared and must not be a predicate constant.  A name read
+        declared and must not be reserved.  A name read
         twice is the error `duplicate % name`."""
         picked = []
         while self.peek() not in stop:
             tok = name, col, line = self.name("place name")
             if index is None:
-                if name in CONSTANTS:
-                    raise self.error("place name %r is reserved for the "
-                                     "predicate constant" % name, tok)
+                if name in _RESERVED:
+                    raise self.error("place name %r is reserved for %s"
+                                     % (name, _RESERVED[name]), tok)
                 p = name
             else:
                 p = index.get(name)

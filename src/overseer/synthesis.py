@@ -8,10 +8,11 @@ loop: the control place blocks exactly the firings that would push the
 constraint over its bound.
 
 Because every control marking is fixed by the plant marking
-(`bounds - weights @ m`), the closed loop is a subgraph of the plant's
-reachability graph: verification computes the control marking of every
-plant state in one product and walks the plant graph along the edges no
-control place blocks, instead of exploring a composite state space.
+(`bounds - weights @ m`), the control places admit a plant state or do
+not, whatever the path to it, and the closed loop is a subgraph of the
+plant's reachability graph: verification computes the control marking
+of every plant state in one product and walks the plant graph into the
+admitted states, instead of exploring a composite state space.
 Control places may carry up to `bound` tokens, so the closed loop of a
 safe plant is in general a bounded net, not a safe one.  When everything
 stays 0/1 the controlled net can additionally be materialized as a plain
@@ -217,20 +218,21 @@ class ClosedLoopReport:
     notes: list[str] = field(default_factory=list)
 
 
-def _walk(offsets, dst, allowed):
-    """Breadth-first search from state 0 over the allowed edges, taken
-    in edge order, so states are numbered the way the plant's own search
-    numbers them.  Returns the states reached, in discovery order, and
-    every edge leaving them, grouped by source in that order.  Reads
-    the arrays at the states reached only, which may be few of the
-    plant's."""
+def _walk(offsets, dst, admitted):
+    """Breadth-first search from state 0 over the edges into admitted
+    states, taken in edge order, so states are numbered the way the
+    plant's own search numbers them.  Returns the states reached, in
+    discovery order, and every edge leaving them, grouped by source in
+    that order.  Reads the arrays at the states reached only, which may
+    be few of the plant's."""
     order = [0]
     seen = {0}
     leaving = []
     for s in order:
         lo, hi = offsets[s:s + 2].tolist()
         leaving.extend(range(lo, hi))
-        for d, ok in zip(dst[lo:hi].tolist(), allowed[lo:hi].tolist()):
+        targets = dst[lo:hi]
+        for d, ok in zip(targets.tolist(), admitted[targets].tolist()):
             if ok and d not in seen:
                 seen.add(d)
                 order.append(d)
@@ -243,25 +245,26 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     """Check the closed loop against the partition.
 
     The controller comes from place invariants, so the control marking
-    at plant marking m is `bounds - weights @ m`, and the closed loop is
-    the part of the plant graph that m0 reaches through edges no control
-    place blocks.  The invariant must really hold: the control marking
-    at m0 must be `controller.initial`, and every edge leaving a
-    closed-loop state, blocked ones included, must change it by the
+    at plant marking m is `bounds - weights @ m`, and the control places
+    admit exactly the plant states where it is nonnegative.  The closed
+    loop is the part of the plant graph that m0 reaches through
+    admitted states.  The invariant must really hold: the control
+    marking at m0 must be `controller.initial`, and every edge leaving
+    a closed-loop state, blocked ones included, must change it by the
     control incidence (so a wrong entry fails the check even on a
-    transition the closed loop never fires).  The
-    projections (control places dropped) must be exactly the authorized
-    states with matching enabled transitions, and no control place may
-    ever be the sole disabler of an uncontrollable transition."""
+    transition the closed loop never fires).  The projections (control
+    places dropped) must be exactly the authorized states with matching
+    enabled transitions, and no control place may ever be the sole
+    disabler of an uncontrollable transition."""
     n = rg.n_states
     k = controller.k
     masks = rg.masks
     blocking = False
     if k:
         # control markings, and their sums with an incidence entry, stay
-        # within `limit` of zero, so these (states x k) and (edges x k)
-        # arrays take the narrowest integer type that holds it (on k
-        # rows, plain lists beat numpy reductions).  The 0/1 bits read
+        # within `limit` of zero, so the (states x k) and (leaving edges
+        # x k) arrays take the narrowest integer type that holds it (on
+        # k rows, plain lists beat numpy reductions).  The 0/1 bits read
         # as int8 are no copy; the product widens them only to `dtype`.
         limit = (max(map(abs, controller.bounds.tolist()))
                  + max(sum(map(abs, row))
@@ -270,35 +273,37 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
                        default=0))
         dtype = np.min_scalar_type(-limit - 1)
         weights = controller.weights.T.astype(dtype)
+        incidence = controller.incidence.T.astype(dtype)
         control = (controller.bounds.astype(dtype)
                    - rg.bits.view(np.int8) @ weights)
-        # the control marking after each plant edge
-        after = control[rg.src] + controller.incidence.T.astype(dtype)[rg.tr]
-        allowed = (after >= 0).all(axis=1)
-        blocking = not allowed.all()
+        admitted = (control >= 0).all(axis=1)
+        blocking = not admitted.all()
     else:
         control = np.zeros((n, 0), dtype=int)
 
+    # src, tr and dst: the edges leaving closed-loop states, grouped by
+    # source in closed-loop order; allowed: whether each enters an
+    # admitted state
     if blocking:
-        order, leaving = _walk(rg.offsets, rg.dst, allowed)
+        order, leaving = _walk(rg.offsets, rg.dst, admitted)
         closed_id = np.empty(n, dtype=np.intp)
         closed_id.fill(-1)
         closed_id[order] = np.arange(len(order))
-        taken = leaving[allowed[leaving]]
-        edges = np.array([closed_id[rg.src[taken]], rg.tr[taken],
-                          closed_id[rg.dst[taken]]]).T
+        src, tr, dst = rg.src[leaving], rg.tr[leaving], rg.dst[leaving]
+        allowed = admitted[dst]
+        edges = np.array([closed_id[src[allowed]], tr[allowed],
+                          closed_id[dst[allowed]]]).T
     else:
         # nothing is blocked: the closed loop is the plant graph
         order = np.arange(n)
-        leaving = slice(None)
+        src, tr, dst = rg.src, rg.tr, rg.dst
+        allowed = True
         edges = rg.edges
-    # from here on, only the edges leaving closed-loop states, grouped
-    # by source in closed-loop order
-    src, tr, dst = rg.src[leaving], rg.tr[leaving], rg.dst[leaving]
 
+    # the control marking after each leaving edge must be its target's
     invariant_ok = not k or (
         control[0].tolist() == controller.initial.tolist()
-        and bool((after[leaving] == control[dst]).all())
+        and bool((control[src] + incidence[tr] == control[dst]).all())
     )
 
     missing, extra, edge_mismatches, violations = [], [], [], []
@@ -308,45 +313,38 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         authorized = np.zeros(n, dtype=bool)
         authorized[partition.m_a] = True
         if blocking:
-            ok = allowed[leaving]
             missing = [masks[s] for s in
                        (authorized & (closed_id < 0)).nonzero()[0].tolist()]
-        else:
-            ok = np.ones(len(src), dtype=bool)
         extra = [masks[s] for s in order[~authorized[order]].tolist()]
 
         # at an authorized plant state exactly the firings whose
         # successor is still authorized must be allowed; per closed-loop
         # state, the missed firings come before the unexpected ones
-        wrong = (authorized[src] & (ok != authorized[dst])).nonzero()[0]
-        rows = zip(src[wrong].tolist(), ok[wrong].tolist(),
+        into = authorized[dst]
+        wrong = (authorized[src] & (allowed != into)).nonzero()[0]
+        rows = zip(src[wrong].tolist(), into[wrong].tolist(),
                    tr[wrong].tolist())
         for _, group in groupby(rows, key=itemgetter(0)):
-            for s, allows, t in sorted(group, key=itemgetter(1)):
+            for s, missed, t in sorted(group, key=itemgetter(1),
+                                       reverse=True):
                 edge_mismatches.append("%s %s %s at %s" % (
-                    net.name, "allows" if allows else "misses",
+                    net.name, "misses" if missed else "allows",
                     net.transitions[t], net.format_mask(masks[s]),
                 ))
 
-    # a blocked uncontrollable edge: the first control place that goes
-    # negative is the sole reason it cannot fire
     if blocking:
-        blocked = leaving[~allowed[leaving]]
-        for t, s, row in zip(rg.tr[blocked].tolist(),
-                             rg.src[blocked].tolist(),
-                             after[blocked].tolist()):
+        # a blocked uncontrollable edge: the first control place
+        # negative at its target is the sole reason it cannot fire
+        blocked = ~allowed
+        for t, s, row in zip(tr[blocked].tolist(), src[blocked].tolist(),
+                             control[dst[blocked]].tolist()):
             if not net.controllable[t]:
                 violations.append(AdmissibilityViolation(
                     control_place=next(i for i, c in enumerate(row) if c < 0),
                     transition=t, state=masks[s],
                 ))
 
-    isomorphic = (
-        not missing
-        and not extra
-        and not edge_mismatches
-        and invariant_ok
-    )
+    isomorphic = invariant_ok and not (missing or extra or edge_mismatches)
 
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):

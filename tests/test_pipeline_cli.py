@@ -253,6 +253,20 @@ def test_pipeline_state_budget_bounds_over_states():
     assert isinstance(err.value.cause, StateBudgetExceeded)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_pipeline_state_budget_counts_m0(budget):
+    # m0 counts against the budget, also on a net with no transition
+    doc = parse_net("net still\nplaces A\ninitial A\n")
+    assert run_pipeline(doc, PipelineOptions(state_budget=1)).rg.n_states == 1
+    with pytest.raises(StageFailure) as err:
+        run_pipeline(doc, PipelineOptions(state_budget=budget))
+    assert err.value.stage == "reach"
+    assert isinstance(err.value.cause, StateBudgetExceeded)
+    assert str(err.value.cause) == ("net still: state budget %d exhausted "
+                                    "(raise --state-budget to explore "
+                                    "further)" % budget)
+
+
 def test_pipeline_uncoverable_without_fallback(drop_job):
     with pytest.raises(StageFailure) as err:
         run_pipeline(drop_job)

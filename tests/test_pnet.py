@@ -121,6 +121,16 @@ ERRORS = [
     ("reserved-constant", "net n\nplaces A true\n", PnetSyntaxError, 2, 10,
      "<string>:2:10: place name 'true' is reserved for the predicate "
      "constant"),
+    # a `state` list stops at an item keyword, so no place may be one
+    ("reserved-state", "net n\nplaces A state\n", PnetSyntaxError, 2, 10,
+     "<string>:2:10: place name 'state' is reserved for a forbidden block "
+     "item"),
+    ("reserved-expr", "net n\nplaces A expr\n", PnetSyntaxError, 2, 10,
+     "<string>:2:10: place name 'expr' is reserved for a forbidden block "
+     "item"),
+    ("reserved-deadlock", "net n\nplaces A deadlock\n", PnetSyntaxError, 2,
+     10, "<string>:2:10: place name 'deadlock' is reserved for a forbidden "
+     "block item"),
     ("empty-places-line", "net n\nplaces\n", PnetSyntaxError, 2, 1,
      "<string>:2:1: places line declares no places"),
     ("duplicate-initial-line", H + "initial A\ninitial B\n",

@@ -1,5 +1,7 @@
 """Controller algebra and closed-loop verification."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from overseer.errors import (
     NonBinaryController,
 )
 from overseer.net import bit_rows, support
-from overseer.synthesis import format_constraint
+from overseer.synthesis import Controller, format_constraint
 
 
 def _m(places):
@@ -233,3 +235,38 @@ def test_weight_row_shape_checked():
     weights, bounds = build_constraint_matrix([_m([0])], 5)
     with pytest.raises(ValueError):
         synthesize(net, weights, bounds)
+
+
+def test_wrong_incidence_on_a_leaving_edge_does_not_verify(monkeypatch):
+    # the nets and controllers of test_random_nets, each checked again
+    # with one incidence entry off by one: at the transition of the first
+    # edge leaving a closed-loop state that the closed loop takes, and of
+    # the first one a control place blocks.  Either way the invariant
+    # fails on that edge.
+    import test_closed_loop_reference as reference
+    matches_reference = reference.assert_matches_reference
+    seen = Counter()
+
+    def check(net, ctrl, partition, rg):
+        got = matches_reference(net, ctrl, partition, rg)
+        closed = {rg.state_id(m) for m in got.projections}
+        leaving = [(t, d not in closed) for s in sorted(closed)
+                   for t, d in zip(*(col[rg.offsets[s]:rg.offsets[s + 1]]
+                                     .tolist() for col in (rg.tr, rg.dst)))]
+        picks = ([e for e in leaving if not e[1]][:1]
+                 + [e for e in leaving if e[1]][:1])
+        for t, blocked in picks if ctrl.k else ():
+            incidence = ctrl.incidence.copy()
+            incidence[t % ctrl.k, t] += 1
+            bad = verify_closed_loop(net, Controller(
+                incidence=incidence, initial=ctrl.initial, bounds=ctrl.bounds,
+                weights=ctrl.weights, place_names=ctrl.place_names,
+            ), partition, rg)
+            assert not bad.invariant_ok
+            assert not bad.isomorphic
+            seen["blocked" if blocked else "taken"] += 1
+        return got
+
+    monkeypatch.setattr(reference, "assert_matches_reference", check)
+    reference.test_random_nets()
+    assert seen["blocked"] >= 20 and seen["taken"] >= 20, seen
