@@ -8,7 +8,6 @@ the authorized behavior.
 """
 
 from .cover import (
-    EXACT_COVER_LIMIT,
     CoverTable,
     build_cover_table,
     check_final_coverage,
@@ -72,7 +71,6 @@ __all__ = [
     "Controller",
     "CoverTable",
     "DEFAULT_STATE_BUDGET",
-    "EXACT_COVER_LIMIT",
     "EmptyConstraintSet",
     "ForbiddenInitialMarking",
     "InitialMarkingViolation",

@@ -2,7 +2,7 @@
 report and optional artifacts.
 
 Exit codes: 0 success, 2 unreadable or invalid input (including a
-non-safe plant and a blown budget in reach, over-states or exact cover), 3
+non-safe plant and a blown budget in reach or over-states), 3
 synthesis impossible for the model, 4 a border state no over-state can
 express (rerun with --fallback for an over-restrictive controller), 5
 the closed loop failed verification.  When the fallback was used, 0
@@ -19,7 +19,6 @@ import functools
 import sys
 from pathlib import Path
 
-from .cover import EXACT_COVER_LIMIT
 from .dotexport import closed_loop_to_dot, rg_to_dot
 from .errors import (
     ForbiddenInitialMarking,
@@ -80,10 +79,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--fallback", action="store_true",
                    help="on uncoverable border states, emit an "
                         "over-restrictive controller instead of failing")
-    p.add_argument("--exact-cover", action="store_true",
-                   help="exhaustive minimum cover instead of greedy; a "
-                        "table of more than %d rows exits 2"
-                        % EXACT_COVER_LIMIT)
     return p
 
 
@@ -118,7 +113,6 @@ def main(argv=None) -> int:
     options = PipelineOptions(
         state_budget=args.state_budget,
         fallback=args.fallback,
-        exact_cover=args.exact_cover,
     )
 
     try:

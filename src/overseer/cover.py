@@ -8,22 +8,20 @@ is counted once, when the table is built; selection and the coverage
 checks work on those bitsets.  Selection works like a prime-implicant
 chart: essential rows first (sole cover of some column), then greedily
 the row covering the most still-uncovered columns, ties broken by
-smaller support then by support order.  An exhaustive minimum
-selection is available for small tables, both as a CLI option and as
-the oracle the greedy result is tested against.
+smaller support then by support order.  When greedy adds two or more
+rows, a bounded search over the rows left after the essential ones
+(the cyclic core) looks for fewer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .errors import StateBudgetExceeded
 from .net import bit_rows, canonical_key, support
-
-EXACT_COVER_LIMIT = 20
 
 
 @dataclass
@@ -111,19 +109,23 @@ def _row_bits(rows: list[int], cols: list[int]) -> list[int]:
     return bits
 
 
-def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
+# The search for a smaller cover runs only when it tries at most this
+# many subsets: on a 2-core host a subset took ~1.1 us, so ~70 ms.
+_SEARCH_SUBSETS = 1 << 16
+
+
+def select_final_cover(table: CoverTable) -> CoverTable:
     """Fill table.picks with a cover of the columns some row covers;
     `table.uncovered` lists the others.
 
-    Greedy mode: essential rows (sole cover of a column) first, then the
-    row covering the most uncovered columns; ties go to the smallest,
-    then first-in-support-order over-state.  Exact mode swaps in the
-    provably minimum selection (exhaustive, so only for small tables).
+    Essential rows (sole cover of a column) come first: every cover
+    holds them.  Then greedy adds the row covering the most uncovered
+    columns; ties go to the smallest, then first-in-support-order
+    over-state.  When greedy adds two or more rows, the first smaller
+    set of rows, by size then canonical order, that covers what the
+    essential rows leave open takes their place.  The search is skipped
+    when it would try more than `_SEARCH_SUBSETS` subsets.
     """
-    if exact:
-        table.picks = _minimum_selection(table)
-        return table
-
     bits = table.bits
     # the essential rows, in the order of their first essential column;
     # `seen` is every column some row covers, the greedy loop's target
@@ -141,6 +143,8 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
     covered = 0
     for i in picks:
         covered |= bits[i]
+    n_essential = len(picks)
+    open_cols = seen & ~covered
 
     keys = [canonical_key(b) for b in table.rows]
     while covered != seen:
@@ -157,28 +161,21 @@ def select_final_cover(table: CoverTable, exact: bool = False) -> CoverTable:
         picks.append(best)
         covered |= bits[best]
 
+    # every cover of the columns the essential rows leave open draws
+    # from the rows that meet them; try them by size, then canonical order
+    core = sorted((i for i, b in enumerate(bits) if b & open_cols),
+                  key=keys.__getitem__)
+    sizes = range(1, len(picks) - n_essential)
+    if sum(math.comb(len(core), s) for s in sizes) <= _SEARCH_SUBSETS:
+        for combo in (c for s in sizes for c in combinations(core, s)):
+            union = 0
+            for i in combo:
+                union |= bits[i]
+            if not open_cols & ~union:
+                picks[n_essential:] = combo
+                break
     table.picks = picks
     return table
-
-
-def _minimum_selection(table: CoverTable) -> list[int]:
-    """The rows of a minimum cover, in canonical order (exhaustive)."""
-    n_rows = len(table.rows)
-    if n_rows > EXACT_COVER_LIMIT:
-        raise StateBudgetExceeded(
-            "exact cover is exhaustive; refusing %d rows (limit %d)"
-            % (n_rows, EXACT_COVER_LIMIT)
-        )
-    order = sorted(range(n_rows), key=lambda i: canonical_key(table.rows[i]))
-    target = table.coverable
-    # all rows together cover the target, so some size up to n_rows does
-    for size in range(n_rows + 1):
-        for combo in combinations(order, size):
-            covered = 0
-            for i in combo:
-                covered |= table.bits[i]
-            if covered == target:
-                return list(combo)
 
 
 def check_final_coverage(table: CoverTable) -> bool:

@@ -36,8 +36,8 @@ class SafenessViolation(OverseerError):
 
 
 class StateBudgetExceeded(OverseerError):
-    """A search hit its budget: reachable states or minimal transversals
-    in flight (both `--state-budget`), or the exact cover's row limit."""
+    """A search hit `--state-budget`: reachable states, or minimal
+    transversals in flight."""
 
 
 class EmptyConstraintSet(OverseerError):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ForbiddenInitialMarking, UncontrollableBreach
+from .errors import ForbiddenInitialMarking, PnetError, UncontrollableBreach
 from .net import Marking, ReachabilityGraph
 from .predicate import evaluate_predicate, parse_predicate
 
@@ -77,7 +77,7 @@ def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
         bad = np.zeros(rg.n_states, dtype=bool)
     for m in spec.explicit:
         if m.width != rg.net.n_places:
-            raise ValueError(
+            raise PnetError(
                 "explicit bad marking has %d bits, net has %d places"
                 % (m.width, rg.net.n_places)
             )

@@ -49,7 +49,6 @@ from .synthesis import (
 class PipelineOptions:
     state_budget: int = DEFAULT_STATE_BUDGET
     fallback: bool = False
-    exact_cover: bool = False
 
 
 @dataclass
@@ -134,7 +133,7 @@ def run_pipeline(doc: NetDocument,
                     "%d border state(s) covered by no over-state"
                     % len(uncovered), uncovered=uncovered,
                 )
-            select_final_cover(tbl, exact=options.exact_cover)
+            select_final_cover(tbl)
             if not check_final_coverage(tbl):
                 raise VerificationFailure(
                     "selected over-states leave a border state uncovered"
@@ -168,7 +167,7 @@ def run_pipeline(doc: NetDocument,
     )
 
     report = _assemble_report(
-        doc, options, rg, partition, minimal, border, table,
+        doc, rg, partition, minimal, border, table,
         chosen, final_counts, uncovered, controller, closed,
         stages.timings,
     )
@@ -185,12 +184,11 @@ def run_pipeline(doc: NetDocument,
     )
 
 
-def _assemble_report(doc, options, rg, partition, minimal, border, table,
+def _assemble_report(doc, rg, partition, minimal, border, table,
                      chosen, final_counts, uncovered, controller, closed,
                      timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_masks
-    border_names = fmt(border)
     uncovered_set = set(uncovered)
     # row i of the controller is the constraint of chosen[i]
     constraints = [
@@ -215,17 +213,15 @@ def _assemble_report(doc, options, rg, partition, minimal, border, table,
             "border_count": len(partition.m_b),
             "authorized": fmt(rg.masks_of(partition.m_a)),
             "forbidden": fmt(rg.masks_of(partition.m_f)),
-            "border": border_names,
+            "border": fmt(border),
         },
         "over_states": {
             "minimal": fmt(minimal),
         },
         "cover": {
-            "columns": list(border_names),
             "cover_counts": list(table.counts) if table is not None else [],
             "final_counts": final_counts,
             "selected": fmt(chosen),
-            "selection_mode": "exact" if options.exact_cover else "greedy",
         },
         "controller": {
             "no_constraints": not len(partition.m_f),

@@ -290,7 +290,15 @@ def parse_net_file(path) -> NetDocument:
 
 
 def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
-    """Canonical text form; `parse_net` inverts it exactly."""
+    """Canonical text form; `parse_net` inverts it exactly.  A name it
+    would not read back, or an empty explicit state, is a ValueError."""
+    for kind, names in (("net", [net.name]), ("place", net.places),
+                        ("transition", net.transitions)):
+        for name in names:
+            if (not _NAME_RE.match(name)
+                    or kind == "place" and name in _RESERVED):
+                raise ValueError("the text format cannot express the %s "
+                                 "name %r" % (kind, name))
     lines = ["net %s" % net.name]
     lines.append("places %s" % " ".join(net.places))
     lines.append("initial %s" % " ".join(

@@ -62,6 +62,10 @@ class SynthesisReport:
         def listing(items):
             return " ".join(items) if items else "-"
 
+        def counts(values):
+            # one count per border state, in the order listed above
+            return _vec(values) if values else "-"
+
         out = []
         w = out.append
         w("supervisor synthesis report")
@@ -89,14 +93,10 @@ class SynthesisReport:
         w("  minimal elements (%d): %s" % (len(minimal), listing(minimal)))
         w("")
         w("cover")
-        w("  columns: %s" % listing(cover["columns"]))
-        w("  candidate cover counts: %s"
-          % (_vec(cover["cover_counts"]) if cover["columns"] else "-"))
+        w("  candidate cover counts: %s" % counts(cover["cover_counts"]))
         w("  selected over-states (%d): %s"
           % (len(cover["selected"]), listing(cover["selected"])))
-        w("  final cover counts: %s"
-          % (_vec(cover["final_counts"]) if cover["columns"] else "-"))
-        w("  selection mode: %s" % cover["selection_mode"])
+        w("  final cover counts: %s" % counts(cover["final_counts"]))
         w("")
         w("controller")
         if ctl["no_constraints"]:

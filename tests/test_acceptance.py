@@ -38,6 +38,7 @@ from overseer.net import bit_rows, support
 from overseer.overstates import over_states
 
 from conftest import FAILURE_DIR
+from cover_reference import minimum_selection, reference_greedy, search_runs
 from netgen import random_spec, safe_net
 
 EXPECTED_AUTHORIZED = {"P1P3P6", "P2P3P6", "P1P3P7", "P1P4P7", "P1P5P7"}
@@ -233,14 +234,19 @@ def _check_generated_net(net, rg, spec, stats):
         return
     select_final_cover(table)
 
-    # (f) greedy result is a valid cover, never below the true minimum
-    assert check_final_coverage(table), "greedy cover left a column bare"
+    # (f) the selection is a valid cover, and a minimum one wherever
+    # the search for fewer rows runs
+    assert check_final_coverage(table), "selection left a column bare"
     selected = table.selected_rows()
-    if len(table.rows) <= 20:
-        exact = select_final_cover(
-            build_cover_table(table.rows, table.cols), exact=True)
-        assert len(selected) >= len(exact.picks), \
-            "greedy beat the exhaustive minimum"
+    _, picks, n_essential = reference_greedy(table.rows, table.cols)
+    searched = search_runs(table.rows, table.cols, picks, n_essential)
+    if searched:
+        stats["searched"] += 1
+        assert len(selected) == len(
+            minimum_selection(table.rows, table.cols)), \
+            "the search missed a smaller cover"
+    if len(selected) == len(picks) or not searched:
+        assert table.picks == picks, "greedy picks changed"
 
     # (c) selected constraints split authorized from border exactly
     weights, bounds = build_constraint_matrix(selected, net.n_places)

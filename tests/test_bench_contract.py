@@ -5,10 +5,12 @@ counts from their arguments and results; the benchmark's per-layer
 metrics are sums of those counts.  They must stay plain ints equal to
 the true sizes, or the benchmark's output is malformed.
 `perfbench/workloads.py` builds its nets through the library's
-`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.
+`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The two
+scripts in `benchmarks/` run here on their smallest sizes.
 """
 
 import random
+import runpy
 import sys
 from pathlib import Path
 
@@ -24,7 +26,8 @@ from overseer import (
 )
 
 ROOT = Path(__file__).parent.parent
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
+BENCH_DIRS = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
+sys.path[:0] = BENCH_DIRS
 import oracle  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -103,3 +106,22 @@ def test_workload_builders_run_through_the_pipeline():
         else:
             outcomes.add(result.closed.isomorphic)
     assert len(outcomes) > 1  # the cases do not all end the same way
+
+
+@pytest.mark.parametrize("argv", [
+    ["overstate_bench.py", "--max-k", "2", "--repeats", "1"],
+    ["reach_bench.py", "--max-rings", "2", "--repeats", "1"],
+])
+def test_benchmark_scripts_run(argv, monkeypatch, capsys):
+    # each script asserts its own counts, and overstate_bench checks its
+    # oracle at k=2.  It runs as from the command line: its own folder
+    # heads the path, and the modules this file imported from the bench
+    # folders are imported afresh, so a broken import fails here.
+    script = ROOT / "benchmarks" / argv[0]
+    monkeypatch.setattr(sys, "argv", [str(script)] + argv[1:])
+    monkeypatch.setattr(sys, "path", [str(script.parent)] + [
+        p for p in sys.path if p not in BENCH_DIRS])
+    for name in ("oracle", "spans", "workloads", "reach_bench"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

@@ -1,9 +1,6 @@
 """Cover table construction and final over-state selection."""
 
 import random
-from itertools import combinations
-
-import pytest
 
 from overseer import (
     build_cover_table,
@@ -11,18 +8,19 @@ from overseer import (
     select_final_cover,
 )
 from overseer import cover
-from overseer.errors import StateBudgetExceeded
 from overseer.net import support
+
+from cover_reference import (
+    cells,
+    minimum_selection,
+    reference_greedy,
+    search_runs,
+)
 
 
 def _m(places):
     """The mask of a set of places."""
     return sum(1 << p for p in set(places))
-
-
-def _covers(row, col):
-    """The row's places all lie in the column's."""
-    return not _m(row) & ~_m(col)
 
 
 def _table(rows, cols):
@@ -45,24 +43,24 @@ def test_cells_are_subset_tests(monkeypatch):
     rows = [[0], [1, 2], [0, 3], [4, 5, 6], []]
     cols = [[0, 1, 2, 3, 4, 5, 6, 7]] + [[i, (i + 1) % 8, (i + 3) % 8]
                                          for i in range(8)]
-    for cells in BOTH_PATHS:
-        monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
+    for vector in BOTH_PATHS:
+        monkeypatch.setattr(cover, "_VECTOR_CELLS", vector)
         t = _table([[0], [0, 1]], [[0, 1, 2], [0, 3]])
         assert _cells(t) == [[True, True], [True, False]]
         assert t.counts == [2, 1]
         t = _table(rows, cols)
-        assert _cells(t) == [[_covers(r, c) for c in cols] for r in rows]
+        assert _cells(t) == cells([_m(r) for r in rows],
+                                  [_m(c) for c in cols])
 
 
 def test_uncovered_column_detected():
     t = _table([[0], [1]], [[0, 1], [2, 3], [0, 4]])
     assert [support(m) for m in t.uncovered] == [(2, 3)]
-    # the selection covers the columns some row covers, in both modes
-    for exact in (False, True):
-        select_final_cover(t, exact=exact)
-        assert [support(m) for m in t.selected_rows()] == [(0,)]
-        assert check_final_coverage(t)
-        assert t.final_counts() == [1, 0, 1]
+    # the selection covers the columns some row covers
+    select_final_cover(t)
+    assert [support(m) for m in t.selected_rows()] == [(0,)]
+    assert check_final_coverage(t)
+    assert t.final_counts() == [1, 0, 1]
     assert _table([[0]], [[0, 1]]).uncovered == []
 
 
@@ -93,31 +91,23 @@ def test_tie_broken_by_smaller_then_lex():
     assert [support(m) for m in t2.selected_rows()] == [(1,)]
 
 
-def test_exact_mode_finds_minimum():
-    # greedy would pick the size-3 covering row plus one more; the
-    # minimum is two disjoint rows -- construct such a trap
-    rows = [[0, 1], [2, 3], [1, 2], [0], [3]]
-    cols = [[0, 1, 7], [1, 2, 7], [2, 3, 7], [0, 6, 7], [3, 6, 7]]
+def test_exact_mode_finds_minimum(monkeypatch):
+    # no row is essential, and greedy's first pick {0} is in no minimum
+    # cover: greedy takes {0} {3} {5}, the search finds {3} {5}
+    rows = [[0], [3], [4], [5], [1, 2]]
+    cols = [[2, 3, 4], [0, 1, 2, 3], [0, 2, 4, 5], [1, 2, 5]]
+    masks = [_m(r) for r in rows], [_m(c) for c in cols]
+    assert reference_greedy(*masks)[1:] == ([0, 1, 3], 0)
+    assert len(minimum_selection(*masks)) == 2
     t = _table(rows, cols)
-    select_final_cover(t, exact=True)
-    exact_size = len(t.picks)
-    assert sum(t.selected) == exact_size
-    # no selection of fewer rows covers every column
-    assert not any(
-        all(any(_covers(rows[i], c) for i in combo) for c in cols)
-        for combo in combinations(range(len(rows)), exact_size - 1))
-    t2 = _table(rows, cols)
-    select_final_cover(t2)
-    assert len(t2.picks) >= exact_size
-    assert check_final_coverage(t2)
-
-
-def test_exact_refuses_large_tables():
-    rows = [[i] for i in range(21)]
-    cols = [[i] for i in range(21)]
-    big = _table(rows, cols)
-    with pytest.raises(StateBudgetExceeded):
-        select_final_cover(big, exact=True)
+    select_final_cover(t)
+    assert [support(m) for m in t.selected_rows()] == [(3,), (5,)]
+    assert check_final_coverage(t)
+    assert t.final_counts() == [1, 1, 1, 1]
+    # sizes 1 and 2 of the 5 open rows: 5 + 10 subsets to try
+    for bound, picks in ((15, [1, 3]), (14, [0, 1, 3])):
+        monkeypatch.setattr(cover, "_SEARCH_SUBSETS", bound)
+        assert select_final_cover(_table(rows, cols)).picks == picks
 
 
 def test_empty_table_is_trivially_covered():
@@ -125,30 +115,6 @@ def test_empty_table_is_trivially_covered():
     select_final_cover(t)
     assert t.selected_rows() == []
     assert check_final_coverage(t)
-
-
-def _reference_greedy(rows, cols):
-    """The selection rule on a list-of-lists table, scanned in full:
-    cover counts, greedy picks, final counts."""
-    cells = [[_covers(r, c) for c in cols] for r in rows]
-    counts = [sum(row[j] for row in cells) for j in range(len(cols))]
-    picks = []
-    for j in range(len(cols)):
-        if counts[j] == 1:
-            i = next(i for i, row in enumerate(cells) if row[j])
-            if i not in picks:
-                picks.append(i)
-    covered = [any(cells[i][j] for i in picks) for j in range(len(cols))]
-    while not all(covered):
-        gains = [sum(row[j] and not covered[j] for j in range(len(cols)))
-                 for row in cells]
-        best = min((i for i in range(len(rows))
-                    if i not in picks and gains[i]),
-                   key=lambda i: (-gains[i], len(rows[i]), rows[i]))
-        picks.append(best)
-        covered = [c or cells[best][j] for j, c in enumerate(covered)]
-    final = [sum(cells[i][j] for i in picks) for j in range(len(cols))]
-    return counts, picks, final
 
 
 def test_greedy_vs_exact_on_random_tables(monkeypatch):
@@ -166,17 +132,26 @@ def test_greedy_vs_exact_on_random_tables(monkeypatch):
             rows.append(rng.sample(range(width), rng.randint(1, width)))
         rows = [tuple(sorted(r)) for r in rows]
         rows = [list(r) for r in dict.fromkeys(rows)]
-        counts, picks, final = _reference_greedy(rows, cols)
-        for cells in BOTH_PATHS:
-            monkeypatch.setattr(cover, "_VECTOR_CELLS", cells)
-            greedy = _table(rows, cols)
-            assert greedy.counts == counts
-            select_final_cover(greedy)
-            assert check_final_coverage(greedy)
-            assert greedy.picks == picks
-            assert greedy.selected == [i in picks for i in range(len(rows))]
-            assert greedy.final_counts() == final
-        exact = _table(rows, cols)
-        select_final_cover(exact, exact=True)
-        assert check_final_coverage(exact)
-        assert len(exact.picks) <= len(greedy.picks)
+        masks = [_m(r) for r in rows], [_m(c) for c in cols]
+        counts, picks, n_essential = reference_greedy(*masks)
+        searched = search_runs(*masks, picks, n_essential)
+        minimum = len(minimum_selection(*masks))
+        expected = cells(*masks)
+        for vector in BOTH_PATHS:
+            monkeypatch.setattr(cover, "_VECTOR_CELLS", vector)
+            t = _table(rows, cols)
+            assert t.counts == counts
+            select_final_cover(t)
+            assert check_final_coverage(t)
+            assert t.picks[:n_essential] == picks[:n_essential]
+            # a search that runs finds a minimum cover; greedy's picks
+            # stay when it does not run or finds nothing smaller
+            if searched:
+                assert len(t.picks) == minimum
+            if len(t.picks) == len(picks):
+                assert t.picks == picks
+            else:
+                assert searched and len(t.picks) < len(picks)
+            assert t.selected == [i in t.picks for i in range(len(rows))]
+            assert t.final_counts() == [
+                sum(expected[i][j] for i in t.picks) for j in range(len(cols))]

@@ -19,6 +19,7 @@ from overseer import (
 )
 from overseer.cli import _exit_code_for, main
 from overseer.errors import (
+    PnetError,
     StageFailure,
     StateBudgetExceeded,
     UncoverableState,
@@ -130,11 +131,11 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
 # say so.
 GOLDEN_DIGESTS = {
     "two_machines":
-        "c20c7ea8cb982ee49cfad9ecf4309aef973cdaa008ba038bdb1921ba58fbbbbc",
+        "852833daa40f3ab9d3113ea9962877e06ebb92cec46084c4035ae8008dc0a763",
     "drop_job --fallback":
-        "663156a88aecbe43a9247f15024100bbfb5db1319c4a6d9d39a374b0ce560af0",
+        "33b418edce3c50d2b7ebe7249333c2b3a0f50460cd569c7a1816458dad950b1b",
     "two_machines x2":
-        "55e442364fb7e8161817c858d08494fbe057d390e7785301b461a94a9fb66cfd",
+        "90b556d343f8f965fd7623799f55eae851824aedce059551dbe4c26322080707",
 }
 
 
@@ -155,11 +156,11 @@ def test_golden_digests(two_machines, drop_job):
 # text layout.
 GOLDEN_TEXT = {
     "two_machines":
-        "3db9ec009ef761b1b20834282c6e1210801655bf5385e220f5e3804357de4d09",
+        "bdb71381d4f08f79e694ce257e4be536af03d92cbe4d560cf60a75f858e9de90",
     "drop_job --fallback":
-        "1a7c5c6ea763568e634ed276fb56c066cbf17872209b841e04cb1f35dd528863",
+        "46f5fb8d09df188382b231d42f4f97fec5ef526c41d43fbe404315c525729393",
     "two_machines x2":
-        "461cb99c75ed1cac6c90dcaf50ba58cf64b22873959d1d93b0701b3dc01a5220",
+        "293290551b8ce7b11b24b2d033ce6d59793dbe66bc7fb64193615f2ce84f9468",
 }
 
 
@@ -228,15 +229,6 @@ def test_pipeline_builds_no_markings(two_machines, drop_job, monkeypatch):
     result = run_pipeline(drop_job, PipelineOptions(fallback=True))
     assert result.report.to_dict()["fallback"]["used"]
     assert built == []
-
-
-def test_pipeline_exact_cover_matches_greedy_here(two_machines):
-    result = run_pipeline(
-        two_machines, PipelineOptions(exact_cover=True)
-    )
-    cover = result.report.to_dict()["cover"]
-    assert sorted(cover["selected"]) == ["P2P7", "P4P6"]
-    assert cover["selection_mode"] == "exact"
 
 
 def test_pipeline_state_budget_bounds_over_states():
@@ -401,17 +393,13 @@ def test_cli_over_state_budget(tmp_path, capsys):
     assert "over-states" in capsys.readouterr().err
 
 
-def test_cli_exact_cover_beyond_row_limit(tmp_path, capsys):
-    # 32 minimal over-states: more rows than the exhaustive search takes
-    net = tmp_path / "pairs.pnet"
-    net.write_text(PAIRS)
-    rc = main([str(net), "--exact-cover"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "overseer: error: cover: exact cover is exhaustive; "
-        "refusing 32 rows (limit 20)"
-    ]
+def test_cli_exact_cover_is_unknown(two_machines_path, capsys):
+    # the cover looks for fewer rows itself; no switch selects a path
+    with pytest.raises(SystemExit) as exc:
+        main([str(two_machines_path), "--exact-cover"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --exact-cover"
+            in capsys.readouterr().err)
 
 
 def test_unknown_place_in_forbidden_expr(tmp_path, capsys, two_machines):
@@ -431,6 +419,20 @@ def test_unknown_place_in_forbidden_expr(tmp_path, capsys, two_machines):
         run_pipeline(doc)
     assert err.value.stage == "partition"
     assert isinstance(err.value.cause, UnknownPlaceName)
+    assert _exit_code_for(err.value) == 2
+
+
+def test_explicit_state_of_another_width_fails_at_partition():
+    # a spec built through the library: 3 bits for a 2-place net
+    net = parse_net("net n\nplaces A B\ninitial A\n"
+                    "transition t controllable { in A ; out B }\n").net
+    doc = NetDocument(net, BadStateSpec(explicit=(Marking(3, 2),)))
+    with pytest.raises(StageFailure) as err:
+        run_pipeline(doc)
+    assert err.value.stage == "partition"
+    assert isinstance(err.value.cause, PnetError)
+    assert str(err.value) == ("partition: explicit bad marking has 3 bits, "
+                              "net has 2 places")
     assert _exit_code_for(err.value) == 2
 
 

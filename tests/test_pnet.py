@@ -1,10 +1,11 @@
 """.pnet text format: parsing, validation errors, canonical round-trip."""
 
 import random
+import re
 
 import pytest
 
-from overseer import parse_net, serialize_net
+from overseer import Marking, PetriNet, parse_net, serialize_net
 from overseer.errors import PnetSyntaxError, UnknownPlaceName
 
 from netgen import random_spec, safe_net
@@ -311,3 +312,24 @@ def test_round_trip_random_nets():
         assert doc.net == net
         assert doc.spec == spec
         assert serialize_net(doc.net, doc.spec) == text
+
+
+@pytest.mark.parametrize("name, places, transition, message", [
+    ("n", ["A", "state"], "t",
+     "the text format cannot express the place name 'state'"),
+    ("n", ["A", "true"], "t",
+     "the text format cannot express the place name 'true'"),
+    ("n", ["A", "B C"], "t",
+     "the text format cannot express the place name 'B C'"),
+    ("n", ["A", "B"], "1t",
+     "the text format cannot express the transition name '1t'"),
+    ("my net", ["A", "B"], "t",
+     "the text format cannot express the net name 'my net'"),
+])
+def test_serialize_refuses_names_parse_cannot_read(name, places, transition,
+                                                   message):
+    # a library-built net may hold names the text format cannot carry
+    net = PetriNet(name, places, [transition], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        serialize_net(net)
