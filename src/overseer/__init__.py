@@ -36,7 +36,6 @@ from .net import (
     ReachabilityGraph,
     build_reachability_graph,
     canonical_order,
-    reachability_backend,
 )
 from .overstates import (
     minimal_elements,
@@ -110,7 +109,6 @@ __all__ = [
     "partition_states",
     "predicate_places",
     "prune_authorized",
-    "reachability_backend",
     "run_pipeline",
     "select_final_cover",
     "serialize_net",

@@ -5,11 +5,11 @@ Exit codes: 0 success, 2 unreadable or invalid input (including a
 non-safe plant and a blown budget in reach or over-states), 3
 synthesis impossible for the model, 4 a border state no over-state can
 express (rerun with --fallback for an over-restrictive controller), 5
-the closed loop failed verification.  When the fallback was used, 0
-also covers its over-restrictive closed loop, provided the place
-invariant holds, no control place disables an uncontrollable transition
-and no unauthorized state is reached.  An output file that cannot be
-written exits 2.
+the closed loop failed verification.  Success is a closed loop that is
+`isomorphic`: the authorized states the plant reaches through
+authorized states, with all their firings among them.  When the
+fallback was used, 0 also covers its over-restrictive closed loop,
+provided it is `sound`.  An output file that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -162,19 +162,16 @@ def main(argv=None) -> int:
             return EXIT_INPUT
 
     closed = result.closed
-    if closed.isomorphic:
+    # the fallback controller is over-restrictive by design: it may block
+    # authorized states, but must still be a sound supervisor
+    if closed.isomorphic or (result.fallback_used and closed.sound):
         return EXIT_OK
-    if not result.fallback_used:
+    if result.fallback_used:
+        print("overseer: error: the over-restrictive fallback controller "
+              "failed verification", file=sys.stderr)
+    else:
         print("overseer: error: closed loop is not isomorphic to the "
               "authorized behavior", file=sys.stderr)
-        return EXIT_VERIFY
-    # the fallback controller is over-restrictive by design: it may miss
-    # authorized states, but must still be a sound, admissible supervisor
-    if (closed.invariant_ok and not closed.admissibility_violations
-            and not closed.extra_states):
-        return EXIT_OK
-    print("overseer: error: the over-restrictive fallback controller "
-          "failed verification", file=sys.stderr)
     return EXIT_VERIFY
 
 

@@ -24,7 +24,6 @@ from .net import (
     DEFAULT_STATE_BUDGET,
     ReachabilityGraph,
     build_reachability_graph,
-    reachability_backend,
 )
 from .overstates import (
     minimal_elements,
@@ -54,7 +53,6 @@ class PipelineOptions:
 @dataclass
 class PipelineResult:
     doc: NetDocument
-    options: PipelineOptions
     rg: ReachabilityGraph
     partition: StatePartition
     table: CoverTable | None
@@ -173,7 +171,6 @@ def run_pipeline(doc: NetDocument,
     )
     return PipelineResult(
         doc=doc,
-        options=options,
         rg=rg,
         partition=partition,
         table=table,
@@ -252,9 +249,6 @@ def _assemble_report(doc, rg, partition, minimal, border, table,
             "edge_mismatches": list(closed.edge_mismatches),
             "max_control_marking": list(closed.max_control_marking),
             "notes": list(closed.notes),
-        },
-        "environment": {
-            "reachability_kernel": reachability_backend(net.n_places),
         },
         "timings": [{"stage": stage, "seconds": round(seconds, 6)}
                     for stage, seconds in timings],

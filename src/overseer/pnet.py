@@ -290,8 +290,9 @@ def parse_net_file(path) -> NetDocument:
 
 
 def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
-    """Canonical text form; `parse_net` inverts it exactly.  A name it
-    would not read back, or an empty explicit state, is a ValueError."""
+    """Canonical text form; `parse_net` inverts it exactly.  A name or
+    an expr it would not read back, or an empty explicit state, is a
+    ValueError."""
     for kind, names in (("net", [net.name]), ("place", net.places),
                         ("transition", net.transitions)):
         for name in names:
@@ -318,6 +319,9 @@ def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
     if spec is not None:
         lines.append("forbidden {")
         if spec.expr is not None:
+            if spec.expr.splitlines() != [spec.expr]:
+                raise ValueError("the text format cannot express an expr "
+                                 "that spans lines: %r" % spec.expr)
             lines.append('  expr "%s"' % spec.expr)
         if spec.include_deadlocks:
             lines.append("  deadlock")

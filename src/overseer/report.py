@@ -1,9 +1,8 @@
 """Synthesis report: one structured text document plus a JSON twin.
 
 Both carry the same content in the same order.  The canonical digest is
-a sha256 over the content with volatile keys (timings, environment)
-removed, so reruns on the same input are digest-identical no matter
-which reachability kernel ran or how long the stages took.
+a sha256 over the content with the volatile timings removed, so reruns
+on the same input are digest-identical however long the stages took.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 import json
 from functools import cached_property
 
-VOLATILE_KEYS = ("timings", "environment")
+VOLATILE_KEYS = ("timings",)
 
 
 def canonical_digest(payload: dict) -> str:
@@ -29,10 +28,11 @@ def _vec(values) -> str:
 class SynthesisReport:
     """What one run found: one JSON-ready payload dict with the sections
     `net`, `partition`, `over_states`, `cover`, `controller`,
-    `fallback`, `closed_loop`, `environment` and `timings`.  `digest`,
-    `to_dict`, `render_text` and `render_json` all read it; the digest
-    is taken on first use, so change nothing in the payload after
-    that."""
+    `fallback`, `closed_loop` and `timings`.  `closed_loop.isomorphic`
+    is `ClosedLoopReport.isomorphic`: the closed loop keeps every
+    state a supervisor can keep and no other.  `digest`, `to_dict`,
+    `render_text` and `render_json` all read the payload; the digest is
+    taken on first use, so change nothing in the payload after that."""
 
     def __init__(self, payload: dict):
         self._payload = payload
@@ -142,11 +142,6 @@ class SynthesisReport:
             w("  max control marking: %s" % _vec(cl["max_control_marking"]))
         for note in cl["notes"]:
             w("  note: %s" % note)
-        w("")
-        w("environment")
-        env = p["environment"]
-        for key in sorted(env):
-            w("  %s: %s" % (key, env[key]))
         w("")
         w("timings")
         for t in p["timings"]:

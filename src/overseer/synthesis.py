@@ -201,14 +201,14 @@ class ClosedLoopReport:
     Closed-loop state i is plant marking `projections[i]` (an int mask)
     with control marking `control_markings[i]`; `edges` is an (E, 3)
     array of (source, transition, target) rows in closed-loop state ids.
-    `missing_authorized` and `extra_states` are marking masks too.
+    `missing_authorized` and `extra_states` are marking masks too; the
+    first is a diagnostic and decides nothing.
     """
 
     state_count: int
     projections: list[int]
     control_markings: np.ndarray  # state_count x k, a narrow int type
     edges: np.ndarray             # E x 3
-    isomorphic: bool
     missing_authorized: list[int]
     extra_states: list[int]
     edge_mismatches: list[str]
@@ -216,6 +216,20 @@ class ClosedLoopReport:
     invariant_ok: bool
     max_control_marking: tuple[int, ...]
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def sound(self) -> bool:
+        """The invariant holds, and no forbidden state is reached and no
+        uncontrollable firing blocked."""
+        return (self.invariant_ok and not self.extra_states
+                and not self.admissibility_violations)
+
+    @property
+    def isomorphic(self) -> bool:
+        """Sound, and each state reached allows exactly its firings into
+        authorized states: the loop is the authorized states m0 reaches
+        through authorized states, the most any supervisor can keep."""
+        return self.sound and not self.edge_mismatches
 
 
 def _walk(offsets, dst, admitted):
@@ -252,10 +266,11 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     marking at m0 must be `controller.initial`, and every edge leaving
     a closed-loop state, blocked ones included, must change it by the
     control incidence (so a wrong entry fails the check even on a
-    transition the closed loop never fires).  The projections (control
-    places dropped) must be exactly the authorized states with matching
-    enabled transitions, and no control place may ever be the sole
-    disabler of an uncontrollable transition."""
+    transition the closed loop never fires).  Then it lists the states
+    reached that are not authorized, the firings at authorized states
+    allowed into a forbidden state or blocked into an authorized one,
+    the uncontrollable firings a control place alone blocks, and the
+    authorized states not reached."""
     n = rg.n_states
     k = controller.k
     masks = rg.masks
@@ -344,8 +359,6 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
                     transition=t, state=masks[s],
                 ))
 
-    isomorphic = invariant_ok and not (missing or extra or edge_mismatches)
-
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):
         feeders = [name for name, d in zip(controller.place_names, col)
@@ -365,7 +378,6 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         projections=[masks[s] for s in order.tolist()],
         control_markings=control_markings,
         edges=edges,
-        isomorphic=isomorphic,
         missing_authorized=missing,
         extra_states=extra,
         edge_mismatches=edge_mismatches,

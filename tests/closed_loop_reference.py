@@ -6,7 +6,9 @@ This is the slow, direct construction of the closed loop: every
 composite state carries its own control marking, which is updated by
 the control incidence on every firing.  It is used only as a test
 oracle for `overseer.synthesis.verify_closed_loop`, which reads the
-closed loop off the plant graph instead.
+closed loop off the plant graph instead.  `authorized_reachable` is the
+optimal supervisor it is judged against: R, the authorized states the
+plant reaches through authorized states only.
 """
 
 from __future__ import annotations
@@ -18,6 +20,21 @@ import numpy as np
 from overseer.errors import VerificationFailure
 from overseer.net import bit_rows, support
 from overseer.synthesis import AdmissibilityViolation, ClosedLoopReport
+
+
+def authorized_reachable(rg, partition):
+    """Brute-force optimal supervisor: the state ids reached from m0 by
+    following only edges that stay inside the authorized set."""
+    authorized = set(partition.m_a.tolist())
+    seen = {0}
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for d in rg.dst[rg.offsets[s]:rg.offsets[s + 1]].tolist():
+            if d in authorized and d not in seen:
+                seen.add(d)
+                stack.append(d)
+    return frozenset(seen)
 
 
 def explore_closed_loop(net, controller):
@@ -53,8 +70,8 @@ def explore_closed_loop(net, controller):
 
 
 def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
-    """The closed-loop checks on the composite exploration, reported in
-    the same form as `verify_closed_loop`."""
+    """The closed-loop findings on the composite exploration, reported
+    in the same form as `verify_closed_loop`."""
     states, edges = explore_closed_loop(net, controller)
     k = controller.k
     proj_masks = [mask for mask, _ in states]
@@ -124,8 +141,6 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
         control_markings=np.array(control_markings,
                                   dtype=np.int64).reshape(len(states), k),
         edges=np.array(edges, dtype=np.intp).reshape(len(edges), 3),
-        isomorphic=(not missing and not extra and not edge_mismatches
-                    and invariant_ok),
         missing_authorized=missing,
         extra_states=extra,
         edge_mismatches=edge_mismatches,

@@ -3,8 +3,9 @@
 Each criterion prints exactly one PASS/FAIL line (straight to the real
 stdout so the lines survive pytest's capture).  Golden values for the
 two-machine example are exact; the randomized suite runs 500 generated
-safe nets and persists any counterexample under tests/failures/ for
-triage.
+safe nets, then two fixed nets that reach the cover search, and
+persists any counterexample among the generated ones under
+tests/failures/ for triage.
 """
 
 import random
@@ -23,6 +24,7 @@ from overseer import (
     check_final_coverage,
     minimal_elements,
     overstate_union,
+    parse_net,
     parse_net_file,
     partition_states,
     prune_authorized,
@@ -37,6 +39,7 @@ from overseer.errors import ForbiddenInitialMarking, StageFailure
 from overseer.net import bit_rows, support
 from overseer.overstates import over_states
 
+from closed_loop_reference import authorized_reachable
 from conftest import FAILURE_DIR
 from cover_reference import minimum_selection, reference_greedy, search_runs
 from netgen import random_spec, safe_net
@@ -57,6 +60,31 @@ EXPECTED_CTRL_INITIAL = [0, 1]
 
 PROPERTY_NETS = 500
 PROPERTY_SEED = 101
+
+# Two nets on which greedy picks 2 rows, none of them essential, so the
+# search for fewer rows runs (and finds that 2 is the minimum).  No
+# drawn net of the property suite reaches the search.
+SEARCH_NETS = ["""\
+net gen
+places P1 P2 P3 P4 P5 P6 P7 P8 P9 P10
+initial P9 P10
+transition t1 controllable { in P10 ; out P4 P5 }
+transition t2 controllable { in P9 P10 ; out P1 P3 }
+transition t3 controllable { in P8 ; out }
+forbidden {
+  expr "!P10"
+}
+""", """\
+net gen
+places P1 P2 P3 P4 P5 P6 P7 P8
+initial P4 P5 P6
+transition t1 controllable { in P5 P6 ; out P2 P7 }
+transition t2 controllable { in P6 ; out P3 P8 }
+forbidden {
+  deadlock
+  state P2 P4 P7
+}
+"""]
 
 
 def _announce(label, ok):
@@ -177,21 +205,6 @@ def _persist_counterexample(name, net, spec):
     return path
 
 
-def _authorized_reachable(rg, partition):
-    """Brute-force optimal supervisor: follow only edges that stay
-    inside the authorized set."""
-    authorized = set(partition.m_a.tolist())
-    seen = {0}
-    stack = [0]
-    while stack:
-        s = stack.pop()
-        for d in rg.dst[rg.offsets[s]:rg.offsets[s + 1]].tolist():
-            if d in authorized and d not in seen:
-                seen.add(d)
-                stack.append(d)
-    return frozenset(seen)
-
-
 def _check_generated_net(net, rg, spec, stats):
     try:
         partition = partition_states(rg, spec)
@@ -265,16 +278,17 @@ def _check_generated_net(net, rg, spec, stats):
     # (d) the defining place invariant holds on every reachable state
     assert closed.invariant_ok, "place invariant broken"
 
-    # (e) differential against the brute-force supervisor
-    oracle = _authorized_reachable(rg, partition)
+    # (e) differential against the brute-force supervisor: the closed
+    # loop is R, the whole authorized set or, where the plant reaches
+    # some authorized states only through forbidden ones, less
+    oracle = authorized_reachable(rg, partition)
     oracle_masks = {rg.masks[s] for s in oracle}
     assert set(closed.projections) == oracle_masks, \
         "closed loop differs from the RG-filtered supervisor"
     assert not closed.admissibility_violations, \
         "supervisor had to disable an uncontrollable transition"
+    assert closed.isomorphic, "closed loop verified as not isomorphic"
     if oracle == frozenset(partition.m_a.tolist()):
-        assert closed.isomorphic, "full cover must give the whole " \
-            "authorized set"
         stats["isomorphic"] += 1
     else:
         stats["authorized_unreachable"] += 1
@@ -313,11 +327,16 @@ def test_criterion_6_property_suite():
                 path = _persist_counterexample("case_%05d" % i, net, spec)
                 failures.append("%s (%s)" % (path.name, exc))
         assert not failures, "counterexamples persisted: %s" % failures
+        for text in SEARCH_NETS:
+            doc = parse_net(text)
+            _check_generated_net(doc.net, build_reachability_graph(doc.net),
+                                 doc.spec, stats)
         # the draw must exercise the interesting paths, not skirt them
         assert stats["synthesized"] >= 120, dict(stats)
         assert stats["isomorphic"] >= 80, dict(stats)
         assert stats["uncoverable"] >= 50, dict(stats)
         assert stats["m0_forbidden"] >= 20, dict(stats)
+        assert stats["searched"] >= 2, dict(stats)
         print("  property suite coverage: %s" % dict(stats),
               file=sys.__stdout__, flush=True)
 

@@ -5,8 +5,10 @@ counts from their arguments and results; the benchmark's per-layer
 metrics are sums of those counts.  They must stay plain ints equal to
 the true sizes, or the benchmark's output is malformed.
 `perfbench/workloads.py` builds its nets through the library's
-`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The two
-scripts in `benchmarks/` run here on their smallest sizes.
+`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The first
+nets of the random-batch pool go through the benchmark's own calls and
+answer checks.  The two scripts in `benchmarks/` run here on their
+smallest sizes.
 """
 
 import random
@@ -29,6 +31,7 @@ ROOT = Path(__file__).parent.parent
 BENCH_DIRS = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 sys.path[:0] = BENCH_DIRS
 import oracle  # noqa: E402
+import run as bench_run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from reach_bench import ring_net  # noqa: E402
@@ -106,6 +109,16 @@ def test_workload_builders_run_through_the_pipeline():
         else:
             outcomes.add(result.closed.isomorphic)
     assert len(outcomes) > 1  # the cases do not all end the same way
+
+
+def test_random_batch_slice_passes_the_benchmark_check(tmp_path):
+    pool = bench_run.random_pool(bench_run.RANDOM_POOL_SEED, 100)
+    calls = [bench_run.run_one(path, check, tmp_path / "r.json")[0]
+             for _, path, check in bench_run.random_source(pool, 0, 1,
+                                                           tmp_path)]
+    assert len(calls) == 100
+    assert [c.rc for c in calls if c.failed] == []
+    assert [c.wrong for c in calls if c.wrong] == []
 
 
 @pytest.mark.parametrize("argv", [

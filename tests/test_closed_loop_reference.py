@@ -26,7 +26,7 @@ from overseer.errors import ForbiddenInitialMarking, InitialMarkingViolation, St
 from overseer.net import support as places_of
 from overseer.synthesis import Controller
 
-from closed_loop_reference import reference_verify
+from closed_loop_reference import authorized_reachable, reference_verify
 from netgen import copies, random_spec, safe_net
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
@@ -41,8 +41,9 @@ def _violations(report):
 
 
 def assert_matches_reference(net, controller, partition, rg):
-    """verify_closed_loop gives what the composite exploration gives;
-    returns the report."""
+    """verify_closed_loop gives what the composite exploration gives,
+    and calls the loop isomorphic exactly when it keeps the invariant
+    and its states are R; returns the report."""
     got = verify_closed_loop(net, controller, partition, rg)
     ref = reference_verify(net, controller, partition, rg)
     assert got.state_count == ref.state_count
@@ -54,7 +55,8 @@ def assert_matches_reference(net, controller, partition, rg):
     assert got.edge_mismatches == ref.edge_mismatches
     assert _violations(got) == _violations(ref)
     assert got.invariant_ok == ref.invariant_ok
-    assert got.isomorphic == ref.isomorphic
+    r = {rg.masks[s] for s in authorized_reachable(rg, partition)}
+    assert got.isomorphic == (ref.invariant_ok and set(ref.projections) == r)
     assert got.max_control_marking == ref.max_control_marking
     return got
 

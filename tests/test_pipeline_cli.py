@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import overseer.net
+import overseer.pipeline
 from overseer import (
     BadStateSpec,
     Marking,
@@ -156,11 +157,11 @@ def test_golden_digests(two_machines, drop_job):
 # text layout.
 GOLDEN_TEXT = {
     "two_machines":
-        "bdb71381d4f08f79e694ce257e4be536af03d92cbe4d560cf60a75f858e9de90",
+        "0fef4d194344fe274b88742855140c6126b57b2468addd202096385d5b43811b",
     "drop_job --fallback":
-        "46f5fb8d09df188382b231d42f4f97fec5ef526c41d43fbe404315c525729393",
+        "c7b1d9aaa9d646cd4da314352157b35fa42d98aaf5ac635e5270cecd8b251c7d",
     "two_machines x2":
-        "293290551b8ce7b11b24b2d033ce6d59793dbe66bc7fb64193615f2ce84f9468",
+        "0292ef709dd90f3a7a7c7d3bb42aa84f1883f0bc8b07c2251e5c23b94ac8c4c0",
 }
 
 
@@ -465,22 +466,42 @@ def test_cli_fallback_turns_exit_4_into_0(drop_job_path, tmp_path, capsys):
     assert "Pc1" in doc.net.places
 
 
-def test_cli_unreachable_authorized_state_is_exit_5(tmp_path, capsys):
+def test_cli_authorized_state_behind_forbidden_is_exit_0(tmp_path, capsys):
+    # no supervisor keeps B, which the plant reaches only through the
+    # forbidden A: the loop that stops at Q is the most that can be kept
     net = tmp_path / "three.pnet"
     net.write_text(THREE_STEP)
-    rc = main([str(net)])
-    assert rc == 5
-    assert "not isomorphic" in capsys.readouterr().err
+    rc = main([str(net), "--report", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    closed = json.loads((tmp_path / "r.json").read_text())["closed_loop"]
+    assert closed["missing_authorized"] == ["B"]
+    assert closed["isomorphic"]
 
 
-def test_cli_fallback_does_not_hide_unverified_loop(tmp_path, capsys):
-    # no border state is uncoverable, so the fallback is not used and
-    # the loop that misses B fails as it does without --fallback
-    net = tmp_path / "three.pnet"
-    net.write_text(THREE_STEP)
-    rc = main([str(net), "--fallback"])
-    assert rc == 5
-    assert "not isomorphic" in capsys.readouterr().err
+def test_cli_fallback_does_not_hide_unverified_loop(two_machines_path,
+                                                    monkeypatch, capsys):
+    # no border state is uncoverable, so the fallback is not used, and a
+    # loop that fails fails as it does without --fallback: a bound
+    # loosened by one lets it into forbidden states, and a bound
+    # tightened by one makes it sound but blocks an authorized firing
+    build = overseer.pipeline.build_constraint_matrix
+    for row, change, finding in ((0, 1, "unexpected states: "),
+                                 (1, -1, "edge mismatch: two_machines "
+                                         "misses c1 at P1P3P6")):
+        def changed(*args, row=row, change=change):
+            weights, bounds = build(*args)
+            bounds[row] += change
+            return weights, bounds
+
+        monkeypatch.setattr(overseer.pipeline, "build_constraint_matrix",
+                            changed)
+        for flags in ([], ["--fallback"]):
+            assert main([str(two_machines_path)] + flags) == 5
+            captured = capsys.readouterr()
+            assert "isomorphic to authorized subgraph: no" in captured.out
+            assert finding in captured.out
+            assert "not isomorphic" in captured.err
 
 
 def test_cli_inadmissible_fallback_is_exit_5(drop_job_path, tmp_path,

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from overseer import Marking, PetriNet, parse_net, serialize_net
+from overseer import BadStateSpec, Marking, PetriNet, parse_net, serialize_net
 from overseer.errors import PnetSyntaxError, UnknownPlaceName
 
 from netgen import random_spec, safe_net
@@ -333,3 +333,24 @@ def test_serialize_refuses_names_parse_cannot_read(name, places, transition,
                    Marking.from_support(2, [0]))
     with pytest.raises(ValueError, match=re.escape(message)):
         serialize_net(net)
+
+
+@pytest.mark.parametrize("space", ["\n", "\r", "\r\n", "\x0b", "\x0c",
+                                   "\x1c", "\x85", "\u2028", "\u2029"])
+def test_serialize_refuses_expr_across_lines(space):
+    # the predicate reads every line break as a space, but a quoted
+    # string of the text format ends at its line
+    net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    spec = BadStateSpec(expr="A%s| B" % space)
+    with pytest.raises(ValueError, match="cannot express an expr that "
+                                         "spans lines"):
+        serialize_net(net, spec)
+
+
+def test_serialize_keeps_tab_in_expr():
+    net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    spec = BadStateSpec(expr="A\t| B")
+    doc = parse_net(serialize_net(net, spec))
+    assert doc.spec == spec
