@@ -4,12 +4,11 @@ report and optional artifacts.
 Exit codes: 0 success, 2 unreadable or invalid input (including a
 non-safe plant and a blown budget in reach or over-states), 3
 synthesis impossible for the model, 4 a border state no over-state can
-express (rerun with --fallback for an over-restrictive controller), 5
+express (rerun with --fallback to forbid it by an exact constraint), 5
 the closed loop failed verification.  Success is a closed loop that is
 `isomorphic`: the authorized states the plant reaches through
-authorized states, with all their firings among them.  When the
-fallback was used, 0 also covers its over-restrictive closed loop,
-provided it is `sound`.  An output file that cannot be written exits 2.
+authorized states, with all their firings among them.  An output file
+that cannot be written exits 2.
 """
 
 from __future__ import annotations
@@ -77,8 +76,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "or the over-state search holds more than N "
                         "minimal transversals; N >= 1 (default %(default)s)")
     p.add_argument("--fallback", action="store_true",
-                   help="on uncoverable border states, emit an "
-                        "over-restrictive controller instead of failing")
+                   help="forbid each border state no over-state covers "
+                        "by its own exact constraint instead of failing")
     return p
 
 
@@ -161,17 +160,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_INPUT
 
-    closed = result.closed
-    # the fallback controller is over-restrictive by design: it may block
-    # authorized states, but must still be a sound supervisor
-    if closed.isomorphic or (result.fallback_used and closed.sound):
+    if result.closed.isomorphic:
         return EXIT_OK
-    if result.fallback_used:
-        print("overseer: error: the over-restrictive fallback controller "
-              "failed verification", file=sys.stderr)
-    else:
-        print("overseer: error: closed loop is not isomorphic to the "
-              "authorized behavior", file=sys.stderr)
+    print("overseer: error: closed loop is not isomorphic to the "
+          "authorized behavior", file=sys.stderr)
     return EXIT_VERIFY
 
 

@@ -17,58 +17,57 @@ def _quote(s: str) -> str:
     return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _digraph(net: PetriNet, title: str, node_style: str, nodes,
+             edges) -> str:
+    """The DOT text of a state graph: `nodes` holds the attributes of
+    state i at index i, and `edges` the (source, transition, target)
+    rows, drawn with the transition's name and dashed when it is
+    uncontrollable."""
+    out = ["digraph %s {" % _quote(title),
+           "  rankdir=TB;",
+           "  node [%s];" % node_style,
+           '  edge [fontname="Helvetica"];',
+           '  __init [shape=point, width=0.12, label=""];']
+    out += ["  s%d [%s];" % (sid, attrs) for sid, attrs in enumerate(nodes)]
+    out.append("  __init -> s0;")
+    for s, t, d in edges.tolist():
+        dashed = "" if net.controllable[t] else ", style=dashed"
+        out.append("  s%d -> s%d [label=%s%s];"
+                   % (s, d, _quote(net.transitions[t]), dashed))
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
 def rg_to_dot(rg: ReachabilityGraph,
               partition: StatePartition | None = None,
               title: str | None = None) -> str:
     net = rg.net
-    out = ["digraph %s {" % _quote(title or net.name)]
-    out.append("  rankdir=TB;")
-    out.append('  node [shape=ellipse, style=filled, fontname="Helvetica"];')
-    out.append('  edge [fontname="Helvetica"];')
-    out.append('  __init [shape=point, width=0.12, label=""];')
     style = ['fillcolor="white"'] * rg.n_states
     if partition is not None:
         for sid in partition.m_f.tolist():
             style[sid] = 'fillcolor="gray25", fontcolor="white"'
         for sid in partition.m_b.tolist():
             style[sid] += ", peripheries=2"
-    for sid, (mask, attrs) in enumerate(zip(rg.masks, style)):
-        out.append("  s%d [label=%s, %s];"
-                   % (sid, _quote(net.format_mask(mask)), attrs))
-    out.append("  __init -> s0;")
-    for s, t, d in rg.edges.tolist():
-        attrs = ["label=%s" % _quote(net.transitions[t])]
-        if not net.controllable[t]:
-            attrs.append("style=dashed")
-        out.append("  s%d -> s%d [%s];" % (s, d, ", ".join(attrs)))
-    out.append("}")
-    return "\n".join(out) + "\n"
+    nodes = ["label=%s, %s" % (_quote(name), attrs)
+             for name, attrs in zip(net.format_masks(rg.masks), style)]
+    return _digraph(net, title or net.name,
+                    'shape=ellipse, style=filled, fontname="Helvetica"',
+                    nodes, rg.edges)
 
 
 def closed_loop_to_dot(net: PetriNet, controller: Controller,
                        report: ClosedLoopReport) -> str:
     """The controlled state space; labels show the plant projection and,
     when control places exist, their token counts."""
-    out = ["digraph %s {" % _quote(net.name + "_controlled")]
-    out.append("  rankdir=TB;")
-    out.append('  node [shape=ellipse, style=filled, fillcolor="white", '
-               'fontname="Helvetica"];')
-    out.append('  edge [fontname="Helvetica"];')
-    out.append('  __init [shape=point, width=0.12, label=""];')
-    for sid, (mask, ctrl) in enumerate(
-            zip(report.projections, report.control_markings.tolist())):
-        label = net.format_mask(mask)
+    nodes = []
+    for name, ctrl in zip(net.format_masks(report.projections),
+                          report.control_markings.tolist()):
         if ctrl:
-            label += "\\n%s" % " ".join(
-                "%s=%d" % (name, c)
-                for name, c in zip(controller.place_names, ctrl)
+            name += "\\n%s" % " ".join(
+                "%s=%d" % (place, c)
+                for place, c in zip(controller.place_names, ctrl)
             )
-        out.append('  s%d [label="%s"];' % (sid, label))
-    out.append("  __init -> s0;")
-    for s, t, d in report.edges.tolist():
-        attrs = ["label=%s" % _quote(net.transitions[t])]
-        if not net.controllable[t]:
-            attrs.append("style=dashed")
-        out.append("  s%d -> s%d [%s];" % (s, d, ", ".join(attrs)))
-    out.append("}")
-    return "\n".join(out) + "\n"
+        nodes.append('label="%s"' % name)
+    return _digraph(net, net.name + "_controlled",
+                    'shape=ellipse, style=filled, fillcolor="white", '
+                    'fontname="Helvetica"', nodes, report.edges)

@@ -59,9 +59,10 @@ class UncontrollableBreach(OverseerError):
 
 
 class UncoverableState(OverseerError):
-    """Some border state is covered by no candidate over-state, so a
-    maximally permissive token-sum supervisor does not exist.
-    `uncovered` holds those border states as int masks."""
+    """Some border state is covered by no candidate over-state, so no
+    supervisor of 0/1 token-sum rows is maximally permissive (the
+    fallback's signed exact rows are).  `uncovered` holds those border
+    states as int masks."""
 
     def __init__(self, message, uncovered=()):
         super().__init__(message)

@@ -59,7 +59,6 @@ class PipelineResult:
     controller: Controller
     closed: ClosedLoopReport
     report: SynthesisReport
-    fallback_used: bool
 
 
 class _Stages:
@@ -123,10 +122,7 @@ def run_pipeline(doc: NetDocument,
         def _cover_stage():
             tbl = build_cover_table(minimal, border)
             uncovered = tbl.uncovered
-            # the fallback forbids each uncovered border state outright
-            # with a full-support constraint, which an empty marking
-            # does not have
-            if uncovered and (not options.fallback or 0 in uncovered):
+            if uncovered and not options.fallback:
                 raise UncoverableState(
                     "%d border state(s) covered by no over-state"
                     % len(uncovered), uncovered=uncovered,
@@ -136,21 +132,18 @@ def run_pipeline(doc: NetDocument,
                 raise VerificationFailure(
                     "selected over-states leave a border state uncovered"
                 )
-            final_counts = tbl.final_counts()
-            if uncovered:
-                # the full-support constraints also exclude the
-                # authorized states above their border state: the
-                # result is flagged over-restrictive
-                extra = build_cover_table(uncovered, tbl.cols).counts
-                final_counts = [a + b for a, b in zip(final_counts, extra)]
-            return tbl, tbl.selected_rows() + uncovered, final_counts, uncovered
+            # a 0 is left only at an uncovered column, which its own
+            # exact row covers, and no other
+            final_counts = [c or 1 for c in tbl.final_counts()]
+            return tbl, tbl.selected_rows(), final_counts, uncovered
 
         table, chosen, final_counts, uncovered = stages.run(
             "cover", _cover_stage
         )
 
         def _synth_stage():
-            weights, bounds = build_constraint_matrix(chosen, net.n_places)
+            weights, bounds = build_constraint_matrix(
+                chosen, net.n_places, exact=uncovered)
             return synthesize(net, weights, bounds)
 
         controller = stages.run("synthesize", _synth_stage)
@@ -177,7 +170,6 @@ def run_pipeline(doc: NetDocument,
         controller=controller,
         closed=closed,
         report=report,
-        fallback_used=bool(uncovered),
     )
 
 
@@ -186,8 +178,7 @@ def _assemble_report(doc, rg, partition, minimal, border, table,
                      timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_masks
-    uncovered_set = set(uncovered)
-    # row i of the controller is the constraint of chosen[i]
+    # the controller's rows: those of chosen, then those of uncovered
     constraints = [
         format_constraint(net.places, row, bound)
         for row, bound in zip(controller.weights.tolist(),
@@ -232,9 +223,6 @@ def _assemble_report(doc, rg, partition, minimal, border, table,
         "fallback": {
             "used": bool(uncovered),
             "uncovered": fmt(uncovered),
-            "over_restrictive": [
-                c for b, c in zip(chosen, constraints) if b in uncovered_set
-            ],
         },
         "closed_loop": {
             "state_count": closed.state_count,

@@ -117,11 +117,9 @@ class SynthesisReport:
         if fb["used"]:
             w("")
             w("fallback")
-            w("  OVER-RESTRICTIVE controller: %d border state(s) had no "
-              "usable over-state" % len(fb["uncovered"]))
-            w("  uncovered: %s" % " ".join(fb["uncovered"]))
-            for c in fb["over_restrictive"]:
-                w("  added full-state constraint: %s" % c)
+            w("  border states no over-state covers (%d): %s"
+              % (len(fb["uncovered"]), " ".join(fb["uncovered"])))
+            w("  each has an exact constraint, after the selected ones")
         w("")
         w("verification")
         w("  closed-loop states: %d" % cl["state_count"])

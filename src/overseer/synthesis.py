@@ -36,27 +36,43 @@ from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
 from .partition import StatePartition
 
 
-def build_constraint_matrix(overstates, n_places: int
+def build_constraint_matrix(overstates, n_places: int, exact=()
                             ) -> tuple[np.ndarray, np.ndarray]:
-    """The constraint rows (weights, bounds) of over-states given as int
-    masks: row i is the 0/1 support of over-state i and bound i its size
-    minus one, so a marking violates row i exactly when it covers
-    over-state i."""
-    overstates = list(overstates)
-    if not overstates:
+    """The constraint rows (weights, bounds) of over-states and of exact
+    states, all given as int masks.  Row i of an over-state is its 0/1
+    support with bound its size minus one, so a marking violates it
+    exactly when it covers the over-state.  After those rows, each exact
+    state u adds the signed row `2 bits(u) - 1` with bound |u| - 1: a
+    safe marking violates it only when it is u, the empty marking too
+    (`-m(A) - m(B) <= -1`)."""
+    overstates, exact = list(overstates), list(exact)
+    if not overstates and not exact:
         raise EmptyConstraintSet("no constraints to synthesize from")
-    for b in overstates:
-        if b <= 0 or b >> n_places:
-            raise ValueError("over-state %#x is empty or names a place "
-                             "beyond the net's %d" % (b, n_places))
-    weights = bit_rows(overstates, n_places).astype(int)
-    return weights, weights.sum(axis=1) - 1
+    if 0 in overstates:
+        raise ValueError("an over-state is empty")
+    for b in overstates + exact:
+        if b >> n_places:  # a negative b too
+            raise ValueError("state %#x names a place beyond the net's %d"
+                             % (b, n_places))
+    weights = bit_rows(overstates + exact, n_places).astype(int)
+    bounds = weights.sum(axis=1) - 1
+    weights[len(overstates):] = 2 * weights[len(overstates):] - 1
+    return weights, bounds
 
 
 def format_constraint(places, row, bound) -> str:
-    """A 0/1 constraint row as text, e.g. `m(P4) + m(P6) <= 1`."""
-    terms = " + ".join("m(%s)" % p for p, w in zip(places, row) if w)
-    return "%s <= %d" % (terms, bound)
+    """A constraint row as text: `m(P4) + m(P6) <= 1`, or with signed
+    and weighted terms `-m(Q) + m(P1) - 2 m(P2) <= 0`."""
+    text = ""
+    for p, w in zip(places, row):
+        if not w:
+            continue
+        term = "m(%s)" % p if abs(w) == 1 else "%d m(%s)" % (abs(w), p)
+        if text:
+            text += (" - " if w < 0 else " + ") + term
+        else:
+            text = "-" + term if w < 0 else term
+    return "%s <= %d" % (text, bound)
 
 
 @dataclass(frozen=True)

@@ -241,10 +241,17 @@ def _check_generated_net(net, rg, spec, stats):
         for y in minimal:
             assert x == y or x & ~y, "antichain violated"
 
+    # (a') the exact row of a border state no over-state covers is
+    # violated by that marking alone, exhaustively
     table = build_cover_table(minimal, border)
-    if table.uncovered:
+    uncovered = table.uncovered
+    for u in uncovered:
+        (row,), (bound,) = build_constraint_matrix([], net.n_places,
+                                                   exact=[u])
+        assert (every @ row > bound).nonzero()[0].tolist() == [u], \
+            "exact row of %s is violated elsewhere" % bin(u)
+    if uncovered:
         stats["uncoverable"] += 1
-        return
     select_final_cover(table)
 
     # (f) the selection is a valid cover, and a minimum one wherever
@@ -261,8 +268,10 @@ def _check_generated_net(net, rg, spec, stats):
     if len(selected) == len(picks) or not searched:
         assert table.picks == picks, "greedy picks changed"
 
-    # (c) selected constraints split authorized from border exactly
-    weights, bounds = build_constraint_matrix(selected, net.n_places)
+    # (c) selected constraints, and the exact rows after them, split
+    # authorized from border exactly
+    weights, bounds = build_constraint_matrix(selected, net.n_places,
+                                              exact=uncovered)
     sums = bit_rows(authorized, net.n_places) @ weights.T
     for m, row in zip(authorized, sums):
         assert (row <= bounds).all(), \
@@ -293,6 +302,8 @@ def _check_generated_net(net, rg, spec, stats):
     else:
         stats["authorized_unreachable"] += 1
     stats["synthesized"] += 1
+    if uncovered:
+        stats["fallback_oracle"] += 1
 
 
 def _draw_case(rng):
@@ -335,6 +346,7 @@ def test_criterion_6_property_suite():
         assert stats["synthesized"] >= 120, dict(stats)
         assert stats["isomorphic"] >= 80, dict(stats)
         assert stats["uncoverable"] >= 50, dict(stats)
+        assert stats["fallback_oracle"] >= 200, dict(stats)
         assert stats["m0_forbidden"] >= 20, dict(stats)
         assert stats["searched"] >= 2, dict(stats)
         print("  property suite coverage: %s" % dict(stats),
@@ -360,9 +372,11 @@ def test_criterion_7_negative_paths(tmp_path, drop_job_path, capsys):
         capsys.readouterr()
         doc = parse_net_file(drop_job_path)
         result = run_pipeline(doc, PipelineOptions(fallback=True))
-        fallback = result.report.to_dict()["fallback"]
-        assert fallback["used"]
-        assert fallback["over_restrictive"] == ["m(P1) <= 0"]
+        report = result.report.to_dict()
+        assert report["fallback"]["used"]
+        assert report["controller"]["constraints"] \
+            == ["-m(Q) + m(P1) - m(P2) <= 0"]
+        assert result.closed.isomorphic
         assert out.exists()
 
 

@@ -7,13 +7,15 @@ the true sizes, or the benchmark's output is malformed.
 `perfbench/workloads.py` builds its nets through the library's
 `PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The first
 nets of the random-batch pool go through the benchmark's own calls and
-answer checks.  The two scripts in `benchmarks/` run here on their
-smallest sizes.
+answer checks, and through the same answer checks under `--fallback`.
+The two scripts in `benchmarks/` run here on their smallest sizes.
 """
 
+import json
 import random
 import runpy
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,6 +121,29 @@ def test_random_batch_slice_passes_the_benchmark_check(tmp_path):
     assert len(calls) == 100
     assert [c.rc for c in calls if c.failed] == []
     assert [c.wrong for c in calls if c.wrong] == []
+
+
+def test_random_batch_slice_passes_the_benchmark_check_under_fallback(
+        tmp_path, capsys):
+    # with --fallback every net that admits a supervisor exits 0 with
+    # the oracle's answer, and every other net exits 3
+    path, report = tmp_path / "net.pnet", tmp_path / "r.json"
+    codes, bad = Counter(), []
+    for i, case in enumerate(bench_run.random_pool(
+            bench_run.RANDOM_POOL_SEED, 100)):
+        path.write_text(case.text, encoding="utf-8")
+        report.unlink(missing_ok=True)
+        rc = overseer.cli.main([str(path), "--fallback",
+                                "--report", str(report)])
+        doc = json.loads(report.read_text()) if report.exists() else None
+        expected = oracle.supervised(case, workloads.GEN_BUDGET)
+        failed, wrong = bench_run.check_random(case, expected, rc, doc)
+        codes[rc] += 1
+        if failed or wrong or rc not in (0, 3):
+            bad.append((i, rc, wrong))
+    capsys.readouterr()
+    assert bad == []
+    assert set(codes) == {0, 3}, codes
 
 
 @pytest.mark.parametrize("argv", [

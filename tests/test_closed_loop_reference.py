@@ -111,8 +111,10 @@ def test_drop_job_with_fallback(drop_job):
     result = run_pipeline(drop_job, PipelineOptions(fallback=True))
     got = assert_matches_reference(drop_job.net, result.controller,
                                    result.partition, result.rg)
-    assert got.missing_authorized and got.edge_mismatches
-    assert not got.isomorphic
+    # the exact row -m(Q) + m(P1) - m(P2) <= 0 forbids P1 alone
+    assert result.controller.weights.tolist() == [[-1, 1, -1]]
+    assert got.isomorphic and got.state_count == 2
+    assert not got.missing_authorized
 
 
 def test_drop_job_without_fallback(drop_job):

@@ -132,11 +132,11 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
 # say so.
 GOLDEN_DIGESTS = {
     "two_machines":
-        "852833daa40f3ab9d3113ea9962877e06ebb92cec46084c4035ae8008dc0a763",
+        "a1c53636cdf1fbe5355a3621c1645511cc976dcd96bd930fff3777205cf0ced4",
     "drop_job --fallback":
-        "33b418edce3c50d2b7ebe7249333c2b3a0f50460cd569c7a1816458dad950b1b",
+        "032c5957c7ee7f5c933cc02702032ddb93bf244f67671d798b8b1743f87b34ca",
     "two_machines x2":
-        "90b556d343f8f965fd7623799f55eae851824aedce059551dbe4c26322080707",
+        "55faf8517e7685bbb800b66c571d8105f9ffda45b1ddef7cb5db57f84230223d",
 }
 
 
@@ -157,11 +157,11 @@ def test_golden_digests(two_machines, drop_job):
 # text layout.
 GOLDEN_TEXT = {
     "two_machines":
-        "0fef4d194344fe274b88742855140c6126b57b2468addd202096385d5b43811b",
+        "2b3153c17cd17d3c2b6212cd14e52c13baf9227be347edaee83b806430fbc321",
     "drop_job --fallback":
-        "c7b1d9aaa9d646cd4da314352157b35fa42d98aaf5ac635e5270cecd8b251c7d",
+        "e6273185fa77025ede00a7b15d07bf04fc716f4f415ff353b136e41d45fa028f",
     "two_machines x2":
-        "0292ef709dd90f3a7a7c7d3bb42aa84f1883f0bc8b07c2251e5c23b94ac8c4c0",
+        "dc725aea14b32508cf8e0b8ecf4482228d523db8b9ddda39977fcc14652bef96",
 }
 
 
@@ -268,27 +268,36 @@ def test_pipeline_uncoverable_without_fallback(drop_job):
     assert err.value.cause.uncovered == (1 << drop_job.net.place_index["P1"],)
 
 
-def test_pipeline_fallback_cannot_forbid_the_empty_marking():
-    # the border state is the empty marking: no token sum forbids it,
-    # not even the fallback's full-support one
+def test_pipeline_fallback_forbids_the_empty_marking():
+    # the border state is the empty marking: no over-state covers it,
+    # and its exact row -m(A) <= -1 forbids it and nothing else
     doc = parse_net("net drain\nplaces A\ninitial A\n"
                     "transition t controllable { in A ; out }\n"
                     'forbidden { expr "!A" }\n')
-    for fallback in (False, True):
-        with pytest.raises(StageFailure) as err:
-            run_pipeline(doc, PipelineOptions(fallback=fallback))
-        assert err.value.stage == "cover"
-        assert err.value.cause.uncovered == (0,)
+    with pytest.raises(StageFailure) as err:
+        run_pipeline(doc)
+    assert err.value.stage == "cover"
+    assert err.value.cause.uncovered == (0,)
+    assert _exit_code_for(err.value) == 4
+    result = run_pipeline(doc, PipelineOptions(fallback=True))
+    r = result.report.to_dict()
+    assert r["fallback"]["uncovered"] == ["-"]
+    assert r["controller"]["constraints"] == ["-m(A) <= -1"]
+    assert result.closed.isomorphic
+    assert result.closed.state_count == 1
 
 
-def test_pipeline_fallback_flags_over_restrictive(drop_job):
+def test_pipeline_fallback_forbids_only_the_uncovered_state(drop_job):
     result = run_pipeline(drop_job, PipelineOptions(fallback=True))
     r = result.report.to_dict()
     assert r["fallback"]["used"]
     assert r["fallback"]["uncovered"] == ["P1"]
-    assert r["fallback"]["over_restrictive"] == ["m(P1) <= 0"]
-    assert not r["closed_loop"]["isomorphic"]
-    assert r["closed_loop"]["missing_authorized"] == ["P1P2"]
+    assert r["cover"]["selected"] == []
+    assert r["cover"]["final_counts"] == [1]
+    assert r["controller"]["constraints"] == ["-m(Q) + m(P1) - m(P2) <= 0"]
+    assert r["closed_loop"]["isomorphic"]
+    assert r["closed_loop"]["missing_authorized"] == []
+    assert result.controller.is_binary()
 
 
 def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):
@@ -321,6 +330,8 @@ def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):
         "6abaa2e6ef4373f7fb35881027e4d22950744ee461170a1ce895d6000c6cfeec"
     closed_dot = (tmp_path / "closed.dot").read_text()
     assert closed_dot.count(" -> ") == 5 + 1  # five firings plus init arrow
+    assert hashlib.sha256(closed_dot.encode()).hexdigest() == \
+        "83bb4641e4b215a699ef1be7e4563ca86df3e64fe1c3c1b439659f54c3cfe465"
 
 
 def test_cli_report_json_path(tmp_path, two_machines_path):
@@ -459,11 +470,13 @@ def test_cli_fallback_turns_exit_4_into_0(drop_job_path, tmp_path, capsys):
     out = tmp_path / "ctl.pnet"
     rc = main([str(drop_job_path), "--fallback", "--out", str(out)])
     assert rc == 0
-    stdout = capsys.readouterr().out
-    assert "OVER-RESTRICTIVE" in stdout
-    # the fallback controller is still a well-formed net
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "    -m(Q) + m(P1) - m(P2) <= 0\n" in captured.out
+    assert "isomorphic to authorized subgraph: yes" in captured.out
+    # the exact row is binary, so the controlled net is written
     doc = parse_net(out.read_text())
-    assert "Pc1" in doc.net.places
+    assert doc.net.places == ("Q", "P1", "P2", "Pc1")
 
 
 def test_cli_authorized_state_behind_forbidden_is_exit_0(tmp_path, capsys):
@@ -489,8 +502,8 @@ def test_cli_fallback_does_not_hide_unverified_loop(two_machines_path,
     for row, change, finding in ((0, 1, "unexpected states: "),
                                  (1, -1, "edge mismatch: two_machines "
                                          "misses c1 at P1P3P6")):
-        def changed(*args, row=row, change=change):
-            weights, bounds = build(*args)
+        def changed(*args, row=row, change=change, **kwargs):
+            weights, bounds = build(*args, **kwargs)
             bounds[row] += change
             return weights, bounds
 
@@ -504,18 +517,21 @@ def test_cli_fallback_does_not_hide_unverified_loop(two_machines_path,
             assert "not isomorphic" in captured.err
 
 
-def test_cli_inadmissible_fallback_is_exit_5(drop_job_path, tmp_path,
-                                              capsys):
-    # with load uncontrollable, the fallback's control place is the sole
-    # reason load cannot fire: not an admissible supervisor
+def test_cli_fallback_with_uncontrollable_load_is_admissible(
+        drop_job_path, tmp_path, capsys):
+    # with load uncontrollable, P1 is still uncoverable; its exact row
+    # blocks only drop at P1P2, so no uncontrollable firing is blocked
     net = tmp_path / "drop_u.pnet"
     net.write_text(drop_job_path.read_text().replace(
         "transition load controllable", "transition load uncontrollable"))
-    rc = main([str(net), "--fallback"])
-    assert rc == 5
-    captured = capsys.readouterr()
-    assert "Pc1 alone disables uncontrollable load" in captured.out
-    assert "fallback controller failed verification" in captured.err
+    assert main([str(net)]) == 4
+    assert "border state" in capsys.readouterr().err
+    rc = main([str(net), "--fallback", "--report", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    closed = json.loads((tmp_path / "r.json").read_text())["closed_loop"]
+    assert closed["admissibility_violations"] == []
+    assert closed["isomorphic"]
 
 
 @pytest.mark.parametrize("flag", ["--report", "--out", "--dot-rg",

@@ -90,6 +90,39 @@ def test_constraint_matrix_rejects_bad_overstates():
         build_constraint_matrix([_m([1, 3])], 3)
 
 
+def test_exact_rows_follow_the_overstate_rows():
+    # u = {P1} of three places: +1 on u, -1 elsewhere, bound |u| - 1;
+    # the empty marking gets -m(A) - m(B) - m(C) <= -1
+    weights, bounds = build_constraint_matrix([_m([2])], 3,
+                                              exact=[_m([1]), 0])
+    assert weights.tolist() == [[0, 0, 1], [-1, 1, -1], [-1, -1, -1]]
+    assert bounds.tolist() == [0, 0, -1]
+    weights, bounds = build_constraint_matrix([], 3, exact=[_m([0, 2])])
+    assert weights.tolist() == [[1, -1, 1]]
+    assert bounds.tolist() == [1]
+    with pytest.raises(ValueError):
+        build_constraint_matrix([], 3, exact=[_m([3])])
+
+
+def test_exact_row_violated_by_its_own_marking_only():
+    every = bit_rows(range(2 ** 5), 5)
+    for u in range(2 ** 5):
+        (row,), (bound,) = build_constraint_matrix([], 5, exact=[u])
+        assert (every @ row > bound).nonzero()[0].tolist() == [u]
+
+
+def test_format_constraint_signed_and_weighted_terms():
+    places = ["Q", "P1", "P2"]
+    assert format_constraint(places, [-1, 1, -1], 0) \
+        == "-m(Q) + m(P1) - m(P2) <= 0"
+    assert format_constraint(["A", "B"], [-1, -1], -1) \
+        == "-m(A) - m(B) <= -1"
+    assert format_constraint(places, [0, 2, -3], 1) \
+        == "2 m(P1) - 3 m(P2) <= 1"
+    assert format_constraint(places, [-2, 0, 1], 0) \
+        == "-2 m(Q) + m(P2) <= 0"
+
+
 def test_controller_incidence_is_negated_weighted_incidence():
     net = _simple_net()
     weights, bounds = build_constraint_matrix([_m([2])], 3)
