@@ -14,7 +14,6 @@ from .cover import (
     select_final_cover,
 )
 from .errors import (
-    EmptyConstraintSet,
     ForbiddenInitialMarking,
     InitialMarkingViolation,
     NonBinaryController,
@@ -70,7 +69,6 @@ __all__ = [
     "Controller",
     "CoverTable",
     "DEFAULT_STATE_BUDGET",
-    "EmptyConstraintSet",
     "ForbiddenInitialMarking",
     "InitialMarkingViolation",
     "Marking",

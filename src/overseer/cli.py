@@ -144,7 +144,7 @@ def main(argv=None) -> int:
                         lambda: rg_to_dot(result.rg, result.partition)))
     if args.dot_controlled:
         outputs.append((args.dot_controlled, lambda: closed_loop_to_dot(
-            doc.net, result.controller, result.closed)))
+            result.rg, result.controller, result.closed)))
     if args.out:
         if result.controller.k == 0 or result.controller.is_binary():
             outputs.append((args.out, lambda: serialize_net(

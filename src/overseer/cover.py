@@ -40,14 +40,6 @@ class CoverTable:
         return [i in chosen for i in range(len(self.rows))]
 
     @property
-    def coverable(self) -> int:
-        """The bitset of the columns some row covers."""
-        covered = 0
-        for b in self.bits:
-            covered |= b
-        return covered
-
-    @property
     def uncovered(self) -> list[int]:
         """The columns no row covers."""
         return [m for m, c in zip(self.cols, self.counts) if c == 0]
@@ -183,7 +175,9 @@ def check_final_coverage(table: CoverTable) -> bool:
     *selected* one.  With no `uncovered` column, the selected
     constraints define exactly the authorized behavior; a count above
     one is merely redundant coverage."""
-    covered = 0
+    covered = coverable = 0
     for i in table.picks:
         covered |= table.bits[i]
-    return covered == table.coverable
+    for b in table.bits:
+        coverable |= b
+    return covered == coverable

@@ -38,29 +38,27 @@ def _digraph(net: PetriNet, title: str, node_style: str, nodes,
     return "\n".join(out) + "\n"
 
 
-def rg_to_dot(rg: ReachabilityGraph,
-              partition: StatePartition | None = None,
-              title: str | None = None) -> str:
+def rg_to_dot(rg: ReachabilityGraph, partition: StatePartition) -> str:
     net = rg.net
     style = ['fillcolor="white"'] * rg.n_states
-    if partition is not None:
-        for sid in partition.m_f.tolist():
-            style[sid] = 'fillcolor="gray25", fontcolor="white"'
-        for sid in partition.m_b.tolist():
-            style[sid] += ", peripheries=2"
+    for sid in partition.m_f.tolist():
+        style[sid] = 'fillcolor="gray25", fontcolor="white"'
+    for sid in partition.m_b.tolist():
+        style[sid] += ", peripheries=2"
     nodes = ["label=%s, %s" % (_quote(name), attrs)
              for name, attrs in zip(net.format_masks(rg.masks), style)]
-    return _digraph(net, title or net.name,
+    return _digraph(net, net.name,
                     'shape=ellipse, style=filled, fontname="Helvetica"',
                     nodes, rg.edges)
 
 
-def closed_loop_to_dot(net: PetriNet, controller: Controller,
+def closed_loop_to_dot(rg: ReachabilityGraph, controller: Controller,
                        report: ClosedLoopReport) -> str:
-    """The controlled state space; labels show the plant projection and,
+    """The controlled state space; labels show the plant marking and,
     when control places exist, their token counts."""
+    net = rg.net
     nodes = []
-    for name, ctrl in zip(net.format_masks(report.projections),
+    for name, ctrl in zip(net.format_masks(rg.masks_of(report.states)),
                           report.control_markings.tolist()):
         if ctrl:
             name += "\\n%s" % " ".join(

@@ -40,10 +40,6 @@ class StateBudgetExceeded(OverseerError):
     transversals in flight."""
 
 
-class EmptyConstraintSet(OverseerError):
-    """Constraint matrix construction needs at least one constraint."""
-
-
 class InitialMarkingViolation(OverseerError):
     """The initial marking already violates a constraint; no supervisor exists."""
 

@@ -108,8 +108,10 @@ def run_pipeline(doc: NetDocument,
         def _overstate_stage():
             cand = overstate_union(border, authorized,
                                    budget=options.state_budget)
-            # no authorized state covers a minimal transversal, so the
-            # pruning must keep every candidate
+            # the union is already an antichain that no authorized state
+            # covers: a minimal transversal of one border state holds
+            # no over-state of another, or it would not be minimal.  So
+            # the pruning and the antichain below keep every candidate.
             kept = prune_authorized(cand, authorized)
             if len(kept) != len(cand):
                 raise VerificationFailure(
@@ -154,7 +156,7 @@ def run_pipeline(doc: NetDocument,
 
     closed = stages.run(
         "verify",
-        lambda: verify_closed_loop(net, controller, partition, rg),
+        lambda: verify_closed_loop(controller, partition, rg),
     )
 
     report = _assemble_report(

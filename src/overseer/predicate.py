@@ -121,10 +121,9 @@ def evaluate_predicate(tree, place_index: dict[str, int],
                        bits: np.ndarray) -> np.ndarray:
     """Per row of `bits` (one 0/1 column per place, as `net.bit_rows`
     gives them), whether the predicate `tree` (from `parse_predicate`)
-    holds there: one array operation per node of the tree.  A name
-    not in `place_index` is an error."""
-    marked = bits.T.astype(bool)  # marked[i]: per row, place i is marked
-
+    holds there: one array operation per node of the tree, reading
+    only the columns it names.  The result is a fresh array, never a
+    view of `bits`.  A name not in `place_index` is an error."""
     def value(node):
         kind = node[0]
         if kind == "const":
@@ -133,7 +132,7 @@ def evaluate_predicate(tree, place_index: dict[str, int],
             if node[1] not in place_index:
                 raise UnknownPlaceName(
                     "unknown place %r in forbidden expr" % node[1])
-            return marked[place_index[node[1]]]
+            return bits[:, place_index[node[1]]].astype(bool)
         if kind == "not":
             return ~value(node[1])
         if kind == "and":

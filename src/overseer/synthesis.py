@@ -27,12 +27,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    EmptyConstraintSet,
-    InitialMarkingViolation,
-    NonBinaryController,
-)
-from .net import Marking, PetriNet, ReachabilityGraph, bit_rows
+from .errors import InitialMarkingViolation, NonBinaryController
+from .net import Marking, PetriNet, ReachabilityGraph, bit_rows, support
 from .partition import StatePartition
 
 
@@ -44,10 +40,8 @@ def build_constraint_matrix(overstates, n_places: int, exact=()
     exactly when it covers the over-state.  After those rows, each exact
     state u adds the signed row `2 bits(u) - 1` with bound |u| - 1: a
     safe marking violates it only when it is u, the empty marking too
-    (`-m(A) - m(B) <= -1`)."""
+    (`-m(A) - m(B) <= -1`).  No states give no rows."""
     overstates, exact = list(overstates), list(exact)
-    if not overstates and not exact:
-        raise EmptyConstraintSet("no constraints to synthesize from")
     if 0 in overstates:
         raise ValueError("an over-state is empty")
     for b in overstates + exact:
@@ -162,33 +156,25 @@ def assemble_controlled_net(net: PetriNet, controller: Controller) -> PetriNet:
             "controller needs arc weights or initial markings beyond 0/1 "
             "and cannot be expressed as a safe net"
         )
+    n = net.n_places
     places = net.places + controller.place_names
-    n_plant = net.n_places
-    pre_sets = []
-    post_sets = []
-    for t in range(net.n_transitions):
-        pre = [p for p in range(n_plant) if (net.pre_masks[t] >> p) & 1]
-        post = [p for p in range(n_plant) if (net.post_masks[t] >> p) & 1]
-        for i in range(controller.k):
-            entry = int(controller.incidence[i, t])
-            if entry == -1:
-                pre.append(n_plant + i)
-            elif entry == 1:
-                post.append(n_plant + i)
-        pre_sets.append(pre)
-        post_sets.append(post)
-    m0_mask = net.m0.mask
-    for i in range(controller.k):
-        if int(controller.initial[i]):
-            m0_mask |= 1 << (n_plant + i)
+
+    def control_mask(flags) -> int:
+        # control place i is place n + i of the controlled net
+        return sum(1 << (n + i) for i, f in enumerate(flags.tolist()) if f)
+
+    columns = controller.incidence.T
     return PetriNet(
         net.name + "_controlled",
         places,
         net.transitions,
         net.controllable,
-        pre_sets,
-        post_sets,
-        Marking(len(places), m0_mask),
+        [support(m | control_mask(col < 0))
+         for m, col in zip(net.pre_masks, columns)],
+        [support(m | control_mask(col > 0))
+         for m, col in zip(net.post_masks, columns)],
+        Marking(len(places),
+                net.m0.mask | control_mask(controller.initial > 0)),
     )
 
 
@@ -214,24 +200,33 @@ class AdmissibilityViolation:
 class ClosedLoopReport:
     """Outcome of checking the closed loop on the plant's state graph.
 
-    Closed-loop state i is plant marking `projections[i]` (an int mask)
-    with control marking `control_markings[i]`; `edges` is an (E, 3)
-    array of (source, transition, target) rows in closed-loop state ids.
-    `missing_authorized` and `extra_states` are marking masks too; the
-    first is a diagnostic and decides nothing.
+    Closed-loop state i is plant state `states[i]` (an id into the
+    plant's graph) with control marking `control_markings[i]`; `edges`
+    is an (E, 3) array of (source, transition, target) rows in
+    closed-loop state ids.  `missing_authorized` and `extra_states` are
+    marking masks; the first is a diagnostic and decides nothing.
     """
 
-    state_count: int
-    projections: list[int]
-    control_markings: np.ndarray  # state_count x k, a narrow int type
+    states: np.ndarray            # intp, in closed-loop order
+    control_markings: np.ndarray  # len(states) x k, a narrow int type
     edges: np.ndarray             # E x 3
     missing_authorized: list[int]
     extra_states: list[int]
     edge_mismatches: list[str]
     admissibility_violations: list[AdmissibilityViolation]
     invariant_ok: bool
-    max_control_marking: tuple[int, ...]
     notes: list[str] = field(default_factory=list)
+
+    @property
+    def state_count(self) -> int:
+        return len(self.states)
+
+    @property
+    def max_control_marking(self) -> tuple[int, ...]:
+        """Per control place, its most tokens over the closed loop."""
+        if not self.control_markings.shape[1]:
+            return ()
+        return tuple(self.control_markings.max(axis=0).tolist())
 
     @property
     def sound(self) -> bool:
@@ -269,10 +264,10 @@ def _walk(offsets, dst, admitted):
     return np.array(order, dtype=np.intp), np.array(leaving, dtype=np.intp)
 
 
-def verify_closed_loop(net: PetriNet, controller: Controller,
-                       partition: StatePartition,
+def verify_closed_loop(controller: Controller, partition: StatePartition,
                        rg: ReachabilityGraph) -> ClosedLoopReport:
-    """Check the closed loop against the partition.
+    """Check the closed loop of `rg.net` under `controller` against the
+    partition.
 
     The controller comes from place invariants, so the control marking
     at plant marking m is `bounds - weights @ m`, and the control places
@@ -287,10 +282,13 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
     allowed into a forbidden state or blocked into an authorized one,
     the uncontrollable firings a control place alone blocks, and the
     authorized states not reached."""
+    net = rg.net
     n = rg.n_states
     k = controller.k
     masks = rg.masks
-    blocking = False
+    # src, tr and dst: the edges leaving closed-loop states, grouped by
+    # source in closed-loop order; allowed: whether each enters an
+    # admitted state
     if k:
         # control markings, and their sums with an incidence entry, stay
         # within `limit` of zero, so the (states x k) and (leaving edges
@@ -308,14 +306,6 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         control = (controller.bounds.astype(dtype)
                    - rg.bits.view(np.int8) @ weights)
         admitted = (control >= 0).all(axis=1)
-        blocking = not admitted.all()
-    else:
-        control = np.zeros((n, 0), dtype=int)
-
-    # src, tr and dst: the edges leaving closed-loop states, grouped by
-    # source in closed-loop order; allowed: whether each enters an
-    # admitted state
-    if blocking:
         order, leaving = _walk(rg.offsets, rg.dst, admitted)
         closed_id = np.empty(n, dtype=np.intp)
         closed_id.fill(-1)
@@ -324,29 +314,39 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
         allowed = admitted[dst]
         edges = np.array([closed_id[src[allowed]], tr[allowed],
                           closed_id[dst[allowed]]]).T
+        # the control marking after each leaving edge must be its target's
+        invariant_ok = (
+            control[0].tolist() == controller.initial.tolist()
+            and bool((control[src] + incidence[tr] == control[dst]).all()))
+        missing = rg.masks_of(partition.m_a[closed_id[partition.m_a] < 0])
+        # a blocked uncontrollable edge: the first control place
+        # negative at its target is the sole reason it cannot fire
+        blocked = ~allowed
+        violations = [
+            AdmissibilityViolation(
+                control_place=next(i for i, c in enumerate(row) if c < 0),
+                transition=t, state=masks[s])
+            for t, s, row in zip(tr[blocked].tolist(), src[blocked].tolist(),
+                                 control[dst[blocked]].tolist())
+            if not net.controllable[t]
+        ]
     else:
-        # nothing is blocked: the closed loop is the plant graph
+        # no control place: the closed loop is the plant graph
         order = np.arange(n)
         src, tr, dst = rg.src, rg.tr, rg.dst
         allowed = True
         edges = rg.edges
+        invariant_ok = True
+        missing, violations = [], []
+        control = np.zeros((n, 0), dtype=int)
 
-    # the control marking after each leaving edge must be its target's
-    invariant_ok = not k or (
-        control[0].tolist() == controller.initial.tolist()
-        and bool((control[src] + incidence[tr] == control[dst]).all())
-    )
-
-    missing, extra, edge_mismatches, violations = [], [], [], []
-    # when nothing is blocked and every plant state is authorized, the
-    # closed loop is exactly the authorized behavior: nothing to list
-    if blocking or len(partition.m_a) < n:
+    extra, edge_mismatches = [], []
+    # with no control place and every plant state authorized, the closed
+    # loop is exactly the authorized behavior: nothing to list
+    if k or len(partition.m_a) < n:
         authorized = np.zeros(n, dtype=bool)
         authorized[partition.m_a] = True
-        if blocking:
-            missing = [masks[s] for s in
-                       (authorized & (closed_id < 0)).nonzero()[0].tolist()]
-        extra = [masks[s] for s in order[~authorized[order]].tolist()]
+        extra = rg.masks_of(order[~authorized[order]])
 
         # at an authorized plant state exactly the firings whose
         # successor is still authorized must be allowed; per closed-loop
@@ -363,18 +363,6 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
                     net.transitions[t], net.format_mask(masks[s]),
                 ))
 
-    if blocking:
-        # a blocked uncontrollable edge: the first control place
-        # negative at its target is the sole reason it cannot fire
-        blocked = ~allowed
-        for t, s, row in zip(tr[blocked].tolist(), src[blocked].tolist(),
-                             control[dst[blocked]].tolist()):
-            if not net.controllable[t]:
-                violations.append(AdmissibilityViolation(
-                    control_place=next(i for i, c in enumerate(row) if c < 0),
-                    transition=t, state=masks[s],
-                ))
-
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):
         feeders = [name for name, d in zip(controller.place_names, col)
@@ -386,19 +374,14 @@ def verify_closed_loop(net: PetriNet, controller: Controller,
                 % (kind, net.transitions[t], ", ".join(feeders))
             )
 
-    control_markings = control[order]
-    max_ctrl = tuple(control_markings.max(axis=0).tolist()) if k else ()
-
     return ClosedLoopReport(
-        state_count=len(order),
-        projections=[masks[s] for s in order.tolist()],
-        control_markings=control_markings,
+        states=order,
+        control_markings=control[order],
         edges=edges,
         missing_authorized=missing,
         extra_states=extra,
         edge_mismatches=edge_mismatches,
         admissibility_violations=violations,
         invariant_ok=invariant_ok,
-        max_control_marking=max_ctrl,
         notes=notes,
     )

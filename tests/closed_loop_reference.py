@@ -132,12 +132,8 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
                     ))
                     break
 
-    max_ctrl = tuple(
-        max(ctrl[i] for ctrl in control_markings) for i in range(k)
-    )
     return ClosedLoopReport(
-        state_count=len(states),
-        projections=proj_masks,
+        states=np.array([rg.state_id(m) for m in proj_masks], dtype=np.intp),
         control_markings=np.array(control_markings,
                                   dtype=np.int64).reshape(len(states), k),
         edges=np.array(edges, dtype=np.intp).reshape(len(edges), 3),
@@ -146,6 +142,5 @@ def reference_verify(net, controller, partition, rg) -> ClosedLoopReport:
         edge_mismatches=edge_mismatches,
         admissibility_violations=violations,
         invariant_ok=invariant_ok,
-        max_control_marking=max_ctrl,
         notes=[],
     )

@@ -192,7 +192,7 @@ def test_criterion_5_closed_loop(two_machines_path):
         result = run_pipeline(doc)
         closed = result.closed
         assert closed.state_count == 5
-        assert set(closed.projections) \
+        assert set(rg.masks_of(closed.states)) \
             == {rg.masks[s] for s in partition.m_a}
         assert not closed.admissibility_violations
         assert closed.isomorphic
@@ -218,14 +218,19 @@ def _check_generated_net(net, rg, spec, stats):
     if not len(partition.m_f):
         stats["no_forbidden"] += 1
         from overseer import empty_controller
-        closed = verify_closed_loop(net, empty_controller(net), partition, rg)
+        closed = verify_closed_loop(empty_controller(net), partition, rg)
         assert closed.isomorphic, "empty controller must keep the plant"
         assert closed.invariant_ok
         return
 
     _, _, minimal = _reference_overstates(border, authorized)
-    assert overstate_union(border, authorized) == minimal, \
+    union = overstate_union(border, authorized)
+    assert union == minimal, \
         "transversal engine and enumerating reference disagree"
+    # the pipeline's pruning and antichain keep every candidate
+    assert minimal_elements(union) == union \
+        == prune_authorized(union, authorized), \
+        "the over-state union is not an antichain clear of R"
 
     # (a) constraint semantics == covering semantics, exhaustively
     every = bit_rows(range(1 << net.n_places), net.n_places)
@@ -282,7 +287,7 @@ def _check_generated_net(net, rg, spec, stats):
             "border state %s slips through" % (m,)
 
     controller = synthesize(net, weights, bounds)
-    closed = verify_closed_loop(net, controller, partition, rg)
+    closed = verify_closed_loop(controller, partition, rg)
 
     # (d) the defining place invariant holds on every reachable state
     assert closed.invariant_ok, "place invariant broken"
@@ -292,7 +297,7 @@ def _check_generated_net(net, rg, spec, stats):
     # some authorized states only through forbidden ones, less
     oracle = authorized_reachable(rg, partition)
     oracle_masks = {rg.masks[s] for s in oracle}
-    assert set(closed.projections) == oracle_masks, \
+    assert set(rg.masks_of(closed.states)) == oracle_masks, \
         "closed loop differs from the RG-filtered supervisor"
     assert not closed.admissibility_violations, \
         "supervisor had to disable an uncontrollable transition"

@@ -44,10 +44,10 @@ def assert_matches_reference(net, controller, partition, rg):
     """verify_closed_loop gives what the composite exploration gives,
     and calls the loop isomorphic exactly when it keeps the invariant
     and its states are R; returns the report."""
-    got = verify_closed_loop(net, controller, partition, rg)
+    got = verify_closed_loop(controller, partition, rg)
     ref = reference_verify(net, controller, partition, rg)
     assert got.state_count == ref.state_count
-    assert got.projections == ref.projections
+    assert got.states.tolist() == ref.states.tolist()
     assert got.control_markings.tolist() == ref.control_markings.tolist()
     assert got.edges.tolist() == ref.edges.tolist()
     assert got.missing_authorized == ref.missing_authorized
@@ -56,7 +56,8 @@ def assert_matches_reference(net, controller, partition, rg):
     assert _violations(got) == _violations(ref)
     assert got.invariant_ok == ref.invariant_ok
     r = {rg.masks[s] for s in authorized_reachable(rg, partition)}
-    assert got.isomorphic == (ref.invariant_ok and set(ref.projections) == r)
+    assert got.isomorphic == (ref.invariant_ok
+                              and set(rg.masks_of(ref.states)) == r)
     assert got.max_control_marking == ref.max_control_marking
     return got
 
@@ -140,6 +141,32 @@ def test_rings():
     ctrl = _token_sum(net, [((1, 4, 7, 10), 2)])
     got = assert_matches_reference(net, ctrl, partition, rg)
     assert 0 < got.state_count < 81
+
+
+def test_control_place_that_blocks_nothing(two_machines):
+    # m(P1) <= 1 never binds on a safe net: the walk admits every state
+    # and numbers them as the plant's own search does
+    net = two_machines.net
+    rg = build_reachability_graph(net)
+    partition = partition_states(rg, two_machines.spec)
+    got = assert_matches_reference(net, _token_sum(net, [((0,), 1)]),
+                                   partition, rg)
+    assert got.states.tolist() == list(range(rg.n_states))
+    assert got.state_count == 12
+    assert got.edges.tolist() == rg.edges.tolist()
+    assert got.edge_mismatches == [
+        "two_machines allows c2 at P1P3P6", "two_machines allows c2 at P2P3P6",
+        "two_machines allows c1 at P1P3P7", "two_machines allows c1 at P1P4P7",
+        "two_machines allows c1 at P1P5P7"]
+    # on levels wide enough for the plant's search to expand with numpy
+    net = ring_net(6)
+    rg = build_reachability_graph(net)
+    partition = partition_states(rg, None)
+    got = assert_matches_reference(net, _token_sum(net, [((0, 3), 2)]),
+                                   partition, rg)
+    assert got.states.tolist() == list(range(rg.n_states))
+    assert got.edges.tolist() == rg.edges.tolist()
+    assert got.isomorphic
 
 
 def test_wider_than_64_places():
@@ -226,8 +253,7 @@ def test_wrong_initial_marking_does_not_verify(two_machines):
     initial = result.controller.initial.copy()
     initial[0] += 1
     bad = _broken(result.controller, initial=initial)
-    report = verify_closed_loop(two_machines.net, bad, result.partition,
-                                result.rg)
+    report = verify_closed_loop(bad, result.partition, result.rg)
     assert not report.invariant_ok
     assert not report.isomorphic
 
@@ -240,8 +266,7 @@ def test_wrong_incidence_does_not_verify(two_machines):
     incidence = ctrl.incidence.copy()
     incidence[1, t] += 1
     bad = _broken(ctrl, incidence=incidence)
-    report = verify_closed_loop(two_machines.net, bad, result.partition,
-                                result.rg)
+    report = verify_closed_loop(bad, result.partition, result.rg)
     assert not report.invariant_ok
     assert not report.isomorphic
 
@@ -263,7 +288,7 @@ def test_wrong_incidence_on_a_blocked_transition_does_not_verify():
     bad = _broken(good, incidence=np.array([[-2]]))
     ref = reference_verify(net, bad, partition, rg)
     assert ref.invariant_ok and ref.isomorphic
-    report = verify_closed_loop(net, bad, partition, rg)
+    report = verify_closed_loop(bad, partition, rg)
     assert report.edges.tolist() == ref.edges.tolist() == []
     assert not report.invariant_ok
     assert not report.isomorphic

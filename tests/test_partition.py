@@ -54,6 +54,21 @@ def test_primal_bad_union_of_sources():
     assert {support(rg.masks[s]) for s in bad} == {(1,), (2,), (3,)}
 
 
+def test_partition_leaves_the_bit_matrix_alone():
+    # the primal mask marks explicit and deadlock states in the array
+    # the predicate returns, so that array must not share rg.bits
+    net = _linear_net(True)
+    rg = _rg(net)
+    before = rg.bits.copy()
+    spec = BadStateSpec(
+        expr="C",
+        explicit=(Marking.from_support(4, [1]),),
+        include_deadlocks=True,
+    )
+    partition_states(rg, spec)
+    assert np.array_equal(rg.bits, before)
+
+
 def test_spec_parses_its_expr():
     spec = BadStateSpec(expr="C | !D")
     assert spec.tree == parse_predicate("C | !D")

@@ -20,11 +20,7 @@ from overseer import (
     synthesize,
     verify_closed_loop,
 )
-from overseer.errors import (
-    EmptyConstraintSet,
-    InitialMarkingViolation,
-    NonBinaryController,
-)
+from overseer.errors import InitialMarkingViolation, NonBinaryController
 from overseer.net import bit_rows, support
 from overseer.synthesis import Controller, format_constraint
 
@@ -54,9 +50,18 @@ def test_constraint_matrix_layout():
     assert len(weights) == 2
 
 
-def test_constraint_matrix_requires_constraints():
-    with pytest.raises(EmptyConstraintSet):
-        build_constraint_matrix([], n_places=3)
+def test_constraint_matrix_of_no_states():
+    weights, bounds = build_constraint_matrix([], n_places=3)
+    assert weights.shape == (0, 3) and bounds.shape == (0,)
+    # no rows synthesize the controller that has no control place
+    net = _simple_net()
+    got = synthesize(net, *build_constraint_matrix((), net.n_places))
+    want = empty_controller(net)
+    for name in ("incidence", "initial", "bounds", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+    assert got.place_names == want.place_names == ()
+    assert got.k == 0 and assemble_controlled_net(net, got) is net
 
 
 def test_constraint_row_of_overstate():
@@ -194,7 +199,7 @@ def test_multi_token_control_place_verified_without_assembly():
     assert ctrl.initial.tolist() == [2]
     rg = build_reachability_graph(net)
     partition = partition_states(rg, None)
-    report = verify_closed_loop(net, ctrl, partition, rg)
+    report = verify_closed_loop(ctrl, partition, rg)
     assert report.invariant_ok
     assert max(report.max_control_marking) == 2
 
@@ -203,12 +208,12 @@ def test_empty_controller_reproduces_plant():
     net = _simple_net()
     rg = build_reachability_graph(net)
     partition = partition_states(rg, None)
-    report = verify_closed_loop(net, empty_controller(net), partition, rg)
+    report = verify_closed_loop(empty_controller(net), partition, rg)
     assert report.state_count == rg.n_states
     assert report.isomorphic
     assert report.invariant_ok
     assert not report.admissibility_violations
-    assert set(report.projections) == set(rg.masks)
+    assert set(rg.masks_of(report.states)) == set(rg.masks)
 
 
 def test_supervisor_blocks_exactly_the_border(two_machines):
@@ -220,7 +225,7 @@ def test_supervisor_blocks_exactly_the_border(two_machines):
         net.n_places,
     )
     ctrl = synthesize(net, weights, bounds)
-    report = verify_closed_loop(net, ctrl, partition, rg)
+    report = verify_closed_loop(ctrl, partition, rg)
     assert report.isomorphic
     assert report.state_count == len(partition.m_a)
     assert not report.admissibility_violations
@@ -241,7 +246,7 @@ def test_admissibility_violation_surfaces():
         m_f=np.array([1]),
         m_a=np.array([0]), m_b=np.arange(0),
     )
-    report = verify_closed_loop(net, ctrl, partition, rg)
+    report = verify_closed_loop(ctrl, partition, rg)
     assert len(report.admissibility_violations) == 1
     v = report.admissibility_violations[0]
     assert v.transition == 0
@@ -256,7 +261,7 @@ def test_over_restrictive_controller_reports_missing_states():
     # pointless constraint: forbid B although B is authorized
     weights, bounds = build_constraint_matrix([_m([1])], 3)
     ctrl = synthesize(net, weights, bounds)
-    report = verify_closed_loop(net, ctrl, partition, rg)
+    report = verify_closed_loop(ctrl, partition, rg)
     assert not report.isomorphic
     assert [support(m) for m in report.missing_authorized] \
         == [(1,), (2,)]
@@ -282,7 +287,7 @@ def test_wrong_incidence_on_a_leaving_edge_does_not_verify(monkeypatch):
 
     def check(net, ctrl, partition, rg):
         got = matches_reference(net, ctrl, partition, rg)
-        closed = {rg.state_id(m) for m in got.projections}
+        closed = set(got.states.tolist())
         leaving = [(t, d not in closed) for s in sorted(closed)
                    for t, d in zip(*(col[rg.offsets[s]:rg.offsets[s + 1]]
                                      .tolist() for col in (rg.tr, rg.dst)))]
@@ -291,7 +296,7 @@ def test_wrong_incidence_on_a_leaving_edge_does_not_verify(monkeypatch):
         for t, blocked in picks if ctrl.k else ():
             incidence = ctrl.incidence.copy()
             incidence[t % ctrl.k, t] += 1
-            bad = verify_closed_loop(net, Controller(
+            bad = verify_closed_loop(Controller(
                 incidence=incidence, initial=ctrl.initial, bounds=ctrl.bounds,
                 weights=ctrl.weights, place_names=ctrl.place_names,
             ), partition, rg)
