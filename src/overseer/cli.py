@@ -5,10 +5,11 @@ Exit codes: 0 success, 2 unreadable or invalid input (including a
 non-safe plant and a blown budget in reach or over-states), 3
 synthesis impossible for the model, 4 a border state no over-state can
 express (rerun with --fallback to forbid it by an exact constraint), 5
-the closed loop failed verification.  Success is a closed loop that is
+the closed loop failed verification.  A failed parse or stage exits
+with the `exit_code` its error carries (see errors.py); a file that
+cannot be read or written exits 2.  Success is a closed loop that is
 `isomorphic`: the authorized states the plant reaches through
-authorized states, with all their firings among them.  An output file
-that cannot be written exits 2.
+authorized states, with all their firings among them.
 """
 
 from __future__ import annotations
@@ -19,17 +20,7 @@ import sys
 from pathlib import Path
 
 from .dotexport import closed_loop_to_dot, rg_to_dot
-from .errors import (
-    ForbiddenInitialMarking,
-    InitialMarkingViolation,
-    OverseerError,
-    PnetError,
-    SafenessViolation,
-    StageFailure,
-    StateBudgetExceeded,
-    UncontrollableBreach,
-    UncoverableState,
-)
+from .errors import NonBinaryController, OverseerError
 from .net import DEFAULT_STATE_BUDGET
 from .pipeline import PipelineOptions, run_pipeline
 from .pnet import parse_net_file, serialize_net
@@ -37,8 +28,6 @@ from .synthesis import assemble_controlled_net
 
 EXIT_OK = 0
 EXIT_INPUT = 2
-EXIT_IMPOSSIBLE = 3
-EXIT_UNCOVERABLE = 4
 EXIT_VERIFY = 5
 
 
@@ -81,18 +70,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _exit_code_for(exc: OverseerError) -> int:
-    cause = exc.cause if isinstance(exc, StageFailure) else exc
-    if isinstance(cause, (ForbiddenInitialMarking, UncontrollableBreach,
-                          InitialMarkingViolation)):
-        return EXIT_IMPOSSIBLE
-    if isinstance(cause, UncoverableState):
-        return EXIT_UNCOVERABLE
-    if isinstance(cause, (PnetError, SafenessViolation, StateBudgetExceeded)):
-        return EXIT_INPUT
-    return EXIT_VERIFY
-
-
 def _report_paths(path_arg: str) -> tuple[Path, Path]:
     path = Path(path_arg)
     if path.suffix == ".json":
@@ -116,19 +93,14 @@ def main(argv=None) -> int:
 
     try:
         doc = parse_net_file(args.net)
+        result = run_pipeline(doc, options)
     except (OSError, UnicodeDecodeError) as exc:
         print("overseer: error: cannot read %s: %s" % (args.net, exc),
               file=sys.stderr)
         return EXIT_INPUT
-    except PnetError as exc:
-        print("overseer: error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
-        result = run_pipeline(doc, options)
     except OverseerError as exc:
         print("overseer: error: %s" % exc, file=sys.stderr)
-        return _exit_code_for(exc)
+        return exc.exit_code
 
     report = result.report
     text = report.render_text()
@@ -146,12 +118,13 @@ def main(argv=None) -> int:
         outputs.append((args.dot_controlled, lambda: closed_loop_to_dot(
             result.rg, result.controller, result.closed)))
     if args.out:
-        if result.controller.k == 0 or result.controller.is_binary():
-            outputs.append((args.out, lambda: serialize_net(
-                assemble_controlled_net(doc.net, result.controller))))
-        else:
+        try:
+            controlled = assemble_controlled_net(doc.net, result.controller)
+        except NonBinaryController:
             print("overseer: warning: controller needs weighted arcs; "
                   "%s not written" % args.out, file=sys.stderr)
+        else:
+            outputs.append((args.out, lambda: serialize_net(controlled)))
     for path, render in outputs:
         try:
             Path(path).write_text(render(), encoding="utf-8")

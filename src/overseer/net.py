@@ -123,7 +123,6 @@ class PetriNet:
         if m0.width != len(self.places):
             raise ValueError("initial marking width does not match place count")
         self.place_index = {p: i for i, p in enumerate(self.places)}
-        self.transition_index = {t: i for i, t in enumerate(self.transitions)}
         self.pre_masks = tuple(self._mask(s) for s in pre_sets)
         self.post_masks = tuple(self._mask(s) for s in post_sets)
         if len(self.pre_masks) != len(self.transitions) or len(
@@ -213,23 +212,21 @@ class ReachabilityGraph:
     transition, target), sorted by source and then transition; `src`,
     `tr` and `dst` are its columns, and the edges leaving state s are
     rows `offsets[s]` to `offsets[s + 1]`.  `uncontrollable` is true at
-    the edges whose transition is uncontrollable.
+    the edges whose transition `net` declares uncontrollable.
     """
 
     def __init__(self, net: PetriNet, masks, flat: np.ndarray):
         # one numpy buffer per graph, because on small graphs each numpy
-        # call, not the data, is the cost: the three edge columns, the
-        # offsets, then one 0/1 flag per transition, 1 when uncontrollable
+        # call, not the data, is the cost: the three edge columns, then
+        # the offsets
         self.net = net
         self.masks = masks
-        n = len(masks) + 1
-        e = (len(flat) - n - net.n_transitions) // 3
+        e = (len(flat) - len(masks) - 1) // 3
         self._flat = flat
         self.src = flat[:e]
         self.tr = flat[e:2 * e]
         self.dst = flat[2 * e:3 * e]
-        self.offsets = flat[3 * e:3 * e + n]
-        self._uncontrollable = flat[3 * e + n:]
+        self.offsets = flat[3 * e:]
 
     @property
     def n_states(self) -> int:
@@ -249,7 +246,7 @@ class ReachabilityGraph:
 
     @cached_property
     def uncontrollable(self) -> np.ndarray:
-        return self._uncontrollable.astype(bool)[self.tr]
+        return ~np.array(self.net.controllable, dtype=bool)[self.tr]
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -355,13 +352,12 @@ class _LevelStep:
         return (lo + rows, tr, dst, offsets), targets[unseen].tolist()
 
 
-def _explore(pre_masks, post_masks, m0, budget, tail):
+def _explore(pre_masks, post_masks, m0, budget):
     """BFS closure from m0, transitions tried in index order, states
     numbered in discovery order.  Returns (masks, flat): the state
     masks and one intp buffer holding the src, tr and dst edge columns,
-    the offsets, then the values of `tail`.  Edges are grouped by source
-    in increasing order, those of state s being
-    src/tr/dst[offsets[s]:offsets[s + 1]].
+    then the offsets.  Edges are grouped by source in increasing order,
+    those of state s being src/tr/dst[offsets[s]:offsets[s + 1]].
 
     The search runs one level at a time.  Expanding the queued states
     [lo, len(masks)) as one batch in (state, transition) order numbers
@@ -432,14 +428,13 @@ def _explore(pre_masks, post_masks, m0, budget, tail):
     if step is None:
         # no level was vectorized: one pass over the lists, the fastest
         # copy on the small graphs that take this path
-        flat = np.fromiter(chain(src, tr, dst, offsets, tail),
-                           dtype=np.intp,
-                           count=3 * len(dst) + len(offsets) + len(tail))
+        flat = np.fromiter(chain(src, tr, dst, offsets), dtype=np.intp,
+                           count=3 * len(dst) + len(offsets))
     else:
         for col, part in zip(columns, (src, tr, dst, offsets)):
             col.append(part)
         flat = np.concatenate([np.asarray(p, dtype=np.intp)
-                               for p in chain(*columns, [tail])])
+                               for p in chain(*columns)])
     return masks, flat
 
 
@@ -449,9 +444,7 @@ def build_reachability_graph(net: PetriNet,
     """Exhaustive BFS closure of net from m0."""
     try:
         masks, flat = _explore(
-            net.pre_masks, net.post_masks, net.m0.mask, budget,
-            [not c for c in net.controllable],
-        )
+            net.pre_masks, net.post_masks, net.m0.mask, budget)
     except SafenessViolation as exc:
         raise SafenessViolation(
             "net %s is not safe: %s" % (net.name, exc)

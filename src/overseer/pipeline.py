@@ -3,9 +3,8 @@
 Stages: reachability graph, state partition, minimal over-states,
 cover selection, controller synthesis, closed-loop verification, report
 assembly.  States cross the stage boundaries as int masks.  Any stage
-error is re-raised as a StageFailure naming the
-stage; the original exception rides along as the cause so callers can
-map it to an exit code.
+error is re-raised as a StageFailure naming the stage; the original
+exception rides along as the cause, and its exit code with it.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ class _Stages:
         t0 = time.perf_counter()
         try:
             result = fn()
-        except StageFailure:
-            raise
         except OverseerError as exc:
             raise StageFailure(name, exc) from exc
         self.timings.append((name, time.perf_counter() - t0))
@@ -97,11 +94,6 @@ def run_pipeline(doc: NetDocument,
     border = rg.masks_of(partition.m_b)
 
     table: CoverTable | None = None
-    minimal: list[int] = []
-    chosen: list[int] = []
-    final_counts: list[int] = []
-    uncovered: list[int] = []
-
     if len(partition.m_f):
         authorized = rg.masks_of(partition.m_a)
 
@@ -134,18 +126,13 @@ def run_pipeline(doc: NetDocument,
                 raise VerificationFailure(
                     "selected over-states leave a border state uncovered"
                 )
-            # a 0 is left only at an uncovered column, which its own
-            # exact row covers, and no other
-            final_counts = [c or 1 for c in tbl.final_counts()]
-            return tbl, tbl.selected_rows(), final_counts, uncovered
+            return tbl
 
-        table, chosen, final_counts, uncovered = stages.run(
-            "cover", _cover_stage
-        )
+        table = stages.run("cover", _cover_stage)
 
         def _synth_stage():
             weights, bounds = build_constraint_matrix(
-                chosen, net.n_places, exact=uncovered)
+                table.selected_rows(), net.n_places, exact=table.uncovered)
             return synthesize(net, weights, bounds)
 
         controller = stages.run("synthesize", _synth_stage)
@@ -160,9 +147,7 @@ def run_pipeline(doc: NetDocument,
     )
 
     report = _assemble_report(
-        doc, rg, partition, minimal, border, table,
-        chosen, final_counts, uncovered, controller, closed,
-        stages.timings,
+        doc, rg, partition, border, table, controller, closed, stages.timings,
     )
     return PipelineResult(
         doc=doc,
@@ -175,11 +160,19 @@ def run_pipeline(doc: NetDocument,
     )
 
 
-def _assemble_report(doc, rg, partition, minimal, border, table,
-                     chosen, final_counts, uncovered, controller, closed,
+def _assemble_report(doc, rg, partition, border, table, controller, closed,
                      timings) -> SynthesisReport:
     net = doc.net
     fmt = net.format_masks
+    if table is None:
+        minimal, counts, final_counts, chosen, uncovered = [], [], [], [], []
+    else:
+        # the cover table's rows are the minimal over-states; a final
+        # count of 0 is left only at an uncovered column, which its own
+        # exact row covers, and no other
+        minimal, counts = table.rows, list(table.counts)
+        final_counts = [c or 1 for c in table.final_counts()]
+        chosen, uncovered = table.selected_rows(), table.uncovered
     # the controller's rows: those of chosen, then those of uncovered
     constraints = [
         format_constraint(net.places, row, bound)
@@ -209,7 +202,7 @@ def _assemble_report(doc, rg, partition, minimal, border, table,
             "minimal": fmt(minimal),
         },
         "cover": {
-            "cover_counts": list(table.counts) if table is not None else [],
+            "cover_counts": counts,
             "final_counts": final_counts,
             "selected": fmt(chosen),
         },

@@ -37,73 +37,47 @@ def _tokenize(text: str):
     return out
 
 
-class _Parser:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message):
-        col = self.tokens[self.pos][1] + 1 if self.pos < len(self.tokens) else len(self.text) + 1
-        raise PnetSyntaxError("%s in predicate %r" % (message, self.text), column=col)
-
-    def parse(self):
-        node = self.parse_or()
-        if self.peek() is not None:
-            self.fail("unexpected %r" % self.peek())
-        return node
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.peek() == "|":
-            self.take()
-            node = ("or", node, self.parse_and())
-        return node
-
-    def parse_and(self):
-        node = self.parse_not()
-        while self.peek() == "&":
-            self.take()
-            node = ("and", node, self.parse_not())
-        return node
-
-    def parse_not(self):
-        if self.peek() == "!":
-            self.take()
-            return ("not", self.parse_not())
-        return self.parse_atom()
-
-    def parse_atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.take()
-            node = self.parse_or()
-            if self.peek() != ")":
-                self.fail("missing ')'")
-            self.take()
-            return node
-        if tok is None or tok in "&|!)":
-            self.fail("expected a place name")
-        self.take()
-        if tok in CONSTANTS:
-            return ("const", CONSTANTS[tok])
-        return ("var", tok)
-
-
 def parse_predicate(text: str):
     """Parse to a small AST of nested tuples."""
     tokens = _tokenize(text)
     if not tokens:
         raise PnetSyntaxError("empty predicate")
-    return _Parser(tokens, text).parse()
+    tokens.append((None, len(text)))  # the end of the text
+    pos = 0
+
+    def parse(level):
+        # level 0 joins with |, level 1 with &; level 2 is a !, a
+        # parenthesized predicate or a name
+        nonlocal pos
+        if level < 2:
+            op, kind = ("|", "or") if level == 0 else ("&", "and")
+            node = parse(level + 1)
+            while tokens[pos][0] == op:
+                pos += 1
+                node = (kind, node, parse(level + 1))
+            return node
+        tok, col = tokens[pos]
+        pos += 1
+        if tok == "!":
+            return ("not", parse(2))
+        if tok == "(":
+            node = parse(0)
+            if tokens[pos][0] != ")":
+                raise PnetSyntaxError("missing ')' in predicate %r" % text,
+                                      column=tokens[pos][1] + 1)
+            pos += 1
+            return node
+        if tok is None or tok in "&|)":
+            raise PnetSyntaxError("expected a place name in predicate %r"
+                                  % text, column=col + 1)
+        return ("const", CONSTANTS[tok]) if tok in CONSTANTS else ("var", tok)
+
+    node = parse(0)
+    tok, col = tokens[pos]
+    if tok is not None:
+        raise PnetSyntaxError("unexpected %r in predicate %r" % (tok, text),
+                              column=col + 1)
+    return node
 
 
 def predicate_places(node) -> set[str]:

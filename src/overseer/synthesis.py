@@ -284,84 +284,82 @@ def verify_closed_loop(controller: Controller, partition: StatePartition,
     authorized states not reached."""
     net = rg.net
     n = rg.n_states
-    k = controller.k
+    if not controller.k and len(partition.m_a) == n:
+        # no control place and every plant state authorized: the closed
+        # loop is the plant, exactly the authorized behavior, and there
+        # is nothing to list
+        return ClosedLoopReport(
+            states=np.arange(n),
+            control_markings=np.zeros((n, 0), dtype=int),
+            edges=rg.edges,
+            missing_authorized=[],
+            extra_states=[],
+            edge_mismatches=[],
+            admissibility_violations=[],
+            invariant_ok=True,
+        )
     masks = rg.masks
+    # control markings, and their sums with an incidence entry, stay
+    # within `limit` of zero, so the (states x k) and (leaving edges x k)
+    # arrays take the narrowest integer type that holds it (on k rows,
+    # plain lists beat numpy reductions).  The 0/1 bits read as int8 are
+    # no copy; the product widens them only to `dtype`.
+    limit = (max(map(abs, controller.bounds.tolist()), default=0)
+             + max((sum(map(abs, row))
+                    for row in controller.weights.tolist()), default=0)
+             + max(map(abs, controller.incidence.ravel().tolist()),
+                   default=0))
+    dtype = np.min_scalar_type(-limit - 1)
+    weights = controller.weights.T.astype(dtype)
+    incidence = controller.incidence.T.astype(dtype)
+    control = (controller.bounds.astype(dtype)
+               - rg.bits.view(np.int8) @ weights)
+    admitted = (control >= 0).all(axis=1)
+    order, leaving = _walk(rg.offsets, rg.dst, admitted)
+    closed_id = np.empty(n, dtype=np.intp)
+    closed_id.fill(-1)
+    closed_id[order] = np.arange(len(order))
     # src, tr and dst: the edges leaving closed-loop states, grouped by
     # source in closed-loop order; allowed: whether each enters an
     # admitted state
-    if k:
-        # control markings, and their sums with an incidence entry, stay
-        # within `limit` of zero, so the (states x k) and (leaving edges
-        # x k) arrays take the narrowest integer type that holds it (on
-        # k rows, plain lists beat numpy reductions).  The 0/1 bits read
-        # as int8 are no copy; the product widens them only to `dtype`.
-        limit = (max(map(abs, controller.bounds.tolist()))
-                 + max(sum(map(abs, row))
-                       for row in controller.weights.tolist())
-                 + max(map(abs, controller.incidence.ravel().tolist()),
-                       default=0))
-        dtype = np.min_scalar_type(-limit - 1)
-        weights = controller.weights.T.astype(dtype)
-        incidence = controller.incidence.T.astype(dtype)
-        control = (controller.bounds.astype(dtype)
-                   - rg.bits.view(np.int8) @ weights)
-        admitted = (control >= 0).all(axis=1)
-        order, leaving = _walk(rg.offsets, rg.dst, admitted)
-        closed_id = np.empty(n, dtype=np.intp)
-        closed_id.fill(-1)
-        closed_id[order] = np.arange(len(order))
-        src, tr, dst = rg.src[leaving], rg.tr[leaving], rg.dst[leaving]
-        allowed = admitted[dst]
-        edges = np.array([closed_id[src[allowed]], tr[allowed],
-                          closed_id[dst[allowed]]]).T
-        # the control marking after each leaving edge must be its target's
-        invariant_ok = (
-            control[0].tolist() == controller.initial.tolist()
-            and bool((control[src] + incidence[tr] == control[dst]).all()))
-        missing = rg.masks_of(partition.m_a[closed_id[partition.m_a] < 0])
-        # a blocked uncontrollable edge: the first control place
-        # negative at its target is the sole reason it cannot fire
-        blocked = ~allowed
-        violations = [
-            AdmissibilityViolation(
-                control_place=next(i for i, c in enumerate(row) if c < 0),
-                transition=t, state=masks[s])
-            for t, s, row in zip(tr[blocked].tolist(), src[blocked].tolist(),
-                                 control[dst[blocked]].tolist())
-            if not net.controllable[t]
-        ]
-    else:
-        # no control place: the closed loop is the plant graph
-        order = np.arange(n)
-        src, tr, dst = rg.src, rg.tr, rg.dst
-        allowed = True
-        edges = rg.edges
-        invariant_ok = True
-        missing, violations = [], []
-        control = np.zeros((n, 0), dtype=int)
+    src, tr, dst = rg.src[leaving], rg.tr[leaving], rg.dst[leaving]
+    allowed = admitted[dst]
+    edges = np.array([closed_id[src[allowed]], tr[allowed],
+                      closed_id[dst[allowed]]]).T
+    # the control marking after each leaving edge must be its target's
+    invariant_ok = (
+        control[0].tolist() == controller.initial.tolist()
+        and bool((control[src] + incidence[tr] == control[dst]).all()))
+    missing = rg.masks_of(partition.m_a[closed_id[partition.m_a] < 0])
+    # a blocked uncontrollable edge: the first control place negative
+    # at its target is the sole reason it cannot fire
+    blocked = ~allowed
+    violations = [
+        AdmissibilityViolation(
+            control_place=next(i for i, c in enumerate(row) if c < 0),
+            transition=t, state=masks[s])
+        for t, s, row in zip(tr[blocked].tolist(), src[blocked].tolist(),
+                             control[dst[blocked]].tolist())
+        if not net.controllable[t]
+    ]
 
-    extra, edge_mismatches = [], []
-    # with no control place and every plant state authorized, the closed
-    # loop is exactly the authorized behavior: nothing to list
-    if k or len(partition.m_a) < n:
-        authorized = np.zeros(n, dtype=bool)
-        authorized[partition.m_a] = True
-        extra = rg.masks_of(order[~authorized[order]])
+    authorized = np.zeros(n, dtype=bool)
+    authorized[partition.m_a] = True
+    extra = rg.masks_of(order[~authorized[order]])
 
-        # at an authorized plant state exactly the firings whose
-        # successor is still authorized must be allowed; per closed-loop
-        # state, the missed firings come before the unexpected ones
-        into = authorized[dst]
-        wrong = (authorized[src] & (allowed != into)).nonzero()[0]
-        rows = zip(src[wrong].tolist(), into[wrong].tolist(),
-                   tr[wrong].tolist())
-        for _, group in groupby(rows, key=itemgetter(0)):
-            for s, missed, t in sorted(group, key=itemgetter(1),
-                                       reverse=True):
-                edge_mismatches.append("%s %s %s at %s" % (
-                    net.name, "misses" if missed else "allows",
-                    net.transitions[t], net.format_mask(masks[s]),
-                ))
+    # at an authorized plant state exactly the firings whose successor
+    # is still authorized must be allowed; per closed-loop state, the
+    # missed firings come before the unexpected ones
+    edge_mismatches = []
+    into = authorized[dst]
+    wrong = (authorized[src] & (allowed != into)).nonzero()[0]
+    rows = zip(src[wrong].tolist(), into[wrong].tolist(), tr[wrong].tolist())
+    for _, group in groupby(rows, key=itemgetter(0)):
+        for s, missed, t in sorted(group, key=itemgetter(1), reverse=True):
+            edge_mismatches.append("%s %s %s at %s" % (
+                net.name, "misses" if missed else "allows",
+                net.transitions[t], net.format_mask(masks[s]),
+            ))
 
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):

@@ -8,7 +8,7 @@ the true sizes, or the benchmark's output is malformed.
 `PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The first
 nets of the random-batch pool go through the benchmark's own calls and
 answer checks, and through the same answer checks under `--fallback`.
-The two scripts in `benchmarks/` run here on their smallest sizes.
+The scripts in `benchmarks/` run here on their smallest sizes.
 """
 
 import json
@@ -149,6 +149,7 @@ def test_random_batch_slice_passes_the_benchmark_check_under_fallback(
 @pytest.mark.parametrize("argv", [
     ["overstate_bench.py", "--max-k", "2", "--repeats", "1"],
     ["reach_bench.py", "--max-rings", "2", "--repeats", "1"],
+    ["differential.py", "/dev/null", "--pool", "20", "--max-k", "2"],
 ])
 def test_benchmark_scripts_run(argv, monkeypatch, capsys):
     # each script asserts its own counts, and overstate_bench checks its

@@ -198,6 +198,8 @@ def _explore_outcome(net, budget):
         return type(exc), str(exc)
     for s, m in enumerate(rg.masks):
         assert rg.state_id(m) == s
+    assert rg.uncontrollable.tolist() == [not net.controllable[t]
+                                          for t in rg.tr.tolist()]
     return rg.masks, [tuple(e) for e in rg.edges.tolist()], \
         rg.offsets.tolist()
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import overseer.errors
 import overseer.net
 import overseer.pipeline
 from overseer import (
@@ -18,8 +19,9 @@ from overseer import (
     predicate,
     run_pipeline,
 )
-from overseer.cli import _exit_code_for, main
+from overseer.cli import main
 from overseer.errors import (
+    OverseerError,
     PnetError,
     StageFailure,
     StateBudgetExceeded,
@@ -232,6 +234,34 @@ def test_pipeline_builds_no_markings(two_machines, drop_job, monkeypatch):
     assert built == []
 
 
+# the exit code of each error class, as the README's table gives it
+EXIT_CODES = {
+    "OverseerError": 5,
+    "PnetError": 2,
+    "PnetSyntaxError": 2,
+    "UnknownPlaceName": 2,
+    "SafenessViolation": 2,
+    "StateBudgetExceeded": 2,
+    "InitialMarkingViolation": 3,
+    "ForbiddenInitialMarking": 3,
+    "UncontrollableBreach": 3,
+    "UncoverableState": 4,
+    "NonBinaryController": 5,
+    "VerificationFailure": 5,
+}
+ERROR_CLASSES = [c for c in vars(overseer.errors).values()
+                 if isinstance(c, type) and issubclass(c, OverseerError)
+                 and c is not StageFailure]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_errors_carry_their_exit_codes(cls):
+    assert {c.__name__ for c in ERROR_CLASSES} == set(EXIT_CODES)
+    err = cls("boom")
+    assert err.exit_code == EXIT_CODES[cls.__name__]
+    assert StageFailure("reach", err).exit_code == err.exit_code
+
+
 def test_pipeline_state_budget_bounds_over_states():
     doc = parse_net(PAIRS)
     result = run_pipeline(doc)
@@ -278,7 +308,7 @@ def test_pipeline_fallback_forbids_the_empty_marking():
         run_pipeline(doc)
     assert err.value.stage == "cover"
     assert err.value.cause.uncovered == (0,)
-    assert _exit_code_for(err.value) == 4
+    assert err.value.exit_code == 4
     result = run_pipeline(doc, PipelineOptions(fallback=True))
     r = result.report.to_dict()
     assert r["fallback"]["uncovered"] == ["-"]
@@ -431,7 +461,7 @@ def test_unknown_place_in_forbidden_expr(tmp_path, capsys, two_machines):
         run_pipeline(doc)
     assert err.value.stage == "partition"
     assert isinstance(err.value.cause, UnknownPlaceName)
-    assert _exit_code_for(err.value) == 2
+    assert err.value.exit_code == 2
 
 
 def test_explicit_state_of_another_width_fails_at_partition():
@@ -445,7 +475,7 @@ def test_explicit_state_of_another_width_fails_at_partition():
     assert isinstance(err.value.cause, PnetError)
     assert str(err.value) == ("partition: explicit bad marking has 3 bits, "
                               "net has 2 places")
-    assert _exit_code_for(err.value) == 2
+    assert err.value.exit_code == 2
 
 
 def test_cli_forbidden_initial_marking(tmp_path, capsys):
@@ -477,6 +507,36 @@ def test_cli_fallback_turns_exit_4_into_0(drop_job_path, tmp_path, capsys):
     # the exact row is binary, so the controlled net is written
     doc = parse_net(out.read_text())
     assert doc.net.places == ("Q", "P1", "P2", "Pc1")
+
+
+# a net of the benchmark's random pool whose two uncoverable border
+# states get exact rows with a weight-2 arc into t1 and t2
+WEIGHTED = """\
+net gen
+places P1 P2 P3
+initial P1 P2 P3
+transition t1 controllable { in P1 P2 ; out }
+transition t2 controllable { in P1 ; out }
+transition t3 controllable { in P2 P3 ; out P2 P3 }
+transition t4 uncontrollable { in P1 P3 ; out P1 }
+transition t5 uncontrollable { in P1 P2 ; out P2 }
+forbidden {
+  expr "!P2"
+}
+"""
+
+
+def test_cli_weighted_controller_is_not_written(tmp_path, capsys):
+    net, out = tmp_path / "gen.pnet", tmp_path / "ctl.pnet"
+    net.write_text(WEIGHTED)
+    rc = main([str(net), "--fallback", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "    -m(P1) - m(P2) + m(P3) <= 0\n" \
+        "    -m(P1) - m(P2) - m(P3) <= -1\n" in captured.out
+    assert captured.err == ("overseer: warning: controller needs weighted "
+                            "arcs; %s not written\n" % out)
+    assert not out.exists()
 
 
 def test_cli_authorized_state_behind_forbidden_is_exit_0(tmp_path, capsys):
