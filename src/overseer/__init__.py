@@ -23,7 +23,6 @@ from .errors import (
     SafenessViolation,
     StageFailure,
     StateBudgetExceeded,
-    UncontrollableBreach,
     UncoverableState,
     UnknownPlaceName,
     VerificationFailure,
@@ -47,7 +46,7 @@ from .partition import (
     deadlocks,
     partition_states,
 )
-from .pipeline import PipelineOptions, PipelineResult, run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 from .pnet import NetDocument, parse_net, parse_net_file, serialize_net
 from .predicate import parse_predicate, predicate_places
 from .report import SynthesisReport, canonical_digest
@@ -76,7 +75,6 @@ __all__ = [
     "NonBinaryController",
     "OverseerError",
     "PetriNet",
-    "PipelineOptions",
     "PipelineResult",
     "PnetError",
     "PnetSyntaxError",
@@ -86,7 +84,6 @@ __all__ = [
     "StateBudgetExceeded",
     "StatePartition",
     "SynthesisReport",
-    "UncontrollableBreach",
     "UncoverableState",
     "UnknownPlaceName",
     "VerificationFailure",

@@ -22,7 +22,7 @@ from pathlib import Path
 from .dotexport import closed_loop_to_dot, rg_to_dot
 from .errors import NonBinaryController, OverseerError
 from .net import DEFAULT_STATE_BUDGET
-from .pipeline import PipelineOptions, run_pipeline
+from .pipeline import run_pipeline
 from .pnet import parse_net_file, serialize_net
 from .synthesis import assemble_controlled_net
 
@@ -43,7 +43,10 @@ def _at_least_one(text: str) -> int:
     return n
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    # one parser per process: parse_args keeps no state in it, and
+    # building it costs more than the whole pipeline on a small net
     p = argparse.ArgumentParser(
         prog="overseer",
         description="Synthesize a maximally permissive control-place "
@@ -77,23 +80,12 @@ def _report_paths(path_arg: str) -> tuple[Path, Path]:
     return path, path.with_suffix(".json")
 
 
-@functools.cache
-def _arg_parser() -> argparse.ArgumentParser:
-    # one parser per process: parse_args keeps no state in it, and
-    # building it costs more than the whole pipeline on a small net
-    return build_arg_parser()
-
-
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
-    options = PipelineOptions(
-        state_budget=args.state_budget,
-        fallback=args.fallback,
-    )
-
     try:
         doc = parse_net_file(args.net)
-        result = run_pipeline(doc, options)
+        result = run_pipeline(doc, state_budget=args.state_budget,
+                              fallback=args.fallback)
     except (OSError, UnicodeDecodeError) as exc:
         print("overseer: error: cannot read %s: %s" % (args.net, exc),
               file=sys.stderr)

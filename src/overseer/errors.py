@@ -3,8 +3,9 @@
 Every failure the toolkit can report deliberately is an OverseerError;
 anything else escaping the library is a bug.  Each class carries the
 command line's exit code for it as `exit_code`: 2 bad input, 3 no
-supervisor exists, 4 an uncoverable border state, and 5, the default,
-a failed check.
+supervisor exists (the initial marking is forbidden, or breaks a
+constraint given to `synthesize`), 4 an uncoverable border state, and
+5, the default, a failed check.
 """
 
 
@@ -59,14 +60,6 @@ class InitialMarkingViolation(OverseerError):
 
 class ForbiddenInitialMarking(OverseerError):
     """The initial marking is itself forbidden; no supervisor exists."""
-
-    exit_code = 3
-
-
-class UncontrollableBreach(OverseerError):
-    """An authorized state can enter the forbidden set by an uncontrollable
-    firing.  After a correct closure this cannot happen; the check fails
-    closed instead of synthesizing an unsound controller."""
 
     exit_code = 3
 

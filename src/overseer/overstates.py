@@ -105,8 +105,6 @@ def overstate_union(border: list[int], authorized: list[int],
     """Deduplicated union of the border states' minimal over-states, in
     canonical (cardinality, support) order.  A border state that some
     authorized state covers contributes none."""
-    if not border:
-        return []
     if (len(border) * len(authorized) >= _VECTOR_PAIRS
             and max([*border, *authorized]).bit_length() <= 64):
         hypergraphs = _minimal_edge_sets(border, authorized)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ForbiddenInitialMarking, PnetError, UncontrollableBreach
+from .errors import ForbiddenInitialMarking, PnetError
 from .net import Marking, ReachabilityGraph
 from .predicate import evaluate_predicate, parse_predicate
 
@@ -94,13 +94,6 @@ def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
     return bad
 
 
-def _crossings(rg: ReachabilityGraph, forbidden: np.ndarray):
-    """Per edge, whether it enters the forbidden set from outside, and
-    the ids of the uncontrollable edges among those."""
-    entering = forbidden[rg.dst] > forbidden[rg.src]
-    return entering, (entering & rg.uncontrollable).nonzero()[0]
-
-
 def _ancestors(rg: ReachabilityGraph, forbidden: np.ndarray,
                seeds: np.ndarray) -> np.ndarray:
     """`forbidden` plus the `seeds` and every state with a path of
@@ -144,26 +137,15 @@ def partition_states(rg: ReachabilityGraph, spec: BadStateSpec | None) -> StateP
         return StatePartition(m_f=m_f, m_a=np.arange(n), m_b=m_f)
     # the closure only adds states, so a bad m0 needs none
     _refuse_forbidden_m0(rg, forbidden)
-    entering, unc_in = _crossings(rg, forbidden)
+    entering = forbidden[rg.dst] > forbidden[rg.src]
+    unc_in = (entering & rg.uncontrollable).nonzero()[0]
     # usually no uncontrollable edge enters the bad states, and they are
     # closed as they are; otherwise their closure adds the sources of
-    # those edges and everything that drifts into them
+    # those edges and everything that drifts into them, and then none does
     if len(unc_in):
         forbidden = _ancestors(rg, forbidden, rg.src[unc_in])
         _refuse_forbidden_m0(rg, forbidden)
-        entering, unc_in = _crossings(rg, forbidden)
-        if len(unc_in):
-            # impossible after a correct closure; fail closed rather
-            # than synthesize from a broken partition
-            s, t, d = rg.edges[unc_in[0]].tolist()
-            raise UncontrollableBreach(
-                "authorized state %s reaches forbidden %s by "
-                "uncontrollable %s" % (
-                    rg.net.format_mask(rg.masks[s]),
-                    rg.net.format_mask(rg.masks[d]),
-                    rg.net.transitions[t],
-                )
-            )
+        entering = forbidden[rg.dst] > forbidden[rg.src]
         m_f = forbidden.nonzero()[0]
     return StatePartition(
         m_f=m_f,

@@ -44,12 +44,6 @@ from .synthesis import (
 
 
 @dataclass
-class PipelineOptions:
-    state_budget: int = DEFAULT_STATE_BUDGET
-    fallback: bool = False
-
-
-@dataclass
 class PipelineResult:
     doc: NetDocument
     rg: ReachabilityGraph
@@ -76,16 +70,14 @@ class _Stages:
         return result
 
 
-def run_pipeline(doc: NetDocument,
-                 options: PipelineOptions | None = None) -> PipelineResult:
-    if options is None:
-        options = PipelineOptions()
+def run_pipeline(doc: NetDocument, state_budget: int = DEFAULT_STATE_BUDGET,
+                 fallback: bool = False) -> PipelineResult:
     net = doc.net
     stages = _Stages()
 
     rg = stages.run(
         "reach",
-        lambda: build_reachability_graph(net, budget=options.state_budget),
+        lambda: build_reachability_graph(net, budget=state_budget),
     )
     partition = stages.run(
         "partition", lambda: partition_states(rg, doc.spec)
@@ -99,7 +91,7 @@ def run_pipeline(doc: NetDocument,
 
         def _overstate_stage():
             cand = overstate_union(border, authorized,
-                                   budget=options.state_budget)
+                                   budget=state_budget)
             # the union is already an antichain that no authorized state
             # covers: a minimal transversal of one border state holds
             # no over-state of another, or it would not be minimal.  So
@@ -116,7 +108,7 @@ def run_pipeline(doc: NetDocument,
         def _cover_stage():
             tbl = build_cover_table(minimal, border)
             uncovered = tbl.uncovered
-            if uncovered and not options.fallback:
+            if uncovered and not fallback:
                 raise UncoverableState(
                     "%d border state(s) covered by no over-state"
                     % len(uncovered), uncovered=uncovered,

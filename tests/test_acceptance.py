@@ -17,7 +17,6 @@ from itertools import combinations
 from pathlib import Path
 
 from overseer import (
-    PipelineOptions,
     build_cover_table,
     build_constraint_matrix,
     build_reachability_graph,
@@ -376,7 +375,7 @@ def test_criterion_7_negative_paths(tmp_path, drop_job_path, capsys):
                          "--out", str(out)]) == 0
         capsys.readouterr()
         doc = parse_net_file(drop_job_path)
-        result = run_pipeline(doc, PipelineOptions(fallback=True))
+        result = run_pipeline(doc, fallback=True)
         report = result.report.to_dict()
         assert report["fallback"]["used"]
         assert report["controller"]["constraints"] \

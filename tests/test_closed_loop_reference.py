@@ -14,7 +14,6 @@ from overseer import (
     Marking,
     NetDocument,
     PetriNet,
-    PipelineOptions,
     build_reachability_graph,
     empty_controller,
     partition_states,
@@ -109,7 +108,7 @@ def test_two_copies_of_two_machines(two_machines):
 
 
 def test_drop_job_with_fallback(drop_job):
-    result = run_pipeline(drop_job, PipelineOptions(fallback=True))
+    result = run_pipeline(drop_job, fallback=True)
     got = assert_matches_reference(drop_job.net, result.controller,
                                    result.partition, result.rg)
     # the exact row -m(Q) + m(P1) - m(P2) <= 0 forbids P1 alone
@@ -217,8 +216,7 @@ def test_random_nets():
             continue
         seen["nets"] += 1
         try:
-            result = run_pipeline(NetDocument(net, spec),
-                                  PipelineOptions(fallback=True))
+            result = run_pipeline(NetDocument(net, spec), fallback=True)
             controllers = [result.controller]
         except StageFailure:
             controllers = []

@@ -1,6 +1,7 @@
 """Core net model: markings, firing, reachability exploration."""
 
 import random
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -32,6 +33,25 @@ def _chain_net():
         "chain", ["A", "B", "C"], ["t1", "t2"], [True, False],
         [[0], [1]], [[1], [2]], Marking.from_support(3, [0]),
     )
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"places": ["A", "A", "C"]}, "duplicate place names"),
+    ({"transitions": ["t1", "t1"]}, "duplicate transition names"),
+    ({"controllable": [True]},
+     "one controllability flag per transition required"),
+    ({"m0": Marking.from_support(2, [0])},
+     "initial marking width does not match place count"),
+    ({"pre_sets": [[0]]}, "pre/post sets must match transition count"),
+    ({"post_sets": [[1], [5]]}, "place index 5 out of range"),
+])
+def test_petri_net_refuses_malformed_arguments(change, message):
+    args = {"name": "chain", "places": ["A", "B", "C"],
+            "transitions": ["t1", "t2"], "controllable": [True, False],
+            "pre_sets": [[0], [1]], "post_sets": [[1], [2]],
+            "m0": Marking.from_support(3, [0])}
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        PetriNet(**{**args, **change})
 
 
 def test_marking_basics():

@@ -83,6 +83,13 @@ def test_spec_parses_its_expr():
         BadStateSpec(expr="C", tree=("var", "D"))
 
 
+def test_spec_needs_a_source():
+    with pytest.raises(ValueError, match="^bad-state specification needs a "
+                                         "predicate, explicit states, or "
+                                         "the deadlock flag$"):
+        BadStateSpec()
+
+
 def test_closure_climbs_uncontrollable_edges():
     # D bad; C -> D controllable, B -> C uncontrollable: forbidding D
     # drags in C's predecessor only when the edge cannot be disabled

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -13,7 +15,6 @@ from overseer import (
     BadStateSpec,
     Marking,
     NetDocument,
-    PipelineOptions,
     parse_net,
     parse_net_file,
     predicate,
@@ -143,11 +144,10 @@ GOLDEN_DIGESTS = {
 
 
 def test_golden_digests(two_machines, drop_job):
-    fallback = PipelineOptions(fallback=True)
     digests = {
         "two_machines": run_pipeline(two_machines).report.digest(),
         "drop_job --fallback":
-            run_pipeline(drop_job, fallback).report.digest(),
+            run_pipeline(drop_job, fallback=True).report.digest(),
         "two_machines x2":
             run_pipeline(copies(two_machines, 2)).report.digest(),
     }
@@ -174,11 +174,10 @@ def _text_hash(report):
 
 
 def test_golden_text_reports(two_machines, drop_job):
-    fallback = PipelineOptions(fallback=True)
     hashes = {
         "two_machines": _text_hash(run_pipeline(two_machines).report),
         "drop_job --fallback":
-            _text_hash(run_pipeline(drop_job, fallback).report),
+            _text_hash(run_pipeline(drop_job, fallback=True).report),
         "two_machines x2":
             _text_hash(run_pipeline(copies(two_machines, 2)).report),
     }
@@ -229,7 +228,7 @@ def test_pipeline_builds_no_markings(two_machines, drop_job, monkeypatch):
     monkeypatch.setattr(Marking, "__init__", counting_init)
     result = run_pipeline(doc)
     assert result.closed.state_count == 5 ** 3
-    result = run_pipeline(drop_job, PipelineOptions(fallback=True))
+    result = run_pipeline(drop_job, fallback=True)
     assert result.report.to_dict()["fallback"]["used"]
     assert built == []
 
@@ -244,7 +243,6 @@ EXIT_CODES = {
     "StateBudgetExceeded": 2,
     "InitialMarkingViolation": 3,
     "ForbiddenInitialMarking": 3,
-    "UncontrollableBreach": 3,
     "UncoverableState": 4,
     "NonBinaryController": 5,
     "VerificationFailure": 5,
@@ -271,7 +269,7 @@ def test_pipeline_state_budget_bounds_over_states():
     assert r["closed_loop"]["isomorphic"]
     # 7 states fit a budget of 16, 32 transversals do not
     with pytest.raises(StageFailure) as err:
-        run_pipeline(doc, PipelineOptions(state_budget=16))
+        run_pipeline(doc, state_budget=16)
     assert err.value.stage == "over-states"
     assert isinstance(err.value.cause, StateBudgetExceeded)
 
@@ -280,9 +278,9 @@ def test_pipeline_state_budget_bounds_over_states():
 def test_pipeline_state_budget_counts_m0(budget):
     # m0 counts against the budget, also on a net with no transition
     doc = parse_net("net still\nplaces A\ninitial A\n")
-    assert run_pipeline(doc, PipelineOptions(state_budget=1)).rg.n_states == 1
+    assert run_pipeline(doc, state_budget=1).rg.n_states == 1
     with pytest.raises(StageFailure) as err:
-        run_pipeline(doc, PipelineOptions(state_budget=budget))
+        run_pipeline(doc, state_budget=budget)
     assert err.value.stage == "reach"
     assert isinstance(err.value.cause, StateBudgetExceeded)
     assert str(err.value.cause) == ("net still: state budget %d exhausted "
@@ -309,7 +307,7 @@ def test_pipeline_fallback_forbids_the_empty_marking():
     assert err.value.stage == "cover"
     assert err.value.cause.uncovered == (0,)
     assert err.value.exit_code == 4
-    result = run_pipeline(doc, PipelineOptions(fallback=True))
+    result = run_pipeline(doc, fallback=True)
     r = result.report.to_dict()
     assert r["fallback"]["uncovered"] == ["-"]
     assert r["controller"]["constraints"] == ["-m(A) <= -1"]
@@ -318,7 +316,7 @@ def test_pipeline_fallback_forbids_the_empty_marking():
 
 
 def test_pipeline_fallback_forbids_only_the_uncovered_state(drop_job):
-    result = run_pipeline(drop_job, PipelineOptions(fallback=True))
+    result = run_pipeline(drop_job, fallback=True)
     r = result.report.to_dict()
     assert r["fallback"]["used"]
     assert r["fallback"]["uncovered"] == ["P1"]
@@ -426,6 +424,14 @@ def test_cli_state_budget_below_one_is_refused(budget, tmp_path, capsys):
     assert ("argument --state-budget: must be at least 1, got %s" % budget
             in capsys.readouterr().err)
 
+
+
+def test_cli_state_budget_must_be_an_int(two_machines_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(two_machines_path), "--state-budget", "abc"])
+    assert exc.value.code == 2
+    assert ("argument --state-budget: invalid int value: 'abc'"
+            in capsys.readouterr().err)
 
 def test_cli_over_state_budget(tmp_path, capsys):
     net = tmp_path / "pairs.pnet"
@@ -603,3 +609,33 @@ def test_cli_unwritable_output_is_exit_2(flag, tmp_path, two_machines_path,
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("overseer: error: cannot write %s" % path)
+
+
+TWO_MACHINES_EXPR = '  expr "(P2 & P7) | (P5 & P6)"\n'
+
+
+@pytest.mark.parametrize("forbidden, rc, err", [
+    # blanks after the last token end the predicate
+    ('  expr "(P2 & P7) | (P5 & P6) "\n', 0, ""),
+    # the plant never holds P1 and P2 alone: logged, and the run unchanged
+    (TWO_MACHINES_EXPR + "  state P1 P2\n", 0,
+     "explicit bad state P1P2 is not reachable; ignored\n"),
+    ('  expr "true"\n', 3,
+     "overseer: error: partition: initial marking P1P3P6 is forbidden; "
+     "synthesis is impossible\n"),
+], ids=["trailing-blank", "unreachable-state", "true"])
+def test_cli_forbidden_block_variants(forbidden, rc, err, two_machines_path,
+                                      tmp_path):
+    # a process of its own, so that stderr holds what the logging
+    # module prints when nothing configured it
+    text = two_machines_path.read_text()
+    assert TWO_MACHINES_EXPR in text
+    net = tmp_path / "variant.pnet"
+    net.write_text(text.replace(TWO_MACHINES_EXPR, forbidden))
+    env = {**os.environ, "PYTHONPATH": str(two_machines_path.parents[2])}
+    done = subprocess.run([sys.executable, "-m", "overseer.cli", str(net)],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (rc, err)
+    if rc == 0:
+        assert done.stdout.splitlines()[-1] == (
+            "canonical digest: %s" % GOLDEN_DIGESTS["two_machines"])

@@ -348,6 +348,16 @@ def test_serialize_refuses_expr_across_lines(space):
         serialize_net(net, spec)
 
 
+def test_serialize_refuses_empty_explicit_state():
+    # `state` needs at least one place name
+    net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    spec = BadStateSpec(explicit=[Marking(2, 0)])
+    with pytest.raises(ValueError) as err:
+        serialize_net(net, spec)
+    assert str(err.value).endswith("use an expr like '!A & !B'")
+
+
 def test_serialize_keeps_tab_in_expr():
     net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
                    Marking.from_support(2, [0]))
