@@ -18,6 +18,7 @@ from .errors import (
     InitialMarkingViolation,
     NonBinaryController,
     OverseerError,
+    OverseerWarning,
     PnetError,
     PnetSyntaxError,
     SafenessViolation,
@@ -74,6 +75,7 @@ __all__ = [
     "NetDocument",
     "NonBinaryController",
     "OverseerError",
+    "OverseerWarning",
     "PetriNet",
     "PipelineResult",
     "PnetError",

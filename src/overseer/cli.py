@@ -17,10 +17,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 from .dotexport import closed_loop_to_dot, rg_to_dot
-from .errors import NonBinaryController, OverseerError
+from .errors import NonBinaryController, OverseerError, OverseerWarning
 from .net import DEFAULT_STATE_BUDGET
 from .pipeline import run_pipeline
 from .pnet import parse_net_file, serialize_net
@@ -80,12 +81,22 @@ def _report_paths(path_arg: str) -> tuple[Path, Path]:
     return path, path.with_suffix(".json")
 
 
+def _warn(message, *_) -> None:
+    """Print a warning; also takes the place of `warnings.showwarning`."""
+    print("overseer: warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _arg_parser().parse_args(argv)
     try:
-        doc = parse_net_file(args.net)
-        result = run_pipeline(doc, state_budget=args.state_budget,
-                              fallback=args.fallback)
+        with warnings.catch_warnings():
+            # each library warning is printed as it comes, in the CLI's
+            # own form, whatever filters the caller has set
+            warnings.simplefilter("always", OverseerWarning)
+            warnings.showwarning = _warn
+            doc = parse_net_file(args.net)
+            result = run_pipeline(doc, state_budget=args.state_budget,
+                                  fallback=args.fallback)
     except (OSError, UnicodeDecodeError) as exc:
         print("overseer: error: cannot read %s: %s" % (args.net, exc),
               file=sys.stderr)
@@ -113,8 +124,8 @@ def main(argv=None) -> int:
         try:
             controlled = assemble_controlled_net(doc.net, result.controller)
         except NonBinaryController:
-            print("overseer: warning: controller needs weighted arcs; "
-                  "%s not written" % args.out, file=sys.stderr)
+            _warn("controller needs weighted arcs; %s not written"
+                  % args.out)
         else:
             outputs.append((args.out, lambda: serialize_net(controlled)))
     for path, render in outputs:

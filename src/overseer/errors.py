@@ -5,7 +5,8 @@ anything else escaping the library is a bug.  Each class carries the
 command line's exit code for it as `exit_code`: 2 bad input, 3 no
 supervisor exists (the initial marking is forbidden, or breaks a
 constraint given to `synthesize`), 4 an uncoverable border state, and
-5, the default, a failed check.
+5, the default, a failed check.  What the toolkit skips without
+failing it reports as an OverseerWarning through `warnings`.
 """
 
 
@@ -81,6 +82,12 @@ class NonBinaryController(OverseerError):
     """The controller needs arc weights or markings beyond 0/1 and cannot
     be materialized as a safe net (verification still runs, on the
     plant's state graph)."""
+
+
+class OverseerWarning(UserWarning):
+    """Something the toolkit ignored or left undone without failing, such
+    as an explicit bad state the plant never reaches.  The CLI prints it
+    as `overseer: warning: ...`."""
 
 
 class VerificationFailure(OverseerError):

@@ -14,6 +14,11 @@ produces as flat data: one int mask per state and the edges as (source,
 transition, target) arrays grouped by source (CSR offsets).  The
 pipeline passes int masks from stage to stage; `Marking` is only the
 type of a net's initial marking and of explicit forbidden states.
+
+`_VECTOR_FROM` gates naming too: `PetriNet.format_masks` names a list
+of at least that many masks, on a net of at most 64 places, with array
+operations, and a shorter list, or any list on a wider net, one mask
+at a time.  The text is the same either way.
 """
 
 from __future__ import annotations
@@ -159,21 +164,46 @@ class PetriNet:
         return "".join([self.places[p] for p in support(mask)]) or "-"
 
     def format_masks(self, masks) -> list[str]:
-        """`format_mask` of each mask.  Each 8-place chunk of a mask is
-        named through a memo that fills as chunks come up, so a long
-        list costs a few lookups per mask."""
+        """`format_mask` of each mask in a list.  A mask is named one
+        8-place chunk at a time, each chunk value through a memo of the
+        net that fills as values come up.  A list of at least
+        `_VECTOR_FROM` masks on a net of 1 to 64 places is named with
+        array operations, `_NAME_BLOCK` masks at a time: the masks become
+        a `uint64` array seen as bytes, and each byte column is gathered
+        through a table of the values that occur in it.  The text is the
+        same either way."""
         chunks, memo = self._chunk_names
-        get = memo.get
+        if len(masks) < _VECTOR_FROM or not 0 < self.n_places <= 64:
+            get = memo.get
+            out = []
+            for mask in masks:
+                text = ""
+                for chunk in chunks:
+                    part = mask & chunk
+                    name = get(part)
+                    if name is None:
+                        name = memo[part] = self.format_mask(part)
+                    text += name
+                out.append(text or "-")
+            return out
         out = []
-        for mask in masks:
-            text = ""
-            for chunk in chunks:
-                part = mask & chunk
-                name = get(part)
-                if name is None:
-                    name = memo[part] = self.format_mask(part)
-                text += name
-            out.append(text or "-")
+        for lo in range(0, len(masks), _NAME_BLOCK):
+            words = np.fromiter(masks[lo:lo + _NAME_BLOCK], dtype="<u8")
+            columns = []
+            for j, byte in enumerate(
+                    words.view(np.uint8).reshape(-1, 8).T[:len(chunks)]):
+                table = np.empty(256, dtype=object)
+                for v in np.flatnonzero(
+                        np.bincount(byte, minlength=256)).tolist():
+                    part = v << 8 * j
+                    if part not in memo:
+                        memo[part] = self.format_mask(part)
+                    table[v] = memo[part]
+                columns.append(table[byte].tolist())
+            names = list(map("".join, zip(*columns)))
+            for i in np.flatnonzero(words == 0).tolist():
+                names[i] = "-"
+            out += names
         return out
 
     @cached_property
@@ -280,7 +310,20 @@ class ReachabilityGraph:
 # of 16-19 states were vectorized and 0.26 ms when they were not, and
 # two_machines x3 took 4.3 ms vectorizing from 64 states, 6.7 ms from
 # 256 and 7.1 ms with the loop alone.
+# The same count decides when `PetriNet.format_masks` names a list with
+# arrays.  There the two paths cross later, at ~130-250 masks (same
+# host, names memo warm, nets of 21-60 places): at 64 masks the arrays
+# took 49-170 us against 25-105 us for the loop, at 1,024 masks
+# 210-570 us against 400-1,320 us, and the 19,683 states of
+# ring_net(9) take ~4 ms against ~10 ms.  Below the crossing the
+# arrays lose less than 0.1 ms a list.
 _VECTOR_FROM = 64
+
+# The array path of `PetriNet.format_masks` names this many masks at a
+# time, so that its per-column lists stay small.  One CLI run on
+# machines(5) (248,832 states) peaked at 207 MB RSS with the loop alone,
+# 229 MB with whole-list columns and 217-221 MB with blocks of 2^14.
+_NAME_BLOCK = 1 << 14
 
 
 class _LevelStep:
@@ -314,7 +357,7 @@ class _LevelStep:
         self.known = hi
 
         enabled = (frontier[:, None] & self.pre) == self.pre
-        rows, tr = np.nonzero(enabled)
+        rows, tr = divmod(np.flatnonzero(enabled), len(self.pre))
         m = frontier[rows]
         succ = (m ^ self.pre[tr]) | self.post[tr]
         # group equal successors: sorted queries make the lookup fast, and
@@ -348,7 +391,7 @@ class _LevelStep:
             )
         if overflow is not None:
             raise StateBudgetExceeded("state budget %d exhausted" % budget)
-        offsets = e0 + np.cumsum(np.count_nonzero(enabled, axis=1))
+        offsets = e0 + np.cumsum(np.bincount(rows, minlength=len(frontier)))
         return (lo + rows, tr, dst, offsets), targets[unseen].tolist()
 
 

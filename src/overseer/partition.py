@@ -13,16 +13,14 @@ module, and a bool mask over the states inside it.
 
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ForbiddenInitialMarking, PnetError
+from .errors import ForbiddenInitialMarking, OverseerWarning, PnetError
 from .net import Marking, ReachabilityGraph
 from .predicate import evaluate_predicate, parse_predicate
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,8 @@ def _primal_mask(rg: ReachabilityGraph, spec: BadStateSpec) -> np.ndarray:
             )
         sid = rg.state_id(m.mask)
         if sid is None:
-            log.warning(
-                "explicit bad state %s is not reachable; ignored",
-                rg.net.format_mask(m.mask),
-            )
+            warnings.warn("explicit bad state %s is not reachable; ignored"
+                          % rg.net.format_mask(m.mask), OverseerWarning)
         else:
             bad[sid] = True
     if spec.include_deadlocks:

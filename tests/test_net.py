@@ -195,8 +195,10 @@ def test_edge_rows_agree_with_firing():
                 assert rg.masks[d] == m & ~net.pre_masks[t] | net.post_masks[t]
 
 
-@pytest.mark.parametrize("width", [0, 1, 27, 70])
-def test_format_mask_matches_support_form(width):
+@pytest.mark.parametrize("width", [0, 1, 8, 9, 27, 64, 65, 70])
+def test_format_mask_matches_support_form(width, monkeypatch):
+    # blocks short enough that the longest list spans several
+    monkeypatch.setattr(overseer.net, "_NAME_BLOCK", 50)
     rng = random.Random(width)
     places = ["P%d" % i for i in range(width)]
     net = PetriNet("fmt", places, [], [], [], [], Marking(width, 0))
@@ -206,7 +208,12 @@ def test_format_mask_matches_support_form(width):
         expected = "".join(places[i] for i in support(mask)) or "-"
         assert net.format_mask(mask) == expected
     ordered = sorted(masks)
-    assert net.format_masks(ordered) == [net.format_mask(m) for m in ordered]
+    # one net names a list one short of the array path's threshold (the
+    # memo), one at it (arrays, up to 64 places), then every mask
+    n = overseer.net._VECTOR_FROM
+    batches = [[0] + rng.choices(ordered, k=size - 1) for size in (n - 1, n)]
+    for batch in batches + [ordered]:
+        assert net.format_masks(batch) == [net.format_mask(m) for m in batch]
 
 
 def _explore_outcome(net, budget):
