@@ -1,14 +1,18 @@
 """Differential run: one sha256 per command-line run over a fixed set of nets.
 
 Runs `overseer.cli.main` in-process on the first N nets of the pipeline
-benchmark's random pool (stream seed 0), on k copies of two_machines
-for k = 2..K, on four token rings, and on the bundled two_machines and
-drop_job nets.  Each net runs twice, with no flag and with --fallback,
-and always with --report, --dot-rg, --dot-controlled and --out.  The
-hash of a run covers its exit code, its stderr, both DOT files and the
---out net, plus its stdout and both reports with their timings removed,
-so two checkouts that behave the same give the same file.  A file a run
-did not write hashes as absent.
+benchmark's random pool (stream seed 0), on a malformed copy of each of
+them, on k copies of two_machines for k = 2..K, on four token rings,
+and on the bundled two_machines and drop_job nets.  A malformed copy
+has one word or character dropped, replaced or added, drawn with the
+net's pool index as the seed, so that most of them stop in the parser
+and the hashes cover its messages, lines and columns.  Each net runs
+twice, with no flag and with --fallback, and always with --report,
+--dot-rg, --dot-controlled and --out.  The hash of a run covers its
+exit code, its stderr, both DOT files and the --out net, plus its
+stdout and both reports with their timings removed, so two checkouts
+that behave the same give the same file.  A file a run did not write
+hashes as absent.
 
     python3 benchmarks/differential.py OUT.json [--pool N] [--max-k K]
 
@@ -39,15 +43,36 @@ import workloads  # noqa: E402
 
 NETS = ROOT / "src" / "overseer" / "nets"
 MODES = {"plain": [], "fallback": ["--fallback"]}
+# what a malformed copy of a net is made of: its pieces are quoted
+# strings, names, runs of white space and single other characters, and
+# a piece is dropped, replaced by a draw or given one in front
+PIECE = re.compile(r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|\s+|.', re.S)
+DRAWS = ["{", "}", ";", "$", '"', "#", "\u00e9", "1", "\x0c", "\n", "in",
+         "out", "places", "initial", "transition", "forbidden", "expr",
+         "deadlock", "state", "true", "Z", "P1"]
 FILES = ["report.txt", "report.json", "rg.dot", "closed.dot", "out.pnet"]
 ARGV = ["net.pnet", "--report", "report.txt", "--dot-rg", "rg.dot",
         "--dot-controlled", "closed.dot", "--out", "out.pnet"]
 
 
+def malformed(text, seed):
+    """`text` with one piece dropped, replaced or preceded by a draw."""
+    rng = random.Random(seed)
+    pieces = PIECE.findall(text)
+    k = rng.randrange(len(pieces))
+    draw = rng.choice(DRAWS)
+    pieces[k] = rng.choice(["", draw, draw + pieces[k],
+                            " %s %s" % (draw, pieces[k])])
+    return "".join(pieces)
+
+
 def nets(pool, max_k):
     """(name, .pnet text) of every input, in run order."""
-    for i, case in enumerate(run.random_pool(run.RANDOM_POOL_SEED, pool)):
+    cases = run.random_pool(run.RANDOM_POOL_SEED, pool)
+    for i, case in enumerate(cases):
         yield "random-%d" % i, case.text
+    for i, case in enumerate(cases):
+        yield "malformed-%d" % i, malformed(case.text, i)
     for k in range(2, max_k + 1):
         yield "machines-%d" % k, workloads.machines(k, random.Random(k))
     yield "rings-4", workloads.rings(4, random.Random(4))

@@ -13,6 +13,13 @@ time, so a kernel that keeps the array step on narrow levels shows up
 as a slowdown here.  The state and edge counts are checked before any
 timing is reported.
 
+Last, naming is timed through each of its two paths: the first N states
+of ring_net(9) (27 places) and of the fork-then-counter net (46 places)
+are named with the memo loop and with array operations, for N from 32
+to 1,024, once both paths' names are checked against `format_mask`.
+Where the arrays start to win sets `_NAME_VECTOR_FROM` in
+`overseer/net.py`.
+
     python3 benchmarks/reach_bench.py [--max-rings K] [--repeats N]
 """
 
@@ -24,7 +31,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from overseer import Marking, PetriNet, build_reachability_graph
+import overseer.net  # noqa: E402
+from overseer import Marking, PetriNet, build_reachability_graph  # noqa: E402
+
+NAMING_SIZES = (32, 64, 128, 192, 256, 512, 1024)
 
 
 def ring_net(k):
@@ -82,6 +92,25 @@ def best_time(call, repeats):
     return best, out
 
 
+def naming_times(net, masks, repeats):
+    """The least time to name `masks` with the memo loop and with array
+    operations, each path's names checked first."""
+    expected = [net.format_mask(m) for m in masks]
+    threshold = overseer.net._NAME_VECTOR_FROM
+    times = []
+    try:
+        # a threshold past the list's length takes the loop, one at it
+        # the arrays
+        for path_from in (len(masks) + 1, len(masks)):
+            overseer.net._NAME_VECTOR_FROM = path_from
+            assert net.format_masks(masks) == expected
+            times.append(best_time(lambda: net.format_masks(masks),
+                                   repeats)[0])
+    finally:
+        overseer.net._NAME_VECTOR_FROM = threshold
+    return times
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rings", type=int, default=9,
@@ -116,6 +145,16 @@ def main():
     print("%16s %8s %8s %10s" % ("net", "states", "edges", "time"))
     print("%16s %8d %8d %8.2fms" % (net.name, rg.n_states, len(rg.edges),
                                     t * 1e3))
+
+    ring = ring_net(9)
+    nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), (net, rg)]
+    print()
+    print("%16s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))
+    for net, rg in nets:
+        for n in NAMING_SIZES:
+            loop, arrays = naming_times(net, rg.masks[:n], args.repeats)
+            print("%16s %8d %8.1fus %8.1fus" % (net.name, n, loop * 1e6,
+                                                arrays * 1e6))
 
 
 if __name__ == "__main__":

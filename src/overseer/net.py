@@ -15,10 +15,11 @@ transition, target) arrays grouped by source (CSR offsets).  The
 pipeline passes int masks from stage to stage; `Marking` is only the
 type of a net's initial marking and of explicit forbidden states.
 
-`_VECTOR_FROM` gates naming too: `PetriNet.format_masks` names a list
-of at least that many masks, on a net of at most 64 places, with array
-operations, and a shorter list, or any list on a wider net, one mask
-at a time.  The text is the same either way.
+Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
+`PetriNet.format_masks` names a list of at least that many masks, on a
+net of at most 64 places, with array operations, and a shorter list, or
+any list on a wider net, one mask at a time.  The text is the same
+either way.
 """
 
 from __future__ import annotations
@@ -167,13 +168,13 @@ class PetriNet:
         """`format_mask` of each mask in a list.  A mask is named one
         8-place chunk at a time, each chunk value through a memo of the
         net that fills as values come up.  A list of at least
-        `_VECTOR_FROM` masks on a net of 1 to 64 places is named with
-        array operations, `_NAME_BLOCK` masks at a time: the masks become
-        a `uint64` array seen as bytes, and each byte column is gathered
-        through a table of the values that occur in it.  The text is the
-        same either way."""
+        `_NAME_VECTOR_FROM` masks on a net of 1 to 64 places is named
+        with array operations, `_NAME_BLOCK` masks at a time: the masks
+        become a `uint64` array seen as bytes, and each byte column is
+        gathered through a table of the values that occur in it.  The
+        text is the same either way."""
         chunks, memo = self._chunk_names
-        if len(masks) < _VECTOR_FROM or not 0 < self.n_places <= 64:
+        if len(masks) < _NAME_VECTOR_FROM or not 0 < self.n_places <= 64:
             get = memo.get
             out = []
             for mask in masks:
@@ -310,14 +311,18 @@ class ReachabilityGraph:
 # of 16-19 states were vectorized and 0.26 ms when they were not, and
 # two_machines x3 took 4.3 ms vectorizing from 64 states, 6.7 ms from
 # 256 and 7.1 ms with the loop alone.
-# The same count decides when `PetriNet.format_masks` names a list with
-# arrays.  There the two paths cross later, at ~130-250 masks (same
-# host, names memo warm, nets of 21-60 places): at 64 masks the arrays
-# took 49-170 us against 25-105 us for the loop, at 1,024 masks
-# 210-570 us against 400-1,320 us, and the 19,683 states of
-# ring_net(9) take ~4 ms against ~10 ms.  Below the crossing the
-# arrays lose less than 0.1 ms a list.
 _VECTOR_FROM = 64
+
+# `PetriNet.format_masks` names a list of at least this many masks with
+# array operations, and a shorter one with the memo loop.  The arrays
+# pay a fixed cost per list, so the two cross later than for BFS levels.
+# `benchmarks/reach_bench.py` on a 2-core host (names memo warm) puts
+# the crossing at ~125 masks for ring_net(9) (27 places) and ~220 for
+# the fork-then-counter net (46 places): at 64 masks the arrays took
+# 93-122 us against 58-64 us for the loop, at 192 masks 140-209 us
+# against 181-193 us, at 1,024 masks 389-633 us against 952-1,159 us.
+# Between the crossings either choice loses at most ~40 us a list.
+_NAME_VECTOR_FROM = 192
 
 # The array path of `PetriNet.format_masks` names this many masks at a
 # time, so that its per-column lists stay small.  One CLI run on

@@ -18,6 +18,14 @@ Each directive takes one line, except the forbidden block, which runs to
 the first line holding a `}`.  `#` starts a comment outside quotes.  Arc
 multiplicity is fixed at one: naming a place twice in the same in or out
 list is rejected rather than interpreted as a weight-2 arc.
+
+The parser reads a line at a time, as `str.splitlines` splits the text.
+A line's tokens are plain strings: a line of names, digits, braces and
+semicolons set apart by blanks is split with `str.split`, and any other
+line is tokenized with a regex that checks each token's characters.
+Where a token sits is not kept; an error finds its line and column
+again from the text.
+
 `serialize_net` emits a canonical form (declared order for places and
 transitions, place order inside arc lists) so that parse and print
 round-trip byte-identically.
@@ -35,15 +43,25 @@ from .predicate import CONSTANTS, predicate_places
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r'"[^"]*"|#|[A-Za-z_][A-Za-z0-9_]*|[{};]|\S')
+# a line of names and of single digits, braces and semicolons, each
+# followed by a space, a tab or the end of the line: `str.split` gives
+# the tokens `_TOKEN_RE` would, and none needs a check of its characters
+_PLAIN_RE = re.compile(
+    r"[ \t]*(?:(?:[A-Za-z_][A-Za-z0-9_]*|[{};0-9])(?:[ \t]+|\Z))*")
 
-# a forbidden `state` list runs up to the next item or the `}`
-_ITEM_STOP = ("expr", "deadlock", "state", "}")
+_KINDS = {"controllable": True, "uncontrollable": False}
+# where a list of place names ends: an in list at the `;`, an out list
+# at the `}`, and a forbidden `state` list at the next item or the `}`
+_IN_STOP = frozenset(";")
+_OUT_STOP = frozenset("}")
+_ITEM_STOP = frozenset(("expr", "deadlock", "state", "}"))
 _ITEMS = "'expr', 'deadlock', 'state' or '}'"
 # words no place may be named: the predicate would read a constant, and
 # a `state` list would stop at an item keyword
 _RESERVED = {**dict.fromkeys(CONSTANTS, "the predicate constant"),
-             **dict.fromkeys(_ITEM_STOP[:3], "a forbidden block item")}
-_ARC_TWICE = ("place %%r listed twice in the %s list of %r; "
+             **dict.fromkeys(("expr", "deadlock", "state"),
+                             "a forbidden block item")}
+_ARC_TWICE = ("place %r listed twice in the %s list of %r; "
               "arc weights other than 1 are not supported")
 
 
@@ -56,102 +74,127 @@ class NetDocument:
 
 
 class _Cursor:
-    """The `(text, column, line)` tokens of a document.  `next_line`
-    starts on the next line that holds a token; `gather` appends one
-    more line, as the forbidden block does up to its `}`.  A line is
-    tokenized when it is reached, so the first error in the text is
-    the one reported."""
+    """The tokens of a document, as plain strings.  `next_line` starts
+    on the next line that holds a token; `gather` appends the tokens of
+    one more line, as the forbidden block does up to its `}`.  A line
+    is tokenized when it is reached, so the first error in the text is
+    the one reported.  Columns are not kept: `locate` finds a token's
+    line and column again, from the text, when an error needs them.
+
+    The methods take the index of the token they check, and none of
+    them moves through the tokens on its own."""
 
     def __init__(self, text: str, source: str):
-        self.lines = iter(text.splitlines())
+        self.lines = text.splitlines()
+        self.rest = iter(self.lines)  # the lines not gathered yet
         self.source = source
-        self.line = 0
-        self.tokens: list[tuple[str, int, int]] = []
-        self.pos = 0
+        self.line = 0  # the lines gathered so far
+        self.first = 0  # the line the current tokens start on
+        self.tokens: list[str] = []
 
     def gather(self) -> bool:
         """Append the tokens of the next line; False at the end."""
-        text = next(self.lines, None)
+        text = next(self.rest, None)
         if text is None:
             return False
         self.line += 1
+        if _PLAIN_RE.fullmatch(text):
+            self.tokens += text.split()
+            return True
         for m in _TOKEN_RE.finditer(text):
-            tok = m.group(0)
+            tok = m.group()
             if tok == "#":
                 break
-            col = m.start() + 1
             if tok == '"':
-                raise PnetSyntaxError(
-                    "unterminated string", self.source, self.line, col
-                )
+                raise PnetSyntaxError("unterminated string", self.source,
+                                      self.line, m.start() + 1)
             if len(tok) == 1 and not (tok.isalnum() or tok in "{};_"):
                 raise PnetSyntaxError("unexpected character %r" % tok,
-                                      self.source, self.line, col)
-            self.tokens.append((tok, col, self.line))
+                                      self.source, self.line, m.start() + 1)
+            self.tokens.append(tok)
         return True
 
-    def next_line(self) -> bool:
-        self.tokens, self.pos = [], 0
+    def next_line(self) -> list[str] | None:
+        """The tokens of the next line that holds any; None at the end."""
+        self.tokens = []
         while not self.tokens:
             if not self.gather():
-                return False
-        return True
+                return None
+        self.first = self.line
+        return self.tokens
 
-    def error(self, message: str, tok) -> PnetSyntaxError:
-        return PnetSyntaxError(message, self.source, tok[2], tok[1])
+    def locate(self, i: int, first: int | None = None) -> tuple[int, int]:
+        """The line and column of token i of the tokens that start on
+        line `first` (by default the current tokens)."""
+        line = self.first if first is None else first
+        while True:
+            for m in _TOKEN_RE.finditer(self.lines[line - 1]):
+                if m.group() == "#":
+                    break
+                if i == 0:
+                    return line, m.start() + 1
+                i -= 1
+            line += 1
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
+    def error(self, message: str, i: int) -> PnetSyntaxError:
+        return PnetSyntaxError(message, self.source, *self.locate(i))
 
-    def take(self, what: str):
-        if self.pos >= len(self.tokens):
+    def take(self, i: int, what: str) -> str:
+        if i >= len(self.tokens):
             raise PnetSyntaxError("expected %s, found end of line" % what,
                                   self.source, self.line)
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+        return self.tokens[i]
 
-    def expect(self, literal: str):
-        tok = self.take("'%s'" % literal)
-        if tok[0] != literal:
-            raise self.error("expected '%s', found %r" % (literal, tok[0]),
-                             tok)
+    def expect(self, i: int, *literals: str) -> None:
+        """Tokens i, i + 1, ... must be the `literals`."""
+        tokens = self.tokens
+        for literal in literals:
+            if i >= len(tokens) or tokens[i] != literal:
+                tok = self.take(i, "'%s'" % literal)
+                raise self.error("expected '%s', found %r" % (literal, tok),
+                                 i)
+            i += 1
 
-    def name(self, what: str):
-        tok = self.take(what)
-        if not _NAME_RE.match(tok[0]):
-            raise self.error("expected %s, found %r" % (what, tok[0]), tok)
-        return tok
+    def name(self, i: int, what: str) -> str:
+        tokens = self.tokens
+        if i < len(tokens) and _NAME_RE.match(tokens[i]):
+            return tokens[i]
+        tok = self.take(i, what)
+        raise self.error("expected %s, found %r" % (what, tok), i)
 
-    def end(self, what: str):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise self.error("trailing %r after %s" % (tok[0], what), tok)
+    def end(self, i: int, what: str) -> None:
+        if i < len(self.tokens):
+            raise self.error("trailing %r after %s" % (self.tokens[i], what),
+                             i)
 
-    def places(self, index, stop, duplicate: str) -> list:
-        """Place names up to a token in `stop` (None: the end of the
-        tokens).  With an `index` each becomes its place number and an
-        unknown name is an error; without one the names are being
-        declared and must not be reserved.  A name read
-        twice is the error `duplicate % name`."""
-        picked = []
-        while self.peek() not in stop:
-            tok = name, col, line = self.name("place name")
-            if index is None:
-                if name in _RESERVED:
-                    raise self.error("place name %r is reserved for %s"
-                                     % (name, _RESERVED[name]), tok)
-                p = name
-            else:
-                p = index.get(name)
-                if p is None:
-                    raise UnknownPlaceName("%s:%d:%d: unknown place %r"
-                                           % (self.source, line, col, name))
-            if p in picked:
-                raise self.error(duplicate % name, tok)
+    def places(self, i: int, index: dict[str, int], stop, duplicate: str,
+               *about: str) -> tuple[list[int], int]:
+        """The place numbers of the names from token i up to a token in
+        `stop` or the end of the tokens, and the index where they end.
+        A name `index` does not hold is an error, as is a name read
+        twice: `duplicate % (name, *about)`.  No token in `stop` names
+        a place, so only a name the lookup misses is tested against
+        it."""
+        tokens = self.tokens
+        get = index.get
+        picked: list[int] = []
+        seen: set[int] = set()
+        for i in range(i, len(tokens)):
+            name = tokens[i]
+            p = get(name)
+            if p is None:
+                if name in stop:
+                    return picked, i
+                if not _NAME_RE.match(name):
+                    raise self.error("expected place name, found %r" % name,
+                                     i)
+                raise UnknownPlaceName("%s:%d:%d: unknown place %r"
+                                       % (self.source, *self.locate(i), name))
+            if p in seen:
+                raise self.error(duplicate % (name, *about), i)
+            seen.add(p)
             picked.append(p)
-        return picked
+        return picked, len(tokens)
 
 
 def parse_net(text: str, source: str = "<string>") -> NetDocument:
@@ -159,6 +202,7 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
     name = places = initial = expr = None
     place_index: dict[str, int] = {}
     t_names: list[str] = []
+    t_seen: set[str] = set()
     t_ctrl: list[bool] = []
     t_pre: list[list[int]] = []
     t_post: list[list[int]] = []
@@ -166,94 +210,110 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
     states: list[Marking] = []
 
     cur = _Cursor(text, source)
-    while cur.next_line():
-        head = cur.take("directive")
-        directive = head[0]
+    while (tokens := cur.next_line()) is not None:
+        directive = tokens[0]
 
-        if directive == "net":
+        # most lines are transitions, so they are tested for first
+        if directive == "transition":
+            tname = cur.name(1, "transition name")
+            if tname in t_seen:
+                raise cur.error("duplicate transition %r" % tname, 1)
+            controllable = _KINDS.get(
+                cur.take(2, "'controllable' or 'uncontrollable'"))
+            if controllable is None:
+                raise cur.error("expected 'controllable' or "
+                                "'uncontrollable', found %r" % tokens[2], 2)
+            # the fixed words are compared in one go; `expect` and `end`
+            # run only to report the first that is wrong
+            if tokens[3:5] != ["{", "in"]:
+                cur.expect(3, "{", "in")
+            pre, i = cur.places(5, place_index, _IN_STOP, _ARC_TWICE,
+                                "in", tname)
+            if tokens[i:i + 2] != [";", "out"]:
+                cur.expect(i, ";", "out")
+            post, i = cur.places(i + 2, place_index, _OUT_STOP,
+                                 _ARC_TWICE, "out", tname)
+            if tokens[i:] != ["}"]:
+                cur.expect(i, "}")
+                cur.end(i + 1, "transition")
+            t_names.append(tname)
+            t_seen.add(tname)
+            t_ctrl.append(controllable)
+            t_pre.append(pre)
+            t_post.append(post)
+
+        elif directive == "net":
             if name is not None:
-                raise cur.error("duplicate net line", head)
-            name = cur.name("net name")[0]
-            cur.end("net name")
+                raise cur.error("duplicate net line", 0)
+            name = cur.name(1, "net name")
+            cur.end(2, "net name")
 
         elif directive == "places":
             if places is not None:
-                raise cur.error("duplicate places line", head)
-            places = cur.places(None, (None,), "duplicate place %r")
+                raise cur.error("duplicate places line", 0)
+            for i in range(1, len(tokens)):
+                p = cur.name(i, "place name")
+                if p in _RESERVED:
+                    raise cur.error("place name %r is reserved for %s"
+                                    % (p, _RESERVED[p]), i)
+                if p in place_index:
+                    raise cur.error("duplicate place %r" % p, i)
+                place_index[p] = i - 1
+            places = tokens[1:]
             if not places:
-                raise cur.error("places line declares no places", head)
-            place_index = {p: i for i, p in enumerate(places)}
+                raise cur.error("places line declares no places", 0)
 
         elif directive == "initial":
             if initial is not None:
-                raise cur.error("duplicate initial line", head)
-            initial = cur.places(place_index, (None,),
-                                 "duplicate place %r in initial marking")
-
-        elif directive == "transition":
-            tok = cur.name("transition name")
-            tname = tok[0]
-            if tname in t_names:
-                raise cur.error("duplicate transition %r" % tname, tok)
-            kind = cur.take("'controllable' or 'uncontrollable'")
-            if kind[0] not in ("controllable", "uncontrollable"):
-                raise cur.error("expected 'controllable' or "
-                                "'uncontrollable', found %r" % kind[0], kind)
-            cur.expect("{")
-            cur.expect("in")
-            t_pre.append(cur.places(place_index, (";", None),
-                                    _ARC_TWICE % ("in", tname)))
-            cur.expect(";")
-            cur.expect("out")
-            t_post.append(cur.places(place_index, ("}", None),
-                                     _ARC_TWICE % ("out", tname)))
-            cur.expect("}")
-            cur.end("transition")
-            t_names.append(tname)
-            t_ctrl.append(kind[0] == "controllable")
+                raise cur.error("duplicate initial line", 0)
+            initial, _ = cur.places(1, place_index, (),
+                                    "duplicate place %r in initial marking")
 
         elif directive == "forbidden":
             if forbidden:
-                raise cur.error("duplicate forbidden block", head)
+                raise cur.error("duplicate forbidden block", 0)
             forbidden = True
-            if cur.peek() != "{":
-                raise cur.error("expected '{' after forbidden", head)
-            cur.pos += 1
-            seen = cur.pos
-            while all(tok[0] != "}" for tok in cur.tokens[seen:]):
-                seen = len(cur.tokens)
+            if len(tokens) < 2 or tokens[1] != "{":
+                raise cur.error("expected '{' after forbidden", 0)
+            seen = 2
+            while "}" not in tokens[seen:]:
+                seen = len(tokens)
                 if not cur.gather():
                     raise PnetSyntaxError("forbidden block is never closed",
-                                          source, head[2])
-            while (item := cur.take(_ITEMS))[0] != "}":
-                if item[0] == "expr":
+                                          source, cur.first)
+            i = 2
+            while (item := cur.take(i, _ITEMS)) != "}":
+                at, i = i, i + 1
+                if item == "expr":
                     if expr is not None:
                         raise cur.error("duplicate expr in forbidden block",
-                                        item)
-                    expr = cur.take("quoted expression")
-                    if not expr[0].startswith('"'):
+                                        at)
+                    expr = cur.take(i, "quoted expression")
+                    if not expr.startswith('"'):
                         raise cur.error("expr needs a quoted expression, "
-                                        "found %r" % expr[0], expr)
-                elif item[0] == "deadlock":
+                                        "found %r" % expr, i)
+                    expr_at = i, cur.first
+                    i += 1
+                elif item == "deadlock":
                     if deadlock:
                         raise cur.error(
-                            "duplicate deadlock in forbidden block", item)
+                            "duplicate deadlock in forbidden block", at)
                     deadlock = True
-                elif item[0] == "state":
-                    marked = cur.places(
-                        place_index, _ITEM_STOP,
+                elif item == "state":
+                    marked, i = cur.places(
+                        i, place_index, _ITEM_STOP,
                         "duplicate place %r in forbidden state")
                     if not marked:
                         raise cur.error("forbidden state lists no places",
-                                        item)
+                                        at)
                     states.append(Marking.from_support(len(places), marked))
                 else:
                     raise cur.error("expected %s, found %r"
-                                    % (_ITEMS, item[0]), item)
-            cur.end("forbidden block")
+                                    % (_ITEMS, item), at)
+            cur.end(i + 1, "forbidden block")
 
         else:
-            raise cur.error("unknown directive %r" % directive, head)
+            raise cur.error("unknown directive %r" % directive, 0)
 
     if name is None:
         raise PnetSyntaxError("missing net line", source)
@@ -266,21 +326,20 @@ def parse_net(text: str, source: str = "<string>") -> NetDocument:
         return NetDocument(net=net)
     # the spec parses the expr; its places are checked last, as it may
     # name places declared after it.  Its errors point at its string.
-    where = None
     if expr is not None:
-        quoted, col, line = expr
-        expr, where = quoted[1:-1], (line, col)
+        expr = expr[1:-1]
     try:
         spec = BadStateSpec(expr=expr, explicit=tuple(states),
                             include_deadlocks=deadlock)
     except PnetSyntaxError as exc:
-        raise PnetSyntaxError(exc.message, source, *where) from None
+        raise PnetSyntaxError(exc.message, source,
+                              *cur.locate(*expr_at)) from None
     if spec.tree is not None:
-        unknown = sorted(predicate_places(spec.tree) - place_index.keys())
+        unknown = predicate_places(spec.tree) - place_index.keys()
         if unknown:
             raise UnknownPlaceName(
                 "%s:%d:%d: unknown place %r in forbidden expr %r"
-                % (source, *where, unknown[0], expr))
+                % (source, *cur.locate(*expr_at), min(unknown), expr))
     return NetDocument(net=net, spec=spec)
 
 

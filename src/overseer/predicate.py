@@ -16,33 +16,34 @@ from .errors import PnetSyntaxError, UnknownPlaceName
 # names that parse as constants; a place cannot be called either
 CONSTANTS = {"true": True, "false": False}
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[&|!()]))")
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[&|!()]")
+# the first character no token can hold: one outside every token, or a
+# digit that would start one
+_BAD = re.compile(r"[^\sA-Za-z0-9_&|!()]|(?<![A-Za-z0-9_])[0-9]")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise PnetSyntaxError(
-                "bad character %r in predicate" % rest[0], column=pos + 1
-            )
-        group = "name" if m.group("name") else "op"
-        out.append((m.group(group), m.start(group)))
-        pos = m.end()
-    return out
+def _tokenize(text: str) -> list[str]:
+    """The tokens of `text` as strings.  A character no token can hold
+    is an error at the column just past the token before it."""
+    bad = _BAD.search(text)
+    if bad:
+        raise PnetSyntaxError("bad character %r in predicate" % bad.group(),
+                              column=len(text[:bad.start()].rstrip()) + 1)
+    return _TOKEN.findall(text)
+
+
+def _column(text: str, k: int) -> int:
+    """The column of token k of `text`, or just past its end."""
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    return starts[k] + 1
 
 
 def parse_predicate(text: str):
     """Parse to a small AST of nested tuples."""
-    tokens = _tokenize(text)
+    tokens: list[str | None] = _tokenize(text)
     if not tokens:
         raise PnetSyntaxError("empty predicate")
-    tokens.append((None, len(text)))  # the end of the text
+    tokens.append(None)  # the end of the text
     pos = 0
 
     def parse(level):
@@ -52,31 +53,31 @@ def parse_predicate(text: str):
         if level < 2:
             op, kind = ("|", "or") if level == 0 else ("&", "and")
             node = parse(level + 1)
-            while tokens[pos][0] == op:
+            while tokens[pos] == op:
                 pos += 1
                 node = (kind, node, parse(level + 1))
             return node
-        tok, col = tokens[pos]
+        tok = tokens[pos]
         pos += 1
         if tok == "!":
             return ("not", parse(2))
         if tok == "(":
             node = parse(0)
-            if tokens[pos][0] != ")":
+            if tokens[pos] != ")":
                 raise PnetSyntaxError("missing ')' in predicate %r" % text,
-                                      column=tokens[pos][1] + 1)
+                                      column=_column(text, pos))
             pos += 1
             return node
         if tok is None or tok in "&|)":
             raise PnetSyntaxError("expected a place name in predicate %r"
-                                  % text, column=col + 1)
+                                  % text, column=_column(text, pos - 1))
         return ("const", CONSTANTS[tok]) if tok in CONSTANTS else ("var", tok)
 
     node = parse(0)
-    tok, col = tokens[pos]
-    if tok is not None:
-        raise PnetSyntaxError("unexpected %r in predicate %r" % (tok, text),
-                              column=col + 1)
+    if tokens[pos] is not None:
+        raise PnetSyntaxError("unexpected %r in predicate %r"
+                              % (tokens[pos], text),
+                              column=_column(text, pos))
     return node
 
 

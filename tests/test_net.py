@@ -210,7 +210,7 @@ def test_format_mask_matches_support_form(width, monkeypatch):
     ordered = sorted(masks)
     # one net names a list one short of the array path's threshold (the
     # memo), one at it (arrays, up to 64 places), then every mask
-    n = overseer.net._VECTOR_FROM
+    n = overseer.net._NAME_VECTOR_FROM
     batches = [[0] + rng.choices(ordered, k=size - 1) for size in (n - 1, n)]
     for batch in batches + [ordered]:
         assert net.format_masks(batch) == [net.format_mask(m) for m in batch]

@@ -2,9 +2,12 @@
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+import overseer
+import pnet_reference
 from overseer import BadStateSpec, Marking, PetriNet, parse_net, serialize_net
 from overseer.errors import PnetSyntaxError, UnknownPlaceName
 
@@ -258,6 +261,66 @@ def test_error_contract(text, exc, line, column, message):
     assert getattr(err.value, "line", None) == line
     assert getattr(err.value, "column", None) == column
     assert str(err.value) == message
+
+
+# what a mutation drops, inserts or replaces: a quoted string, a name,
+# a run of white space or one other character
+_PIECE = re.compile(r'"[^"]*"|[A-Za-z_][A-Za-z0-9_]*|\s+|.', re.S)
+_DRAWS = ["{", "}", ";", "$", '"', "#", "\u00e9", "1", "\x0c", "net",
+          "places", "initial", "transition", "controllable",
+          "uncontrollable", "in", "out", "forbidden", "expr", "deadlock",
+          "state", "true", "Z", "P99"]
+
+
+def mutants(rng, text, count):
+    """`count` copies of `text`, each with one or two pieces dropped,
+    replaced by a draw, or preceded by one, bare or between spaces.
+    The draws are the words and characters above and the names in
+    `text`."""
+    pieces = _PIECE.findall(text)
+    draws = _DRAWS + sorted(set(re.findall(r"[A-Za-z_]\w*", text)))
+    for _ in range(count):
+        mutant = list(pieces)
+        for _ in range(rng.randint(1, 2)):
+            k = rng.randrange(len(mutant) + 1)
+            draw = rng.choice(draws)
+            op = rng.randrange(3) if k < len(mutant) else 2
+            if op == 0:
+                del mutant[k]
+            elif op == 1:
+                mutant[k] = draw
+            else:
+                mutant.insert(k, rng.choice([draw, " %s " % draw]))
+        yield "".join(mutant)
+
+
+def parse_outcome(parse, text):
+    """The document's net and spec, or the error's class, text, line
+    and column."""
+    try:
+        doc = parse(text)
+    except Exception as exc:  # any class: the two parsers must agree
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return doc.net, doc.spec
+
+
+def test_parse_matches_reference_on_mutants():
+    # the parser of (text, column, line) tuples is the oracle: every
+    # mutant gives the same document or the same error under both
+    rng = random.Random(25)
+    nets = Path(overseer.__file__).parent / "nets"
+    inputs = [path.read_text(encoding="utf-8")
+              for path in sorted(nets.glob("*.pnet"))]
+    inputs += [row[1] for row in ERRORS] + [FULL]
+    for _ in range(20):
+        net, rg = safe_net(rng)
+        inputs.append(serialize_net(net, random_spec(rng, net, rg)))
+    for text in inputs:
+        for mutant in mutants(rng, text, 12):
+            assert (parse_outcome(parse_net, mutant)
+                    == parse_outcome(pnet_reference.parse_net, mutant)), \
+                mutant
 
 
 # inputs that are easy to misread: (id, text, canonical form)

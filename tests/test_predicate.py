@@ -65,7 +65,24 @@ def test_syntax_errors(expr):
         parse_predicate(expr)
 
 
+# (predicate, start of the message, column); a bad character is
+# reported just past the token before it
+ERROR_COLUMNS = [
+    ("P1 | | P2", "expected a place name", 6),
+    ("!", "expected a place name", 2),
+    ("A & (B | )", "expected a place name", 10),
+    ("(A | B", "missing ')'", 7),
+    ("A B", "unexpected 'B'", 3),
+    ("A  $", "bad character '$'", 2),
+    ("A &\t12", "bad character '1'", 4),
+    ("A\u00e9", "bad character '\u00e9'", 2),
+    ("  # A", "bad character '#'", 1),
+]
+
+
 def test_error_carries_column():
-    with pytest.raises(PnetSyntaxError) as err:
-        parse_predicate("P1 | | P2")
-    assert err.value.column == 6
+    for expr, message, column in ERROR_COLUMNS:
+        with pytest.raises(PnetSyntaxError) as err:
+            parse_predicate(expr)
+        assert err.value.message.startswith(message), expr
+        assert err.value.column == column, expr
