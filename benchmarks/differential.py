@@ -3,12 +3,14 @@
 Runs `overseer.cli.main` in-process on the first N nets of the pipeline
 benchmark's random pool (stream seed 0), on a malformed copy of each of
 them, on k copies of two_machines for k = 2..K, on four token rings,
-and on the bundled two_machines and drop_job nets.  A malformed copy
-has one word or character dropped, replaced or added, drawn with the
-net's pool index as the seed, so that most of them stop in the parser
-and the hashes cover its messages, lines and columns.  Each net runs
-twice, with no flag and with --fallback, and always with --report,
---dot-rg, --dot-controlled and --out.  The hash of a run covers its
+on the bundled two_machines and drop_job nets, and on 2 and 3 copies of
+drop_job, whose uncoverable border states the over-state stage meets
+one copy at a time (exit 4, or exact rows under --fallback).  A
+malformed copy has one word or character dropped, replaced or added,
+drawn with the net's pool index as the seed, so that most of them stop
+in the parser and the hashes cover its messages, lines and columns.
+Each net runs twice, with no flag and with --fallback, and always with
+--report, --dot-rg, --dot-controlled and --out.  The hash of a run covers its
 exit code, its stderr, both DOT files and the --out net, plus its
 stdout and both reports with their timings removed, so two checkouts
 that behave the same give the same file.  A file a run did not write
@@ -35,11 +37,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
-                str(ROOT / "benchmarks")]
+                str(ROOT / "benchmarks"), str(ROOT / "tests")]
 
 import overseer.cli  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
+from netgen import copies  # noqa: E402
+from overseer import parse_net, serialize_net  # noqa: E402
 
 NETS = ROOT / "src" / "overseer" / "nets"
 MODES = {"plain": [], "fallback": ["--fallback"]}
@@ -78,6 +82,10 @@ def nets(pool, max_k):
     yield "rings-4", workloads.rings(4, random.Random(4))
     for name in ("two_machines", "drop_job"):
         yield name, (NETS / (name + ".pnet")).read_text(encoding="utf-8")
+    drop_job = parse_net((NETS / "drop_job.pnet").read_text(encoding="utf-8"))
+    for k in (2, 3):
+        doc = copies(drop_job, k)
+        yield "drop_job-%d" % k, serialize_net(doc.net, doc.spec)
 
 
 def without_timings(text):

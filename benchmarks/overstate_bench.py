@@ -7,7 +7,11 @@ constraints, so the run checks 4k and 2k before any timing is reported;
 up to ORACLE_MAX_K copies it also checks the minimal over-states against
 the enumerating reference (every sub-support of every border state,
 pruned and reduced to its antichain), which is exponential in k.  The
-time is the pipeline's own timing of its over-states stage.
+"over-states" time is the pipeline's own timing of its over-states
+stage, which solves each copy on its own (the authorized set is the
+product of the copies' authorized sets).  The "whole" time is one
+`overstate_union` call without `blocks`, the engine that solves all
+copies at once; the run checks that it lists the same over-states.
 
     python3 benchmarks/overstate_bench.py [--max-k K] [--repeats N]
 """
@@ -15,6 +19,7 @@ time is the pipeline's own timing of its over-states stage.
 import argparse
 import random
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +28,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
 
 from overseer import (
     minimal_elements,
+    overstate_union,
     parse_net,
     prune_authorized,
     run_pipeline,
@@ -49,9 +55,9 @@ def main():
                     help="timing repetitions, best is kept")
     args = ap.parse_args()
 
-    print("%3s %8s %7s %8s %12s %10s %7s"
+    print("%3s %8s %7s %8s %12s %11s %10s %7s"
           % ("k", "states", "border", "minimal", "constraints",
-             "over-states", "oracle"))
+             "over-states", "whole", "oracle"))
     for k in range(2, args.max_k + 1):
         doc = parse_net(machines(k, random.Random(k)))
         best = float("inf")
@@ -64,15 +70,23 @@ def main():
         assert len(minimal) == 4 * k, len(minimal)
         assert result.controller.k == 2 * k, result.controller.k
         assert result.closed.isomorphic
+        border = result.rg.masks_of(result.partition.m_b)
+        authorized = result.rg.masks_of(result.partition.m_a)
+        whole = float("inf")
+        for _ in range(args.repeats):
+            t0 = time.perf_counter()
+            listed = overstate_union(border, authorized)
+            whole = min(whole, time.perf_counter() - t0)
+        assert listed == result.table.rows, k
         checked = "-"
         if k <= ORACLE_MAX_K:
             ref = reference_minimal(result.rg, result.partition)
             assert minimal == doc.net.format_masks(ref)
             checked = "same"
-        print("%3d %8d %7d %8d %12d %9.1fms %7s"
+        print("%3d %8d %7d %8d %12d %9.1fms %8.1fms %7s"
               % (k, result.rg.n_states, len(result.partition.m_b),
                  len(minimal), result.controller.k, best * 1e3,
-                 checked))
+                 whole * 1e3, checked))
 
 
 if __name__ == "__main__":

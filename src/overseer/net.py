@@ -208,6 +208,30 @@ class PetriNet:
         return out
 
     @cached_property
+    def components(self) -> tuple[int, ...]:
+        """The place masks of the net's connected components, disjoint
+        and together holding every place.  Two places share a component
+        when one transition's pre and post sets together join them.  The
+        places no transition touches never change, and they make one
+        last block together.  Found on first use, by merging each
+        transition's places into the components they meet; the
+        over-state stage reads it."""
+        blocks: list[int] = []
+        for joined in map(int.__or__, self.pre_masks, self.post_masks):
+            if not joined:
+                continue
+            apart = []
+            for b in blocks:
+                if b & joined:
+                    joined |= b
+                else:
+                    apart.append(b)
+            apart.append(joined)
+            blocks = apart
+        lone = ((1 << self.n_places) - 1) & ~sum(blocks)
+        return (*blocks, lone) if lone else tuple(blocks)
+
+    @cached_property
     def _chunk_names(self):
         # the masks of the 8-place chunks, and a memo of the names of
         # the chunk values seen so far

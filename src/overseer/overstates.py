@@ -16,11 +16,23 @@ another adds no constraint on a transversal.  When the masks fit in
 edges for a block of border states at a time; otherwise Berge's own
 superset test drops the larger edges.  `over_states`, which lists every
 sub-support, remains as the reference the tests compare against.
+
+A net made of disjoint parts is solved one part at a time when its
+authorized set A is the product of its projections A_c onto the parts
+(the pipeline passes `PetriNet.components`).  A sub-support S of m then
+escapes every a in A iff, in some part c, S & c escapes every a_c in
+A_c, so the minimal over-states of m are those of its projections m & c
+against A_c, joined over the parts.  A projection that is itself in A_c
+has none.  Berge meets the same minimal edges in the same order for a
+border state that leaves A in one part only, as every border state of
+such a net does, so the budget stops the search where it stops the
+search of the whole.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -101,10 +113,34 @@ _BLOCK_CELLS = 1 << 18
 
 
 def overstate_union(border: list[int], authorized: list[int],
-                    budget: int = DEFAULT_STATE_BUDGET) -> list[int]:
+                    budget: int = DEFAULT_STATE_BUDGET,
+                    blocks=()) -> list[int]:
     """Deduplicated union of the border states' minimal over-states, in
     canonical (cardinality, support) order.  A border state that some
-    authorized state covers contributes none."""
+    authorized state covers contributes none.
+
+    `blocks` are disjoint place masks that together hold every place of
+    the states, such as `PetriNet.components`.  When there are two or
+    more and the authorized set is the product of its projections onto
+    them, each block is solved on its own and the results are joined;
+    otherwise the states are solved whole."""
+    if len(blocks) > 1:
+        parts = [{a & c for a in authorized} for c in blocks]
+        # the authorized set lies inside the product of its projections,
+        # so it is that product when the sizes agree
+        if prod(map(len, parts)) == len(set(authorized)):
+            found: set[int] = set()
+            for c, part in zip(blocks, parts):
+                rows = {m & c for m in border} - part
+                if rows:
+                    found |= _union(sorted(rows), sorted(part), budget)
+            return canonical_order(found)
+    return canonical_order(_union(border, authorized, budget))
+
+
+def _union(border: list[int], authorized: list[int], budget: int
+           ) -> set[int]:
+    """The border states' minimal over-states, as a set."""
     if (len(border) * len(authorized) >= _VECTOR_PAIRS
             and max([*border, *authorized]).bit_length() <= 64):
         hypergraphs = _minimal_edge_sets(border, authorized)
@@ -113,7 +149,7 @@ def overstate_union(border: list[int], authorized: list[int],
     found: set[int] = set()
     for edges in hypergraphs:
         found.update(minimal_transversals(edges, budget))
-    return canonical_order(found)
+    return found
 
 
 def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:

@@ -91,7 +91,8 @@ def run_pipeline(doc: NetDocument, state_budget: int = DEFAULT_STATE_BUDGET,
 
         def _overstate_stage():
             cand = overstate_union(border, authorized,
-                                   budget=state_budget)
+                                   budget=state_budget,
+                                   blocks=net.components)
             # the union is already an antichain that no authorized state
             # covers: a minimal transversal of one border state holds
             # no over-state of another, or it would not be minimal.  So

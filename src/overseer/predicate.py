@@ -24,11 +24,11 @@ _BAD = re.compile(r"[^\sA-Za-z0-9_&|!()]|(?<![A-Za-z0-9_])[0-9]")
 
 def _tokenize(text: str) -> list[str]:
     """The tokens of `text` as strings.  A character no token can hold
-    is an error at the column just past the token before it."""
+    is an error at its own column."""
     bad = _BAD.search(text)
     if bad:
         raise PnetSyntaxError("bad character %r in predicate" % bad.group(),
-                              column=len(text[:bad.start()].rstrip()) + 1)
+                              column=bad.start() + 1)
     return _TOKEN.findall(text)
 
 

@@ -18,6 +18,7 @@ from overseer import (
     PetriNet,
     build_reachability_graph,
 )
+from overseer.net import support
 from overseer.errors import SafenessViolation, StateBudgetExceeded
 
 GEN_BUDGET = 4096
@@ -98,28 +99,33 @@ def random_spec(rng: random.Random, net: PetriNet, rg) -> BadStateSpec:
         )
 
 
-def copies(doc: NetDocument, k: int) -> NetDocument:
-    """k disjoint copies of a net; a state is forbidden when the state
-    of any copy is."""
-    one = doc.net
-    n = one.n_places
+def disjoint_union(docs, name: str) -> NetDocument:
+    """The nets of `docs` side by side, the names of the c-th suffixed
+    with _c; a state is forbidden when the state of any of them is."""
+    places, transitions, controllable, pre, post, m0 = [], [], [], [], [], []
+    for c, doc in enumerate(docs):
+        net, base = doc.net, len(places)
 
-    def shifted(mask, c):
-        return [c * n + p for p in Marking(n, mask).support()]
+        def shifted(mask):
+            return [base + p for p in support(mask)]
 
-    net = PetriNet(
-        "%s_x%d" % (one.name, k),
-        ["%s_%d" % (p, c) for c in range(k) for p in one.places],
-        ["%s_%d" % (t, c) for c in range(k) for t in one.transitions],
-        one.controllable * k,
-        [shifted(m, c) for c in range(k) for m in one.pre_masks],
-        [shifted(m, c) for c in range(k) for m in one.post_masks],
-        Marking.from_support(
-            k * n, [p for c in range(k) for p in shifted(one.m0.mask, c)]),
-    )
+        places += ["%s_%d" % (p, c) for p in net.places]
+        transitions += ["%s_%d" % (t, c) for t in net.transitions]
+        controllable += net.controllable
+        pre += map(shifted, net.pre_masks)
+        post += map(shifted, net.post_masks)
+        m0 += shifted(net.m0.mask)
     expr = " | ".join(
         "(%s)" % re.sub(r"\w+", lambda w: "%s_%d" % (w.group(0), c),
                         doc.spec.expr)
-        for c in range(k)
+        for c, doc in enumerate(docs)
     )
-    return NetDocument(net, BadStateSpec(expr=expr))
+    union = PetriNet(name, places, transitions, controllable, pre, post,
+                     Marking.from_support(len(places), m0))
+    return NetDocument(union, BadStateSpec(expr=expr))
+
+
+def copies(doc: NetDocument, k: int) -> NetDocument:
+    """k disjoint copies of a net; a state is forbidden when the state
+    of any copy is."""
+    return disjoint_union([doc] * k, "%s_x%d" % (doc.net.name, k))

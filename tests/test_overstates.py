@@ -2,7 +2,7 @@
 reference), pruning, minimal elements."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -134,6 +134,50 @@ def test_engine_matches_reference_on_random_masks(monkeypatch):
         assert overstates._minimal_edge_sets(border, authorized) \
             == _minimal_edges(border, authorized)
         assert minimal_elements(prune_authorized(got, authorized)) == got
+
+
+def test_blocks_match_the_whole_engine(monkeypatch):
+    # A is the product of random sets over a random partition of the
+    # places, so each block is solved on its own; with one element
+    # dropped, A does not factor once two blocks have two projections
+    # or more, and the states are solved whole
+    calls = []
+    union = overstates._union
+
+    def recording_union(border, authorized, budget):
+        calls.append(border)
+        return union(border, authorized, budget)
+
+    monkeypatch.setattr(overstates, "_union", recording_union)
+    rng = random.Random(26)
+    for _ in range(150):
+        width = rng.randint(2, 10)
+        places = rng.sample(range(width), width)
+        cuts = sorted(rng.sample(range(1, width),
+                                 rng.randint(1, min(3, width - 1))))
+        blocks = [_m(places[lo:hi])
+                  for lo, hi in zip([0, *cuts], [*cuts, width])]
+        parts = [{_m(p for p in support(c) if rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 3))} for c in blocks]
+        authorized = [sum(combo) for combo in product(*parts)]
+        rng.shuffle(authorized)
+        border = [rng.randrange(1 << width) for _ in range(rng.randint(1, 5))]
+        whole = overstate_union(border, authorized)
+        calls.clear()
+        assert overstate_union(border, authorized, blocks=blocks) == whole
+        # one call per block with a border state outside its projection,
+        # on states inside that block
+        assert len(calls) == sum(
+            bool({m & c for m in border} - part)
+            for c, part in zip(blocks, parts))
+        assert all(any(all(not m & ~c for m in rows) for c in blocks)
+                   for rows in calls)
+        dropped = authorized[1:]
+        whole = overstate_union(border, dropped)
+        calls.clear()
+        assert overstate_union(border, dropped, blocks=blocks) == whole
+        if sum(len(part) > 1 for part in parts) > 1:
+            assert calls == [border]
 
 
 def test_wide_nets_take_the_int_path(monkeypatch):

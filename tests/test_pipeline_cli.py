@@ -8,11 +8,13 @@ import pytest
 
 import overseer.errors
 import overseer.net
+import overseer.overstates
 import overseer.pipeline
 from overseer import (
     BadStateSpec,
     Marking,
     NetDocument,
+    PetriNet,
     parse_net,
     parse_net_file,
     predicate,
@@ -28,7 +30,7 @@ from overseer.errors import (
     UnknownPlaceName,
 )
 
-from netgen import copies
+from netgen import copies, disjoint_union
 
 THREE_STEP = """\
 # B is only reachable through the forbidden A
@@ -270,6 +272,97 @@ def test_pipeline_state_budget_bounds_over_states():
         run_pipeline(doc, state_budget=16)
     assert err.value.stage == "over-states"
     assert isinstance(err.value.cause, StateBudgetExceeded)
+
+
+# a token ring whose last place is forbidden, to set beside other nets
+RING = """\
+net ring
+places R1 R2 R3
+initial R1
+transition r1 controllable { in R1 ; out R2 }
+transition r2 controllable { in R2 ; out R3 }
+transition r3 uncontrollable { in R3 ; out R1 }
+forbidden {
+  expr "R3"
+}
+"""
+
+
+def _outcome(doc, **kwargs):
+    """The report digest of a run, or its failing stage, message and
+    uncovered states."""
+    try:
+        return run_pipeline(doc, **kwargs).report.digest()
+    except StageFailure as err:
+        return err.stage, str(err), getattr(err.cause, "uncovered", None)
+
+
+def _split_and_whole(monkeypatch, doc, **kwargs):
+    """The outcome of a run, the number of engine calls it made, and the
+    outcome of a run that takes the whole net as one component."""
+    calls = []
+    union = overseer.overstates._union
+
+    def counting_union(border, authorized, budget):
+        calls.append(border)
+        return union(border, authorized, budget)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(overseer.overstates, "_union", counting_union)
+        split = _outcome(doc, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(PetriNet, "components",
+                   property(lambda net: ((1 << net.n_places) - 1,)))
+        whole = _outcome(doc, **kwargs)
+    return split, len(calls), whole
+
+
+def test_split_net_is_solved_per_component(two_machines, drop_job,
+                                           monkeypatch):
+    # three components whose authorized sets multiply: one engine call
+    # each, and the answer of the whole.  drop_job's uncoverable border
+    # state P1 stays uncoverable beside each of the 5 x 2 authorized
+    # states of the others.
+    doc = disjoint_union([two_machines, drop_job, parse_net(RING)], "split")
+    assert len(doc.net.components) == 3
+    split, calls, whole = _split_and_whole(monkeypatch, doc)
+    assert calls == 3
+    assert split == whole
+    _, message, uncovered = split
+    assert message == "cover: 10 border state(s) covered by no over-state"
+    index = doc.net.place_index
+    drop = sum(1 << index[p] for p in ("Q_1", "P1_1", "P2_1"))
+    assert {m & drop for m in uncovered} == {1 << index["P1_1"]}
+    split, calls, whole = _split_and_whole(monkeypatch, doc, fallback=True)
+    assert calls == 3
+    assert split == whole
+    assert isinstance(split, str)
+
+
+def test_coupled_spec_is_solved_whole(two_machines, monkeypatch):
+    # the spec joins the copies, so the authorized set does not factor
+    net = copies(two_machines, 2).net
+    doc = NetDocument(net, BadStateSpec(expr="P2_0 & P7_1"))
+    assert len(net.components) == 2
+    split, calls, whole = _split_and_whole(monkeypatch, doc)
+    assert calls == 1
+    assert split == whole
+    assert isinstance(split, str)
+
+
+def test_split_net_over_state_budget(monkeypatch):
+    # PAIRS has 32 minimal over-states in 7 states, the ring 3 states:
+    # the budget stops reach below 21 and over-states below 32, with or
+    # without the split
+    doc = disjoint_union([parse_net(PAIRS), parse_net(RING)], "pairs_ring")
+    stages = []
+    for budget in range(20, 34):
+        split, calls, whole = _split_and_whole(monkeypatch, doc,
+                                               state_budget=budget)
+        assert split == whole
+        stages.append(split if isinstance(split, str) else split[0])
+    digest = run_pipeline(doc).report.digest()
+    assert stages == ["reach"] + ["over-states"] * 11 + [digest] * 2
 
 
 @pytest.mark.parametrize("budget", [0, -3])

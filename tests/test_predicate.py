@@ -66,17 +66,17 @@ def test_syntax_errors(expr):
 
 
 # (predicate, start of the message, column); a bad character is
-# reported just past the token before it
+# reported at its own column
 ERROR_COLUMNS = [
     ("P1 | | P2", "expected a place name", 6),
     ("!", "expected a place name", 2),
     ("A & (B | )", "expected a place name", 10),
     ("(A | B", "missing ')'", 7),
     ("A B", "unexpected 'B'", 3),
-    ("A  $", "bad character '$'", 2),
-    ("A &\t12", "bad character '1'", 4),
+    ("A  $", "bad character '$'", 4),
+    ("A &\t12", "bad character '1'", 5),
     ("A\u00e9", "bad character '\u00e9'", 2),
-    ("  # A", "bad character '#'", 1),
+    ("  # A", "bad character '#'", 3),
 ]
 
 
