@@ -190,20 +190,10 @@ def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:
     return out
 
 
-def dominated_by_authorized(b: int, authorized) -> bool:
-    """True iff some authorized marking covers b, i.e. forbidding b would
-    forbid an authorized state.
-
-    Equivalent to membership of b in the union of the authorized states'
-    over-state sets, without materializing that union (it is exponential
-    in the authorized supports; this test is linear in |authorized|).
-    """
-    return any(not b & ~a for a in authorized)
-
-
 def prune_authorized(candidates, authorized) -> list[int]:
-    """Candidates whose constraints forbid no authorized state."""
-    return [b for b in candidates if not dominated_by_authorized(b, authorized)]
+    """Candidates whose constraints forbid no authorized state: those
+    that no authorized marking covers."""
+    return [b for b in candidates if all(b & ~a for a in authorized)]
 
 
 def minimal_elements(items) -> list[int]:

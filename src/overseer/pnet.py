@@ -350,8 +350,8 @@ def parse_net_file(path) -> NetDocument:
 
 def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
     """Canonical text form; `parse_net` inverts it exactly.  A name or
-    an expr it would not read back, or an empty explicit state, is a
-    ValueError."""
+    an expr it would not read back, or an explicit state that is empty
+    or not as wide as the net, is a ValueError."""
     for kind, names in (("net", [net.name]), ("place", net.places),
                         ("transition", net.transitions)):
         for name in names:
@@ -385,6 +385,11 @@ def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
         if spec.include_deadlocks:
             lines.append("  deadlock")
         for m in spec.explicit:
+            if m.width != net.n_places:
+                raise ValueError(
+                    "explicit forbidden state has %d bits, net has %d "
+                    "places" % (m.width, net.n_places)
+                )
             if not m.mask:
                 raise ValueError(
                     "the text format cannot express the empty marking as "

@@ -1,8 +1,11 @@
 """Synthesis report: one structured text document plus a JSON twin.
 
-Both carry the same content in the same order.  The canonical digest is
-a sha256 over the content with the volatile timings removed, so reruns
-on the same input are digest-identical however long the stages took.
+`build_report` writes the payload from the pipeline's stage results,
+and `SynthesisReport` renders it, so this module alone names the
+report's keys.  Text and JSON carry the same content in the same order.
+The canonical digest is a sha256 over the content with the volatile
+timings removed, so reruns on the same input are digest-identical
+however long the stages took.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import copy
 import hashlib
 import json
 from functools import cached_property
+
+from .synthesis import format_constraint
 
 VOLATILE_KEYS = ("timings",)
 
@@ -147,3 +152,83 @@ class SynthesisReport:
         w("")
         w("canonical digest: %s" % self.digest())
         return "\n".join(out) + "\n"
+
+
+def build_report(net, rg, partition, table, controller, closed,
+                 timings) -> SynthesisReport:
+    """The report of one run: `table` is the cover table, or None when
+    nothing is forbidden, and `timings` the (stage, seconds) pairs the
+    stages took, to which a total is added."""
+    fmt = net.format_masks
+    if table is None:
+        minimal, counts, final_counts, chosen, uncovered = [], [], [], [], []
+    else:
+        # the cover table's rows are the minimal over-states; a final
+        # count of 0 is left only at an uncovered column, which its own
+        # exact row covers, and no other
+        minimal, counts = table.rows, list(table.counts)
+        final_counts = [c or 1 for c in table.final_counts()]
+        chosen, uncovered = table.selected_rows(), table.uncovered
+    # the controller's rows: those of chosen, then those of uncovered
+    constraints = [
+        format_constraint(net.places, row, bound)
+        for row, bound in zip(controller.weights.tolist(),
+                              controller.bounds.tolist())
+    ]
+    timings = timings + [("total", sum(t for _, t in timings))]
+    return SynthesisReport({
+        "net": {
+            "name": net.name,
+            "places": list(net.places),
+            "transitions": list(net.transitions),
+            "controllable": [t for t, c in zip(net.transitions,
+                                               net.controllable) if c],
+            "initial": net.format_mask(net.m0.mask),
+        },
+        "partition": {
+            "reachable_count": rg.n_states,
+            "forbidden_count": len(partition.m_f),
+            "authorized_count": len(partition.m_a),
+            "border_count": len(partition.m_b),
+            "authorized": fmt(rg.masks_of(partition.m_a)),
+            "forbidden": fmt(rg.masks_of(partition.m_f)),
+            "border": fmt(rg.masks_of(partition.m_b)),
+        },
+        "over_states": {
+            "minimal": fmt(minimal),
+        },
+        "cover": {
+            "cover_counts": counts,
+            "final_counts": final_counts,
+            "selected": fmt(chosen),
+        },
+        "controller": {
+            "no_constraints": not len(partition.m_f),
+            "constraints": constraints,
+            "weight_rows": controller.weights.tolist(),
+            "control_places": list(controller.place_names),
+            "control_incidence": controller.incidence.tolist(),
+            "control_initial": controller.initial.tolist(),
+            "bounds": controller.bounds.tolist(),
+        },
+        "fallback": {
+            "used": bool(uncovered),
+            "uncovered": fmt(uncovered),
+        },
+        "closed_loop": {
+            "state_count": closed.state_count,
+            "isomorphic": closed.isomorphic,
+            "invariant_ok": closed.invariant_ok,
+            "admissibility_violations": [
+                v.format(net, controller)
+                for v in closed.admissibility_violations
+            ],
+            "missing_authorized": fmt(closed.missing_authorized),
+            "extra_states": fmt(closed.extra_states),
+            "edge_mismatches": list(closed.edge_mismatches),
+            "max_control_marking": list(closed.max_control_marking),
+            "notes": list(closed.notes),
+        },
+        "timings": [{"stage": stage, "seconds": round(seconds, 6)}
+                    for stage, seconds in timings],
+    })

@@ -118,14 +118,18 @@ def _fresh_names(count: int, taken) -> tuple[str, ...]:
 def synthesize(net: PetriNet, weights, bounds) -> Controller:
     """Invariant-based controller for the constraints weights @ m <=
     bounds (any integer rows): incidence = -(weights @ plant incidence),
-    initial marking = bounds - weights @ m0."""
+    initial marking = bounds - weights @ m0.  Empty weights are zero
+    rows; bounds hold one entry per row."""
     weights = np.array(weights, dtype=int)
     bounds = np.array(bounds, dtype=int)
-    if weights.shape[1] != net.n_places:
-        raise ValueError(
-            "constraint matrix has %d columns, net has %d places"
-            % (weights.shape[1], net.n_places)
-        )
+    if weights.shape == (0,):
+        weights = weights.reshape(0, net.n_places)
+    if weights.ndim != 2 or weights.shape[1] != net.n_places:
+        raise ValueError("constraint matrix of shape %s; the net has %d "
+                         "places" % (weights.shape, net.n_places))
+    if bounds.shape != (len(weights),):
+        raise ValueError("%d constraint rows but bounds of shape %s"
+                         % (len(weights), bounds.shape))
     incidence = -(weights @ net.incidence())
     initial = bounds - weights @ bit_rows([net.m0.mask], net.n_places)[0]
     if (initial < 0).any():

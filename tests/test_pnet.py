@@ -421,6 +421,16 @@ def test_serialize_refuses_empty_explicit_state():
     assert str(err.value).endswith("use an expr like '!A & !B'")
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_serialize_refuses_explicit_state_of_another_width(width):
+    # wider: a place past the net; narrower: the pipeline would refuse it
+    net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    spec = BadStateSpec(explicit=[Marking(width, 1 << (width - 1))])
+    with pytest.raises(ValueError, match="has %d bits, net has 2" % width):
+        serialize_net(net, spec)
+
+
 def test_serialize_keeps_tab_in_expr():
     net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
                    Marking.from_support(2, [0]))

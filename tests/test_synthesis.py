@@ -22,6 +22,7 @@ from overseer import (
 )
 from overseer.errors import InitialMarkingViolation, NonBinaryController
 from overseer.net import bit_rows, support
+from overseer.report import build_report
 from overseer.synthesis import Controller, format_constraint
 
 
@@ -252,6 +253,12 @@ def test_admissibility_violation_surfaces():
     assert v.transition == 0
     assert v.control_place == 0
     assert "risk" in v.format(net, ctrl)
+    # the text report lists the violation under its count
+    text = build_report(net, rg, partition, None, ctrl, report, []
+                        ).render_text().splitlines()
+    at = text.index("  admissibility violations: 1")
+    assert text[at + 1] == "    %s" % v.format(net, ctrl)
+    assert text[at + 2] == "  isomorphic to authorized subgraph: no"
 
 
 def test_over_restrictive_controller_reports_missing_states():
@@ -273,6 +280,16 @@ def test_weight_row_shape_checked():
     weights, bounds = build_constraint_matrix([_m([0])], 5)
     with pytest.raises(ValueError):
         synthesize(net, weights, bounds)
+    # empty weights are zero rows of the net's width
+    got = synthesize(net, [], [])
+    assert got.k == 0 and got.weights.shape == (0, 3)
+    assert got.incidence.shape == (0, 3) and got.initial.shape == (0,)
+    # one bound per row, as a flat list
+    for bad in ([1, 2], [], [[1]]):
+        with pytest.raises(ValueError):
+            synthesize(net, [[1, 0, 0]], bad)
+    with pytest.raises(ValueError):
+        synthesize(net, [1, 0, 0], [1])
 
 
 def test_wrong_incidence_on_a_leaving_edge_does_not_verify(monkeypatch):
