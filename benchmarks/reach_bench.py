@@ -10,8 +10,12 @@ state.  The second net (`fork_counter_net`) has BFS levels of up
 to 924 states, then a tail of 2048 levels of one state each: the wide part
 is expanded with whole-array operations and the tail one state at a
 time, so a kernel that keeps the array step on narrow levels shows up
-as a slowdown here.  The state and edge counts are checked before any
-timing is reported.
+as a slowdown here.  The third net is ring_net(9) with 37 idle places
+declared first, so that its masks reach bit 63 and no level's
+(successor, pair index) keys fit in 64 bits: its levels group their
+successors with an argsort instead of one sort of packed keys, and
+its time against ring_net(9)'s is that fallback's cost.  The state
+and edge counts are checked before any timing is reported.
 
 Last, naming is timed through each of its two paths: the first N states
 of ring_net(9) (27 places) and of the fork-then-counter net (46 places)
@@ -82,6 +86,20 @@ def fork_counter_net(bits, counter_bits):
                     transitions, [True] * len(transitions), pre, post, m0)
 
 
+def idle_first(net, idle):
+    """`net` with `idle` unmarked places that no transition touches
+    declared before its own, which shifts every mask up by `idle` bits."""
+    def shifted(masks):
+        return [[p + idle for p in range(net.n_places) if m >> p & 1]
+                for m in masks]
+
+    return PetriNet("%s_idle%d" % (net.name, idle),
+                    ["I%d" % i for i in range(idle)] + list(net.places),
+                    net.transitions, net.controllable,
+                    shifted(net.pre_masks), shifted(net.post_masks),
+                    Marking(idle + net.n_places, net.m0.mask << idle))
+
+
 def best_time(call, repeats):
     """The least time of `repeats` calls, and the last call's result."""
     best = float("inf")
@@ -135,19 +153,25 @@ def main():
             k, rg.n_states, len(rg.edges), t * 1e3, t_names * 1e3))
 
     bits, counter_bits = 12, 11
-    net = fork_counter_net(bits, counter_bits)
-    states = 2 ** bits + 2 ** counter_bits
-    t, rg = best_time(lambda: build_reachability_graph(net, budget=states),
-                      args.repeats)
-    assert rg.n_states == states
-    assert len(rg.edges) == bits * 2 ** (bits - 1) + 2 ** counter_bits
+    fork = fork_counter_net(bits, counter_bits)
+    wide = idle_first(ring_net(9), 37)
     print()
     print("%16s %8s %8s %10s" % ("net", "states", "edges", "time"))
-    print("%16s %8d %8d %8.2fms" % (net.name, rg.n_states, len(rg.edges),
-                                    t * 1e3))
+    graphs = []
+    for net, states, edges in (
+            (fork, 2 ** bits + 2 ** counter_bits,
+             bits * 2 ** (bits - 1) + 2 ** counter_bits),
+            (wide, 3 ** 9, 9 * 3 ** 9)):
+        t, rg = best_time(
+            lambda: build_reachability_graph(net, budget=states),
+            args.repeats)
+        assert rg.n_states == states and len(rg.edges) == edges
+        graphs.append((net, rg))
+        print("%16s %8d %8d %8.2fms" % (net.name, rg.n_states,
+                                        len(rg.edges), t * 1e3))
 
     ring = ring_net(9)
-    nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), (net, rg)]
+    nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), graphs[0]]
     print()
     print("%16s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))
     for net, rg in nets:

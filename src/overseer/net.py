@@ -8,12 +8,19 @@ Reachability exploration is a breadth-first search over those integer
 masks, one level at a time.  A level of at least `_VECTOR_FROM` states
 on a net whose masks fit in 64 bits is expanded with numpy array
 operations on uint64 masks; every other level, and every level of a
-wider net, takes a per-state loop over Python ints.  Both number states
-and edges the same way.  The reachability graph keeps what the search
-produces as flat data: one int mask per state and the edges as (source,
-transition, target) arrays grouped by source (CSR offsets).  The
-pipeline passes int masks from stage to stage; `Marking` is only the
-type of a net's initial marking and of explicit forbidden states.
+wider net, takes a per-state loop over Python ints and a dict of the
+known states.  Both number states and edges the same way.  The array
+step groups a level's successors with one sort of (successor, pair
+index) keys packed in a uint64 when they fit, and with an argsort when
+they do not, and keeps the known states as a sorted array into which
+each level's new states merge already sorted.  The loop's dict takes
+the states the array step found only when a loop level follows them,
+so a search that stays wide never fills it.  The reachability graph
+keeps what the search produces as flat data: one int mask per state
+and the edges as (source, transition, target) arrays grouped by source
+(CSR offsets).  The pipeline passes int masks from stage to stage;
+`Marking` is only the type of a net's initial marking and of explicit
+forbidden states.
 
 Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
 `PetriNet.format_masks` names a list of at least that many masks, on a
@@ -331,10 +338,12 @@ class ReachabilityGraph:
 # array step costs ~0.1 ms per level however narrow: on a 2-core host
 # ring_net(3) (27 states, no level over 7) took 0.10 ms with the loop
 # alone and 0.6-1.0 ms with every level vectorized.  The two cross at a
-# few dozen states per level: ring_net(4) took 0.59 ms when its levels
-# of 16-19 states were vectorized and 0.26 ms when they were not, and
-# two_machines x3 took 4.3 ms vectorizing from 64 states, 6.7 ms from
-# 256 and 7.1 ms with the loop alone.
+# few dozen states per level.  With the packed-key step, best of 200
+# (ring_net(4)) or 50 `_explore` calls on the same host: ring_net(4)
+# took 0.25-0.31 ms when its levels of 16-19 states were vectorized and
+# 0.12 ms when they were not; two_machines x3 took 1.21-1.34 ms
+# vectorizing from 32 or 48 states, 1.29-1.42 ms from 64, 1.54-1.65 ms
+# from 128, 2.75 ms from 256 and 3.27-3.34 ms with the loop alone.
 _VECTOR_FROM = 64
 
 # `PetriNet.format_masks` names a list of at least this many masks with
@@ -358,17 +367,49 @@ _NAME_BLOCK = 1 << 14
 class _LevelStep:
     """Expands a whole BFS level with array operations.
 
-    Keeps the known states as a sorted key/id array pair and brings in
-    the states found since it last ran (by itself or by the loop) at
-    the start of the next level it expands."""
+    A level's successors are grouped by one `np.sort` of the keys
+    `(successor << s) | pair index`, s the bit length of the level's
+    pair count, when `width + s <= 64`: the low bits of the sorted keys
+    are the permutation, and each group's head holds its first pair.
+    Keys that do not fit take an argsort of the successors instead, and
+    a `minimum.reduceat` for each group's first pair.
 
-    def __init__(self, pre_masks, post_masks):
+    Keeps the known states as a sorted key/id array pair.  The states a
+    level finds are merged in, already sorted by value, at the start of
+    the next level this step expands; when that level is exactly those
+    states, their array is its frontier as it stands.  States the loop
+    found in between are sorted and merged in at the same point.  Each
+    merge places the new keys with one `searchsorted` and a boolean
+    mask."""
+
+    def __init__(self, pre_masks, post_masks, width):
         self.pre = np.array(pre_masks, dtype=np.uint64)
         self.post = np.array(post_masks, dtype=np.uint64)
         self.gain = self.post & ~self.pre
+        self.width = width  # the masks' bit length
         self.keys = np.zeros(0, dtype=np.uint64)
         self.ids = np.zeros(0, dtype=np.intp)
         self.known = 0  # masks[:known] are in keys
+        # what the last level found: its masks sorted, their ids, and
+        # its masks in id order; None once merged
+        self.found = None
+
+    def _merge(self, add, add_ids):
+        """Sorts `add`, an ascending array of masks not yet known, with
+        their ids into keys/ids."""
+        n = len(self.keys) + len(add)
+        at = np.searchsorted(self.keys, add)
+        at += np.arange(len(add))
+        old = np.ones(n, dtype=bool)
+        old[at] = False
+        keys = np.empty(n, dtype=np.uint64)
+        keys[at] = add
+        keys[old] = self.keys
+        ids = np.empty(n, dtype=np.intp)
+        ids[at] = add_ids
+        ids[old] = self.ids
+        self.keys, self.ids = keys, ids
+        self.known += len(add)
 
     def expand(self, masks, lo, hi, e0, budget):
         """The edges leaving states [lo, hi) in (state, transition) order,
@@ -376,34 +417,47 @@ class _LevelStep:
         appearance, numbered from hi.  Returns ((src, tr, dst, offsets),
         new); `offsets` are the edge offsets after each state, counted
         from e0.  Raises what the per-state loop would raise first."""
-        fresh = np.array(masks[self.known:hi], dtype=np.uint64)
-        frontier = fresh[lo - self.known:]
-        order = np.argsort(fresh)
-        ranked = fresh[order]
-        at = np.searchsorted(self.keys, ranked)
-        self.keys = np.insert(self.keys, at, ranked)
-        self.ids = np.insert(self.ids, at, self.known + order)
-        self.known = hi
+        if self.found is not None:
+            ranked, ranked_ids, frontier = self.found
+            self.found = None
+            self._merge(ranked, ranked_ids)
+        if self.known < hi:
+            # the loop ran since: its states hold the frontier
+            fresh = np.array(masks[self.known:hi], dtype=np.uint64)
+            order = np.argsort(fresh)
+            frontier = fresh[lo - self.known:]
+            self._merge(fresh[order], self.known + order)
 
         enabled = (frontier[:, None] & self.pre) == self.pre
-        rows, tr = divmod(np.flatnonzero(enabled), len(self.pre))
+        pairs = np.flatnonzero(enabled)
+        rows, tr = divmod(pairs, len(self.pre))
         m = frontier[rows]
         succ = (m ^ self.pre[tr]) | self.post[tr]
         # group equal successors: sorted queries make the lookup fast, and
         # a group's least pair index is where its state first appears
-        order = np.argsort(succ)
-        ranked = succ[order]
+        shift = len(pairs).bit_length()
+        fits = self.width + shift <= 64
+        if fits:
+            # one sort of (successor, pair index) keys: the low bits are
+            # the permutation, and each group's head holds its least pair
+            packed = np.sort((succ << shift) | np.arange(len(pairs),
+                                                         dtype=np.uint64))
+            order = (packed & ((1 << shift) - 1)).astype(np.intp)
+            ranked = packed >> shift
+        else:
+            order = np.argsort(succ)
+            ranked = succ[order]
         head = np.ones(len(ranked), dtype=bool)
         np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         starts = np.flatnonzero(head)
         targets = ranked[starts]
-        first = np.minimum.reduceat(order, starts)
+        first = order[starts] if fits else np.minimum.reduceat(order, starts)
         pos = np.searchsorted(self.keys, targets)
         np.minimum(pos, len(self.keys) - 1, out=pos)
         target_ids = self.ids[pos]
         unseen = np.flatnonzero(self.keys[pos] != targets)
-        unseen = unseen[np.argsort(first[unseen])]
-        target_ids[unseen] = np.arange(hi, hi + len(unseen))
+        by_first = unseen[np.argsort(first[unseen])]
+        target_ids[by_first] = np.arange(hi, hi + len(unseen))
         dst = np.empty(len(succ), dtype=np.intp)
         dst[order] = target_ids[np.cumsum(head) - 1]
 
@@ -412,7 +466,7 @@ class _LevelStep:
         # first in (state, transition) order
         unsafe = np.flatnonzero(m & self.gain[tr])
         over = max(budget - hi, 0)
-        overflow = first[unseen[over]] if len(unseen) > over else None
+        overflow = first[by_first[over]] if len(unseen) > over else None
         if len(unsafe) and (overflow is None or unsafe[0] <= overflow):
             raise SafenessViolation(
                 "firing transition %d at state %d yields two tokens in "
@@ -421,7 +475,9 @@ class _LevelStep:
         if overflow is not None:
             raise StateBudgetExceeded("state budget %d exhausted" % budget)
         offsets = e0 + np.cumsum(np.bincount(rows, minlength=len(frontier)))
-        return (lo + rows, tr, dst, offsets), targets[unseen].tolist()
+        new = targets[by_first]
+        self.found = targets[unseen], target_ids[unseen], new
+        return (lo + rows, tr, dst, offsets), new.tolist()
 
 
 def _explore(pre_masks, post_masks, m0, budget):
@@ -434,7 +490,10 @@ def _explore(pre_masks, post_masks, m0, budget):
     The search runs one level at a time.  Expanding the queued states
     [lo, len(masks)) as one batch in (state, transition) order numbers
     states and edges exactly as expanding them one by one does, so each
-    level takes whichever step is faster at its width."""
+    level takes whichever step is faster at its width.  The loop's
+    `seen` dict holds masks[:len(seen)]: a loop level first adds, in
+    one update, the states array levels found since the loop last ran,
+    and array levels leave it alone."""
     if budget < 1:
         # m0 is state 0 and counts against the budget like any other
         raise StateBudgetExceeded("state budget %d exhausted" % budget)
@@ -442,7 +501,7 @@ def _explore(pre_masks, post_masks, m0, budget):
     # it does not also consume from
     moves = [(t, pre, post, post & ~pre)
              for t, (pre, post) in enumerate(zip(pre_masks, post_masks))]
-    vector_ok = max((m0, *pre_masks, *post_masks)).bit_length() <= 64
+    width = max((m0, *pre_masks, *post_masks)).bit_length()
     step = None
 
     masks = [m0]
@@ -454,7 +513,10 @@ def _explore(pre_masks, post_masks, m0, budget):
     lo = 0
     while lo < len(masks):
         hi = len(masks)
-        if hi - lo < _VECTOR_FROM or not vector_ok:
+        if hi - lo < _VECTOR_FROM or width > 64:
+            if len(seen) < hi:
+                # the states the array step found since the loop last ran
+                seen.update(zip(masks[len(seen):], range(len(seen), hi)))
             for sid in range(lo, hi):
                 m = masks[sid]
                 free = ~m
@@ -488,12 +550,11 @@ def _explore(pre_masks, post_masks, m0, budget):
                 e0 += len(dst)
                 src, tr, dst, offsets = [], [], [], []
             if step is None:
-                step = _LevelStep(pre_masks, post_masks)
+                step = _LevelStep(pre_masks, post_masks, width)
             parts, new = step.expand(masks, lo, hi, e0, budget)
             for col, part in zip(columns, parts):
                 col.append(part)
             e0 += len(parts[2])
-            seen.update(zip(new, range(hi, hi + len(new))))
             masks += new
         lo = hi
 

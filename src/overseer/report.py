@@ -20,10 +20,18 @@ from .synthesis import format_constraint
 VOLATILE_KEYS = ("timings",)
 
 
-def canonical_digest(payload: dict) -> str:
+def _canonical_json(payload: dict) -> str:
+    # compact and key-sorted, the volatile keys left out
     scrubbed = {k: v for k, v in payload.items() if k not in VOLATILE_KEYS}
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def canonical_digest(payload: dict) -> str:
+    return _sha256(_canonical_json(payload))
 
 
 def _vec(values) -> str:
@@ -36,15 +44,21 @@ class SynthesisReport:
     `fallback`, `closed_loop` and `timings`.  `closed_loop.isomorphic`
     is `ClosedLoopReport.isomorphic`: the closed loop keeps every
     state a supervisor can keep and no other.  `digest`, `to_dict`,
-    `render_text` and `render_json` all read the payload; the digest is
-    taken on first use, so change nothing in the payload after that."""
+    `render_text` and `render_json` all read the payload.  The payload
+    without its timings is encoded once, on first use, and both the
+    digest and the JSON rendering are made from that encoding, so
+    change nothing in the payload after that."""
 
     def __init__(self, payload: dict):
         self._payload = payload
 
     @cached_property
+    def _canonical(self) -> str:
+        return _canonical_json(self._payload)
+
+    @cached_property
     def _digest(self) -> str:
-        return canonical_digest(self._payload)
+        return _sha256(self._canonical)
 
     def digest(self) -> str:
         return self._digest
@@ -54,9 +68,15 @@ class SynthesisReport:
         return {**copy.deepcopy(self._payload), "digest": self._digest}
 
     def render_json(self) -> str:
-        # no indent: json's C encoder serves only the compact layout
-        return json.dumps({**self._payload, "digest": self._digest},
-                          sort_keys=True) + "\n"
+        """The digest's encoding with `digest` and the volatile keys
+        added last: compact, on one line, the other keys sorted."""
+        body = self._canonical[:-1]
+        tail = json.dumps(
+            {"digest": self._digest, **{k: self._payload[k]
+                                        for k in VOLATILE_KEYS
+                                        if k in self._payload}},
+            sort_keys=True, separators=(",", ":"))
+        return "%s%s%s\n" % (body, "," if len(body) > 1 else "", tail[1:])
 
     def render_text(self) -> str:
         p = self._payload

@@ -24,7 +24,7 @@ from netgen import random_net, safe_net
 ROOT = Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 import oracle  # noqa: E402
-from reach_bench import fork_counter_net, ring_net  # noqa: E402
+from reach_bench import fork_counter_net, idle_first, ring_net  # noqa: E402
 
 
 def _chain_net():
@@ -332,3 +332,33 @@ def test_wide_levels_switch_step_and_back(monkeypatch):
     assert expanded
     assert all(hi - lo >= overseer.net._VECTOR_FROM for lo, hi in expanded)
     assert expanded[0][0] > 0 and expanded[-1][1] < 2 ** 12
+
+
+def test_wide_keys_take_the_argsort_path(monkeypatch):
+    """A level whose (successor, pair index) keys do not fit in 64 bits
+    groups its successors with an argsort, and one whose keys fit with
+    one sort of packed keys; the graphs equal the oracle's either way."""
+    calls = []
+    expand = overseer.net._LevelStep.expand
+
+    def spy(self, *args):
+        sorted_, argsorted = [], []
+        sort, argsort = np.sort, np.argsort
+        with monkeypatch.context() as m:
+            m.setattr(np, "sort", lambda a: sorted_.append(len(a)) or sort(a))
+            m.setattr(np, "argsort",
+                      lambda a: argsorted.append(len(a)) or argsort(a))
+            out = expand(self, *args)
+        pairs = len(out[0][1])
+        calls.append((pairs in sorted_, pairs in argsorted))
+        return out
+
+    monkeypatch.setattr(overseer.net._LevelStep, "expand", spy)
+    ring = ring_net(6)
+    wide = idle_first(ring, 40)
+    # bits 40-57: the level of 141 states has 846 pairs, 10 more bits
+    assert max(wide.pre_masks + wide.post_masks).bit_length() == 58
+    for net, packed in ((wide, False), (ring, True)):
+        calls.clear()
+        assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
+        assert calls and all(c == (packed, not packed) for c in calls)

@@ -15,6 +15,7 @@ from overseer import (
     Marking,
     NetDocument,
     PetriNet,
+    canonical_digest,
     parse_net,
     parse_net_file,
     predicate,
@@ -117,17 +118,33 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
     encoded = []
     dumps = json.dumps
 
-    def counting_dumps(*args, **kwargs):
-        encoded.append(kwargs.get("indent"))
-        return dumps(*args, **kwargs)
+    def counting_dumps(obj, *args, **kwargs):
+        encoded.append(sorted(obj))
+        return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counting_dumps)
     text = report.render_text()
     twin = json.loads(report.render_json())
-    # once for the digest, once for the JSON text, both without an indent
-    assert encoded == [None, None]
+    # the sections once, for the digest and the JSON text together; then
+    # only the digest and the timings, for the JSON text
+    sections = sorted(set(twin) - {"digest", "timings"})
+    assert encoded == [sections, ["digest", "timings"]]
     assert text.splitlines()[-1] == "canonical digest: %s" % twin["digest"]
     assert twin["digest"] == report.digest() == report.to_dict()["digest"]
+
+
+def test_json_report_is_the_digest_encoding(two_machines):
+    """The JSON file parses to `to_dict()`; without its digest it hashes
+    to the digest, and its keys come sorted, then digest and timings."""
+    report = run_pipeline(two_machines).report
+    text = report.render_json()
+    twin = json.loads(text)
+    assert twin == report.to_dict()
+    digest = twin.pop("digest")
+    assert canonical_digest(twin) == digest == report.digest()
+    keys = list(json.loads(text))
+    assert keys == sorted(keys[:-2]) + ["digest", "timings"]
+    assert text.endswith("}\n") and text.count("\n") == 1
 
 
 # The canonical digests of the bundled nets and of two copies of
