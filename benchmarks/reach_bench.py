@@ -17,6 +17,12 @@ successors with an argsort instead of one sort of packed keys, and
 its time against ring_net(9)'s is that fallback's cost.  The state
 and edge counts are checked before any timing is reported.
 
+Then the narrow tails: for ring_net(9), whose last levels hold 45, 9
+and 1 states, and for fork_counter_net(12, 8) and (12, 11), whose
+one-state counter tails run 256 and 2,048 levels, the `_explore` time
+and the number of narrow levels (fewer than `_VECTOR_FROM` states) the
+array step took before the loop took over, if it did.
+
 Last, naming is timed through each of its two paths: the first N states
 of ring_net(9) (27 places) and of the fork-then-counter net (46 places)
 are named with the memo loop and with array operations, for N from 32
@@ -110,6 +116,30 @@ def best_time(call, repeats):
     return best, out
 
 
+def explore(net):
+    return overseer.net._explore(net.pre_masks, net.post_masks, net.m0.mask,
+                                 overseer.net.DEFAULT_STATE_BUDGET)
+
+
+def narrow_array_levels(net):
+    """How many levels of fewer than `_VECTOR_FROM` states `_explore`
+    hands to the array step on `net`."""
+    narrow = []
+    expand = overseer.net._LevelStep.expand
+
+    def counting(self, masks, lo, hi, *args):
+        if hi - lo < overseer.net._VECTOR_FROM:
+            narrow.append(lo)
+        return expand(self, masks, lo, hi, *args)
+
+    overseer.net._LevelStep.expand = counting
+    try:
+        explore(net)
+    finally:
+        overseer.net._LevelStep.expand = expand
+    return len(narrow)
+
+
 def naming_times(net, masks, repeats):
     """The least time to name `masks` with the memo loop and with array
     operations, each path's names checked first."""
@@ -171,6 +201,14 @@ def main():
                                         len(rg.edges), t * 1e3))
 
     ring = ring_net(9)
+    print()
+    print("%16s %8s %10s %14s" % ("narrow tail of", "states", "_explore",
+                                  "narrow arrays"))
+    for net in (ring, fork_counter_net(12, 8), fork_counter_net(12, 11)):
+        t, (masks, _) = best_time(lambda: explore(net), args.repeats)
+        print("%16s %8d %8.2fms %14d" % (net.name, len(masks), t * 1e3,
+                                         narrow_array_levels(net)))
+
     nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), graphs[0]]
     print()
     print("%16s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))

@@ -7,20 +7,22 @@ partial marking ("over-state") elsewhere in the toolkit.
 Reachability exploration is a breadth-first search over those integer
 masks, one level at a time.  A level of at least `_VECTOR_FROM` states
 on a net whose masks fit in 64 bits is expanded with numpy array
-operations on uint64 masks; every other level, and every level of a
-wider net, takes a per-state loop over Python ints and a dict of the
-known states.  Both number states and edges the same way.  The array
-step groups a level's successors with one sort of (successor, pair
-index) keys packed in a uint64 when they fit, and with an argsort when
-they do not, and keeps the known states as a sorted array into which
-each level's new states merge already sorted.  The loop's dict takes
-the states the array step found only when a loop level follows them,
-so a search that stays wide never fills it.  The reachability graph
-keeps what the search produces as flat data: one int mask per state
-and the edges as (source, transition, target) arrays grouped by source
-(CSR offsets).  The pipeline passes int masks from stage to stage;
-`Marking` is only the type of a net's initial marking and of explicit
-forbidden states.
+operations on uint64 masks; other levels take a per-state loop over
+Python ints and a dict of the known states, except a narrow tail after
+array levels, which stays on the array step while the dict's backlog
+outweighs what the array step has spent on narrow levels.  Every level
+of a wider net takes the loop.  Both steps number states and edges the
+same way.  The array step groups a level's successors with one sort of
+(successor, pair index) keys packed in a uint64 when they fit, and with
+an argsort when they do not, and keeps the known states as a sorted
+array into which each level's new states merge by one stable sort.  The
+loop's dict takes the states the array step found only when a loop
+level follows them, so a search that stays wide, or whose narrow tail
+is short, never fills it.  The reachability graph keeps what the search
+produces as flat data: one int mask per state and the edges as (source,
+transition, target) arrays grouped by source (CSR offsets).  The
+pipeline passes int masks from stage to stage; `Marking` is only the
+type of a net's initial marking and of explicit forbidden states.
 
 Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
 `PetriNet.format_masks` names a list of at least that many masks, on a
@@ -334,16 +336,18 @@ class ReachabilityGraph:
 
 # A BFS level of at least this many states, on a net whose masks fit in
 # 64 bits, is expanded with whole-array operations; a narrower level
-# takes the per-state loop, which has no fixed cost per level.  The
-# array step costs ~0.1 ms per level however narrow: on a 2-core host
-# ring_net(3) (27 states, no level over 7) took 0.10 ms with the loop
-# alone and 0.6-1.0 ms with every level vectorized.  The two cross at a
-# few dozen states per level.  With the packed-key step, best of 200
-# (ring_net(4)) or 50 `_explore` calls on the same host: ring_net(4)
-# took 0.25-0.31 ms when its levels of 16-19 states were vectorized and
-# 0.12 ms when they were not; two_machines x3 took 1.21-1.34 ms
-# vectorizing from 32 or 48 states, 1.29-1.42 ms from 64, 1.54-1.65 ms
-# from 128, 2.75 ms from 256 and 3.27-3.34 ms with the loop alone.
+# takes the per-state loop, which has no fixed cost per level, unless it
+# follows array levels whose states the loop's dict has yet to take in
+# (see `_explore`).  The array step has a fixed cost per level however
+# narrow.  Best of 200 (ring_net(3), ring_net(4)) or 50 (two_machines x3)
+# `_explore` calls on a 2-core host, with the stable-sort merge:
+# ring_net(3) (27 states, no level over 7) took 0.03 ms with the loop
+# alone and 0.28-0.47 ms with every level vectorized; ring_net(4) took
+# 0.37-0.40 ms with every level vectorized, 0.21-0.23 ms from 16 states
+# and 0.12 ms from 32 up or with the loop alone; two_machines x3 took
+# 1.11-1.26 ms vectorizing from 16, 32 or 48 states, 1.24-1.43 ms from
+# 64, 1.40-1.60 ms from 128, 2.35-2.71 ms from 256 and 3.2-3.4 ms with
+# the loop alone.  The crossing is where it was before that merge.
 _VECTOR_FROM = 64
 
 # `PetriNet.format_masks` names a list of at least this many masks with
@@ -378,9 +382,9 @@ class _LevelStep:
     level finds are merged in, already sorted by value, at the start of
     the next level this step expands; when that level is exactly those
     states, their array is its frontier as it stands.  States the loop
-    found in between are sorted and merged in at the same point.  Each
-    merge places the new keys with one `searchsorted` and a boolean
-    mask."""
+    found in between are merged in at the same point.  Each merge lays
+    the known keys and the new ones end to end and orders them with one
+    stable argsort, which merges two sorted runs in linear time."""
 
     def __init__(self, pre_masks, post_masks, width):
         self.pre = np.array(pre_masks, dtype=np.uint64)
@@ -395,20 +399,14 @@ class _LevelStep:
         self.found = None
 
     def _merge(self, add, add_ids):
-        """Sorts `add`, an ascending array of masks not yet known, with
-        their ids into keys/ids."""
-        n = len(self.keys) + len(add)
-        at = np.searchsorted(self.keys, add)
-        at += np.arange(len(add))
-        old = np.ones(n, dtype=bool)
-        old[at] = False
-        keys = np.empty(n, dtype=np.uint64)
-        keys[at] = add
-        keys[old] = self.keys
-        ids = np.empty(n, dtype=np.intp)
-        ids[at] = add_ids
-        ids[old] = self.ids
-        self.keys, self.ids = keys, ids
+        """Sorts `add`, an array of masks not yet known, with their ids
+        into keys/ids: a stable argsort of the known keys and `add` laid
+        end to end, which merges the two in linear time when `add` is
+        ascending."""
+        keys = np.concatenate((self.keys, add))
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.ids = np.concatenate((self.ids, add_ids))[order]
         self.known += len(add)
 
     def expand(self, masks, lo, hi, e0, budget):
@@ -424,9 +422,8 @@ class _LevelStep:
         if self.known < hi:
             # the loop ran since: its states hold the frontier
             fresh = np.array(masks[self.known:hi], dtype=np.uint64)
-            order = np.argsort(fresh)
             frontier = fresh[lo - self.known:]
-            self._merge(fresh[order], self.known + order)
+            self._merge(fresh, np.arange(self.known, hi))
 
         enabled = (frontier[:, None] & self.pre) == self.pre
         pairs = np.flatnonzero(enabled)
@@ -493,7 +490,17 @@ def _explore(pre_masks, post_masks, m0, budget):
     level takes whichever step is faster at its width.  The loop's
     `seen` dict holds masks[:len(seen)]: a loop level first adds, in
     one update, the states array levels found since the loop last ran,
-    and array levels leave it alone."""
+    and array levels leave it alone.
+
+    A narrow level after array levels weighs that backlog,
+    `hi - len(seen)`, against a debt: each narrow level the array step
+    takes adds `_VECTOR_FROM * len(transitions)`, about what the loop
+    pays to expand `_VECTOR_FROM` states.  While the backlog is larger
+    the array step keeps the level; once it is not, the loop fills
+    `seen` and takes over, and the debt starts again from 0.  Not
+    knowing how long the tail is, this pays at most about twice the
+    better of the two choices (ski rental: Karlin, Manasse, Rudolph &
+    Sleator 1988), and a short tail never fills the dict."""
     if budget < 1:
         # m0 is state 0 and counts against the budget like any other
         raise StateBudgetExceeded("state budget %d exhausted" % budget)
@@ -510,13 +517,16 @@ def _explore(pre_masks, post_masks, m0, budget):
     src, tr, dst, offsets = [], [], [], [0]  # the chunk the loop extends
     e0 = 0  # edges in finished chunks
 
+    debt = 0  # narrow array levels' cost since the loop last filled seen
     lo = 0
     while lo < len(masks):
         hi = len(masks)
-        if hi - lo < _VECTOR_FROM or width > 64:
+        narrow = hi - lo < _VECTOR_FROM
+        if width > 64 or narrow and hi - len(seen) <= debt:
             if len(seen) < hi:
                 # the states the array step found since the loop last ran
                 seen.update(zip(masks[len(seen):], range(len(seen), hi)))
+                debt = 0
             for sid in range(lo, hi):
                 m = masks[sid]
                 free = ~m
@@ -551,6 +561,8 @@ def _explore(pre_masks, post_masks, m0, budget):
                 src, tr, dst, offsets = [], [], [], []
             if step is None:
                 step = _LevelStep(pre_masks, post_masks, width)
+            if narrow:
+                debt += _VECTOR_FROM * len(moves)
             parts, new = step.expand(masks, lo, hi, e0, budget)
             for col, part in zip(columns, parts):
                 col.append(part)

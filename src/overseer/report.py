@@ -20,10 +20,40 @@ from .synthesis import format_constraint
 VOLATILE_KEYS = ("timings",)
 
 
+# the partition's lists of state names, in key order; each key sorts
+# just before its count's
+_STATE_LISTS = ("authorized", "border", "forbidden")
+
+
+def _plain(places) -> bool:
+    """Whether JSON writes every name made of these place names as it
+    stands: printable ASCII, no quote and no backslash."""
+    text = "".join(places)
+    return (text.isascii() and text.isprintable() and '"' not in text
+            and "\\" not in text)
+
+
 def _canonical_json(payload: dict) -> str:
-    # compact and key-sorted, the volatile keys left out
+    # compact and key-sorted, the volatile keys left out.  A state name
+    # is place names joined, or "-", so when the place names are plain
+    # the partition's name lists are joined rather than encoded: the
+    # rest is encoded once, and each list goes in before its count.
     scrubbed = {k: v for k, v in payload.items() if k not in VOLATILE_KEYS}
-    return json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    if not _plain(payload["net"]["places"]):
+        return json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    part = scrubbed["partition"]
+    scrubbed["partition"] = {k: v for k, v in part.items()
+                             if k not in _STATE_LISTS}
+    text = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    pieces, at = [], 0
+    for key in _STATE_LISTS:
+        cut = text.index('"%s_count":' % key, at)
+        names = part[key]
+        pieces += [text[at:cut], '"%s":' % key,
+                   '["%s"],' % '","'.join(names) if names else "[],"]
+        at = cut
+    pieces.append(text[at:])
+    return "".join(pieces)
 
 
 def _sha256(text: str) -> str:
@@ -47,7 +77,12 @@ class SynthesisReport:
     `render_text` and `render_json` all read the payload.  The payload
     without its timings is encoded once, on first use, and both the
     digest and the JSON rendering are made from that encoding, so
-    change nothing in the payload after that."""
+    change nothing in the payload after that.  When the net's place
+    names need no JSON escaping (printable ASCII, no quote and no
+    backslash), no state name does either, and the partition's
+    `authorized`, `forbidden` and `border` lists go into that encoding
+    joined with `","` rather than through the encoder; the bytes are
+    the same."""
 
     def __init__(self, payload: dict):
         self._payload = payload

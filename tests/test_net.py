@@ -312,10 +312,9 @@ def test_level_steps_match_oracle(monkeypatch, vector_from):
     assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
 
 
-def test_wide_levels_switch_step_and_back(monkeypatch):
-    """A fork's wide levels take the array step; its narrow first and
-    last levels, and the counter's one-state levels after them, take
-    the loop."""
+def _spy_expand(monkeypatch):
+    """The (lo, hi) of each level `_LevelStep.expand` takes, as a list
+    that fills while the search runs."""
     expanded = []
     expand = overseer.net._LevelStep.expand
 
@@ -324,14 +323,56 @@ def test_wide_levels_switch_step_and_back(monkeypatch):
         return expand(self, masks, lo, hi, *args)
 
     monkeypatch.setattr(overseer.net._LevelStep, "expand", spy)
+    return expanded
+
+
+def test_wide_levels_switch_step_and_back(monkeypatch):
+    """A fork's wide levels take the array step, and so do its narrow
+    last levels while the loop's dict has a larger backlog than the
+    debt those levels ran up; then the loop takes the counter's
+    one-state levels.  Its narrow first levels take the loop."""
+    expanded = _spy_expand(monkeypatch)
     net = fork_counter_net(12, 8)
     got = _explore_outcome(net, 1 << 20)
     assert got == _oracle_outcome(net, 1 << 20)
     assert len(got[0]) == 2 ** 12 + 2 ** 8
-    # the fork's levels hold C(12, i) states; the widest ones are arrays
-    assert expanded
-    assert all(hi - lo >= overseer.net._VECTOR_FROM for lo, hi in expanded)
-    assert expanded[0][0] > 0 and expanded[-1][1] < 2 ** 12
+    vector_from = overseer.net._VECTOR_FROM
+    cost = vector_from * net.n_transitions
+    # one run of consecutive levels: the fork's widest, then narrow ones
+    assert expanded and expanded[0][0] > 0
+    assert all(a[1] == b[0] for a, b in zip(expanded, expanded[1:]))
+    narrow = [hi - lo < vector_from for lo, hi in expanded]
+    first = narrow.index(True)
+    assert not any(narrow[:first]) and all(narrow[first:])
+    # the loop filled its dict up to the first array level's end; the
+    # j-th narrow array level found a backlog above j levels' cost
+    filled = expanded[0][1]
+    tail = expanded[first:]
+    assert all(hi - filled > j * cost for j, (_, hi) in enumerate(tail))
+    # the level after them, which the loop takes, did not; so the
+    # narrow array levels are bounded by the backlog, not by the tail
+    _, edges, _ = got
+    lo, hi = tail[-1]
+    after = max(d for s, _, d in edges if lo <= s < hi) + 1
+    assert after - filled <= len(tail) * cost
+    assert len(tail) <= -(-len(got[0]) // cost)
+    # the levels of 12 and 1 states end the fork, and the counter's
+    # first level, its state 2^12, is the third; the loop takes the
+    # counter's other 255 levels
+    assert [hi - lo for lo, hi in tail] == [12, 1, 1]
+    assert expanded[-1][1] == 2 ** 12 + 1
+
+
+def test_short_narrow_tail_stays_on_the_array_step(monkeypatch):
+    """ring_net(9) ends with levels of 45, 9 and 1 states.  Its dict's
+    backlog, ~19,600 states, outweighs the debt of three narrow levels,
+    so every level from the first array level on takes `expand`: no
+    loop level follows, and the loop's dict never takes those states."""
+    expanded = _spy_expand(monkeypatch)
+    assert _explore_outcome(ring_net(9), 1 << 20) == _ring_outcome(9)
+    assert expanded[0][0] > 0 and expanded[-1][1] == 3 ** 9
+    assert all(a[1] == b[0] for a, b in zip(expanded, expanded[1:]))
+    assert [hi - lo for lo, hi in expanded[-3:]] == [45, 9, 1]
 
 
 def test_wide_keys_take_the_argsort_path(monkeypatch):
@@ -344,10 +385,16 @@ def test_wide_keys_take_the_argsort_path(monkeypatch):
     def spy(self, *args):
         sorted_, argsorted = [], []
         sort, argsort = np.sort, np.argsort
+
+        def argsort_spy(a, kind=None):
+            # the merge's stable argsort orders known states, not pairs
+            if kind is None:
+                argsorted.append(len(a))
+            return argsort(a, kind=kind)
+
         with monkeypatch.context() as m:
             m.setattr(np, "sort", lambda a: sorted_.append(len(a)) or sort(a))
-            m.setattr(np, "argsort",
-                      lambda a: argsorted.append(len(a)) or argsort(a))
+            m.setattr(np, "argsort", argsort_spy)
             out = expand(self, *args)
         pairs = len(out[0][1])
         calls.append((pairs in sorted_, pairs in argsorted))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +11,13 @@ import overseer.errors
 import overseer.net
 import overseer.overstates
 import overseer.pipeline
+import overseer.report
 from overseer import (
     BadStateSpec,
     Marking,
     NetDocument,
     PetriNet,
+    build_reachability_graph,
     canonical_digest,
     parse_net,
     parse_net_file,
@@ -31,7 +34,14 @@ from overseer.errors import (
     UnknownPlaceName,
 )
 
+from overseer.net import support
+
 from netgen import copies, disjoint_union
+
+ROOT = Path(__file__).parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
+import run as bench_run  # noqa: E402
+from reach_bench import ring_net  # noqa: E402
 
 THREE_STEP = """\
 # B is only reachable through the forbidden A
@@ -119,18 +129,86 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
     dumps = json.dumps
 
     def counting_dumps(obj, *args, **kwargs):
-        encoded.append(sorted(obj))
+        encoded.append((sorted(obj), sorted(obj.get("partition", ()))))
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counting_dumps)
     text = report.render_text()
     twin = json.loads(report.render_json())
-    # the sections once, for the digest and the JSON text together; then
-    # only the digest and the timings, for the JSON text
+    # the sections once, for the digest and the JSON text together, the
+    # partition's name lists joined rather than encoded; then only the
+    # digest and the timings, for the JSON text
     sections = sorted(set(twin) - {"digest", "timings"})
-    assert encoded == [sections, ["digest", "timings"]]
+    counts = sorted(k for k in twin["partition"] if k.endswith("_count"))
+    assert encoded == [(sections, counts), (["digest", "timings"], [])]
     assert text.splitlines()[-1] == "canonical digest: %s" % twin["digest"]
     assert twin["digest"] == report.digest() == report.to_dict()["digest"]
+
+
+def _canonical_json_checked(report, monkeypatch):
+    """The report's canonical encoding, checked byte for byte against
+    one `json.dumps` of its payload without timings.  Returns whether
+    the partition's name lists went through the encoder."""
+    payload = report.to_dict()
+    del payload["digest"], payload["timings"]
+    expected = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    partitions = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        partitions.append(set(obj["partition"]))
+        return dumps(obj, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", spy)
+        assert overseer.report._canonical_json(payload) == expected
+    assert len(partitions) == 1
+    return "authorized" in partitions[0]
+
+
+def test_joined_name_lists_match_the_encoder(two_machines, drop_job,
+                                             monkeypatch):
+    """Where the place names are plain, the partition's lists are
+    joined, and the encoding equals the encoder's on the bundled nets,
+    on copies of two_machines, on token rings and on the first nets of
+    the benchmark's random pool."""
+    reports = [run_pipeline(two_machines).report,
+               run_pipeline(drop_job, fallback=True).report]
+    reports += [run_pipeline(copies(two_machines, k)).report
+                for k in (2, 3)]
+    reports += [run_pipeline(NetDocument(ring_net(k))).report
+                for k in (5, 6, 7)]
+    for case in bench_run.random_pool(bench_run.RANDOM_POOL_SEED, 100):
+        try:
+            reports.append(run_pipeline(parse_net(case.text),
+                                        fallback=True).report)
+        except StageFailure:
+            pass
+    assert len(reports) > 50
+    assert not any(_canonical_json_checked(r, monkeypatch)
+                   for r in reports)
+
+
+@pytest.mark.parametrize("odd", ['"', "\\", "\u00e9", "\t"])
+def test_names_json_must_escape_take_the_encoder(odd, two_machines,
+                                                 monkeypatch):
+    """A place name holding a quote, a backslash, a non-ASCII letter or
+    a tab sends the name lists through the encoder, with the same
+    bytes as before."""
+    net = two_machines.net
+    plain = run_pipeline(two_machines).partition
+    rg = build_reachability_graph(net)
+    places = ["%s%s%d" % (p, odd, i) for i, p in enumerate(net.places)]
+    renamed = PetriNet(
+        net.name, places, net.transitions, net.controllable,
+        [support(m) for m in net.pre_masks],
+        [support(m) for m in net.post_masks], net.m0)
+    spec = BadStateSpec(explicit=[Marking(net.n_places, m)
+                                  for m in rg.masks_of(plain.m_f)])
+    report = run_pipeline(NetDocument(renamed, spec)).report
+    part = report.to_dict()["partition"]
+    assert part["authorized"] and part["border"] and part["forbidden"]
+    assert _canonical_json_checked(report, monkeypatch)
 
 
 def test_json_report_is_the_digest_encoding(two_machines):
