@@ -13,6 +13,16 @@ product of the copies' authorized sets).  The "whole" time is one
 `overstate_union` call without `blocks`, the engine that solves all
 copies at once; the run checks that it lists the same over-states.
 
+A second table times the numpy step that reduces the border x
+authorized product to its minimal edges, on nets the pipeline solves
+whole: k copies of two_machines with the one forbidden term
+`P2_0 & P7_1`, which joins two copies, so the authorized set is no
+product of the copies' sets.  It times one `overstate_union` call as the
+pipeline makes it ("numpy") and the same call with the numpy threshold
+raised above the product, so that Berge gets every edge ("loop"), and
+checks that both list the pipeline's over-states.  Up to COUPLED_MAX_K
+copies, and no more than --max-k.
+
     python3 benchmarks/overstate_bench.py [--max-k K] [--repeats N]
 """
 
@@ -26,7 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
                 str(ROOT / "benchmarks")]
 
+import overseer.overstates
 from overseer import (
+    BadStateSpec,
+    NetDocument,
     minimal_elements,
     overstate_union,
     parse_net,
@@ -39,12 +52,57 @@ from workloads import machines
 # the reference lists 28,646 sub-supports at k=3 and 822,878 at k=4
 ORACLE_MAX_K = 3
 
+# on a 2-core host the coupled net's loop path took 0.12-0.17 s at k=3
+# (648 x 1,080 pairs) and 15.5 s at k=4 (7,776 x 12,960)
+COUPLED_MAX_K = 3
+
 
 def reference_minimal(rg, partition):
     border = rg.masks_of(partition.m_b)
     authorized = rg.masks_of(partition.m_a)
     union = {b for m in border for b in over_states(m)}
     return minimal_elements(prune_authorized(union, authorized))
+
+
+def best_time(repeats, call):
+    """The result of `call()` and its best wall time over `repeats` runs."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = call()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
+def coupled_rows(max_k, repeats):
+    print()
+    print("%3s %8s %7s %10s %11s %8s %10s %10s"
+          % ("k", "states", "border", "authorized", "pairs", "minimal",
+             "numpy", "loop"))
+    for k in range(2, min(max_k, COUPLED_MAX_K) + 1):
+        net = parse_net(machines(k, random.Random(k))).net
+        result = run_pipeline(NetDocument(net,
+                                          BadStateSpec(expr="P2_0 & P7_1")))
+        assert result.closed.isomorphic
+        border = result.rg.masks_of(result.partition.m_b)
+        authorized = result.rg.masks_of(result.partition.m_a)
+        pairs = len(border) * len(authorized)
+        assert pairs >= overseer.overstates._VECTOR_PAIRS, pairs
+
+        def union():
+            return overstate_union(border, authorized)
+
+        listed, vector_s = best_time(repeats, union)
+        default = overseer.overstates._VECTOR_PAIRS
+        overseer.overstates._VECTOR_PAIRS = pairs + 1
+        try:
+            loop, loop_s = best_time(repeats, union)
+        finally:
+            overseer.overstates._VECTOR_PAIRS = default
+        assert listed == loop == result.table.rows, k
+        print("%3d %8d %7d %10d %11d %8d %8.1fms %8.1fms"
+              % (k, result.rg.n_states, len(border), len(authorized), pairs,
+                 len(listed), vector_s * 1e3, loop_s * 1e3))
 
 
 def main():
@@ -72,11 +130,8 @@ def main():
         assert result.closed.isomorphic
         border = result.rg.masks_of(result.partition.m_b)
         authorized = result.rg.masks_of(result.partition.m_a)
-        whole = float("inf")
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            listed = overstate_union(border, authorized)
-            whole = min(whole, time.perf_counter() - t0)
+        listed, whole = best_time(
+            args.repeats, lambda: overstate_union(border, authorized))
         assert listed == result.table.rows, k
         checked = "-"
         if k <= ORACLE_MAX_K:
@@ -87,6 +142,7 @@ def main():
               % (k, result.rg.n_states, len(result.partition.m_b),
                  len(minimal), result.controller.k, best * 1e3,
                  whole * 1e3, checked))
+    coupled_rows(args.max_k, args.repeats)
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ of a wider net takes the loop.  Both steps number states and edges the
 same way.  The array step groups a level's successors with one sort of
 (successor, pair index) keys packed in a uint64 when they fit, and with
 an argsort when they do not, and keeps the known states as a sorted
-array into which each level's new states merge by one stable sort.  The
-loop's dict takes the states the array step found only when a loop
-level follows them, so a search that stays wide, or whose narrow tail
-is short, never fills it.  The reachability graph keeps what the search
-produces as flat data: one int mask per state and the edges as (source,
-transition, target) arrays grouped by source (CSR offsets).  The
-pipeline passes int masks from stage to stage; `Marking` is only the
-type of a net's initial marking and of explicit forbidden states.
+array: each array level merges the states it finds by one stable sort,
+and the states loop levels found merge at the start of the next array
+level.  The loop's dict takes the states the array step found only
+when a loop level follows them, so a search that stays wide, or whose
+narrow tail is short, never fills it.  The reachability graph keeps
+what the search produces as flat data: one int mask per state and the
+edges as (source, transition, target) arrays grouped by source (CSR
+offsets).  The pipeline passes int masks from stage to stage; `Marking`
+is only the type of a net's initial marking and of explicit forbidden
+states.
 
 Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
 `PetriNet.format_masks` names a list of at least that many masks, on a
@@ -221,10 +223,10 @@ class PetriNet:
         """The place masks of the net's connected components, disjoint
         and together holding every place.  Two places share a component
         when one transition's pre and post sets together join them.  The
-        places no transition touches never change, and they make one
-        last block together.  Found on first use, by merging each
-        transition's places into the components they meet; the
-        over-state stage reads it."""
+        places no transition touches never change, so they join the
+        last component rather than make one of their own.  Found on first
+        use, by merging each transition's places into the components they
+        meet; the over-state stage reads it."""
         blocks: list[int] = []
         for joined in map(int.__or__, self.pre_masks, self.post_masks):
             if not joined:
@@ -237,8 +239,8 @@ class PetriNet:
                     apart.append(b)
             apart.append(joined)
             blocks = apart
-        lone = ((1 << self.n_places) - 1) & ~sum(blocks)
-        return (*blocks, lone) if lone else tuple(blocks)
+        rest = blocks[:-1]
+        return (*rest, ((1 << self.n_places) - 1) & ~sum(rest))
 
     @cached_property
     def _chunk_names(self):
@@ -378,13 +380,13 @@ class _LevelStep:
     Keys that do not fit take an argsort of the successors instead, and
     a `minimum.reduceat` for each group's first pair.
 
-    Keeps the known states as a sorted key/id array pair.  The states a
-    level finds are merged in, already sorted by value, at the start of
-    the next level this step expands; when that level is exactly those
-    states, their array is its frontier as it stands.  States the loop
-    found in between are merged in at the same point.  Each merge lays
-    the known keys and the new ones end to end and orders them with one
-    stable argsort, which merges two sorted runs in linear time."""
+    Keeps the known states as a sorted key/id array pair, into which
+    each level merges the states it finds, and keeps those states' masks
+    as `frontier`, the next level when no loop level runs in between.
+    States the loop found merge in at the start of the next level this
+    step expands.  Each merge lays the known keys and the new ones end to
+    end and orders them with one stable argsort, which merges two sorted
+    runs in linear time."""
 
     def __init__(self, pre_masks, post_masks, width):
         self.pre = np.array(pre_masks, dtype=np.uint64)
@@ -393,10 +395,7 @@ class _LevelStep:
         self.width = width  # the masks' bit length
         self.keys = np.zeros(0, dtype=np.uint64)
         self.ids = np.zeros(0, dtype=np.intp)
-        self.known = 0  # masks[:known] are in keys
-        # what the last level found: its masks sorted, their ids, and
-        # its masks in id order; None once merged
-        self.found = None
+        self.frontier = None  # the last level's new masks, in id order
 
     def _merge(self, add, add_ids):
         """Sorts `add`, an array of masks not yet known, with their ids
@@ -407,7 +406,6 @@ class _LevelStep:
         order = np.argsort(keys, kind="stable")
         self.keys = keys[order]
         self.ids = np.concatenate((self.ids, add_ids))[order]
-        self.known += len(add)
 
     def expand(self, masks, lo, hi, e0, budget):
         """The edges leaving states [lo, hi) in (state, transition) order,
@@ -415,15 +413,13 @@ class _LevelStep:
         appearance, numbered from hi.  Returns ((src, tr, dst, offsets),
         new); `offsets` are the edge offsets after each state, counted
         from e0.  Raises what the per-state loop would raise first."""
-        if self.found is not None:
-            ranked, ranked_ids, frontier = self.found
-            self.found = None
-            self._merge(ranked, ranked_ids)
-        if self.known < hi:
+        merged = len(self.keys)  # masks[:merged] are in keys
+        frontier = self.frontier
+        if merged < hi:
             # the loop ran since: its states hold the frontier
-            fresh = np.array(masks[self.known:hi], dtype=np.uint64)
-            frontier = fresh[lo - self.known:]
-            self._merge(fresh, np.arange(self.known, hi))
+            fresh = np.array(masks[merged:hi], dtype=np.uint64)
+            frontier = fresh[lo - merged:]
+            self._merge(fresh, np.arange(merged, hi))
 
         enabled = (frontier[:, None] & self.pre) == self.pre
         pairs = np.flatnonzero(enabled)
@@ -472,9 +468,10 @@ class _LevelStep:
         if overflow is not None:
             raise StateBudgetExceeded("state budget %d exhausted" % budget)
         offsets = e0 + np.cumsum(np.bincount(rows, minlength=len(frontier)))
-        new = targets[by_first]
-        self.found = targets[unseen], target_ids[unseen], new
-        return (lo + rows, tr, dst, offsets), new.tolist()
+        self.frontier = targets[by_first]
+        if len(unseen):
+            self._merge(targets[unseen], target_ids[unseen])
+        return (lo + rows, tr, dst, offsets), self.frontier.tolist()
 
 
 def _explore(pre_masks, post_masks, m0, budget):

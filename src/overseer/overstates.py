@@ -105,7 +105,10 @@ def _add_edge(family: list[int], e: int, budget: int) -> list[int]:
 # smaller one goes to Berge edge by edge, which has no fixed cost.  On a
 # 2-core host the numpy step cost 0.1 ms for 5 x 5 pairs, where the int
 # path took 0.03 ms, and 0.27 ms for 50 x 25 pairs, where it took
-# 0.78 ms (copies of two_machines).
+# 0.78 ms (copies of two_machines).  On nets solved whole, the coupled
+# rows of `benchmarks/overstate_bench.py`, it took 6-13 ms against
+# 122-172 ms at 648 x 1,080 pairs and 0.50 s against 15.5 s at 7,776 x
+# 12,960.
 _VECTOR_PAIRS = 256
 
 # Cells (border states x edges) per numpy block: a few MB of temporaries.

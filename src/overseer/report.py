@@ -65,7 +65,7 @@ def canonical_digest(payload: dict) -> str:
 
 
 def _vec(values) -> str:
-    return "[%s]" % " ".join(str(int(v)) for v in values)
+    return "[%s]" % " ".join(map(str, values))
 
 
 class SynthesisReport:

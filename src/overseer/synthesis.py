@@ -22,8 +22,6 @@ safe net.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -320,8 +318,7 @@ def verify_closed_loop(controller: Controller, partition: StatePartition,
                - rg.bits.view(np.int8) @ weights)
     admitted = (control >= 0).all(axis=1)
     order, leaving = _walk(rg.offsets, rg.dst, admitted)
-    closed_id = np.empty(n, dtype=np.intp)
-    closed_id.fill(-1)
+    closed_id = np.full(n, -1, dtype=np.intp)
     closed_id[order] = np.arange(len(order))
     # src, tr and dst: the edges leaving closed-loop states, grouped by
     # source in closed-loop order; allowed: whether each enters an
@@ -352,18 +349,19 @@ def verify_closed_loop(controller: Controller, partition: StatePartition,
     extra = rg.masks_of(order[~authorized[order]])
 
     # at an authorized plant state exactly the firings whose successor
-    # is still authorized must be allowed; per closed-loop state, the
-    # missed firings come before the unexpected ones
-    edge_mismatches = []
+    # is still authorized must be allowed.  `wrong` is grouped by source
+    # in closed-loop order; one stable sort puts, per closed-loop state,
+    # the missed firings before the unexpected ones, each in edge order
     into = authorized[dst]
     wrong = (authorized[src] & (allowed != into)).nonzero()[0]
-    rows = zip(src[wrong].tolist(), into[wrong].tolist(), tr[wrong].tolist())
-    for _, group in groupby(rows, key=itemgetter(0)):
-        for s, missed, t in sorted(group, key=itemgetter(1), reverse=True):
-            edge_mismatches.append("%s %s %s at %s" % (
-                net.name, "misses" if missed else "allows",
-                net.transitions[t], net.format_mask(masks[s]),
-            ))
+    if len(wrong):
+        wrong = wrong[np.lexsort((~into[wrong], closed_id[src[wrong]]))]
+    edge_mismatches = [
+        "%s %s %s at %s" % (net.name, "misses" if missed else "allows",
+                            net.transitions[t], net.format_mask(masks[s]))
+        for s, missed, t in zip(src[wrong].tolist(), into[wrong].tolist(),
+                                tr[wrong].tolist())
+    ]
 
     notes = []
     for t, col in enumerate(controller.incidence.T.tolist()):

@@ -290,3 +290,16 @@ def test_wrong_incidence_on_a_blocked_transition_does_not_verify():
     assert report.edges.tolist() == ref.edges.tolist() == []
     assert not report.invariant_ok
     assert not report.isomorphic
+
+
+def test_missed_firings_come_first_at_each_state(two_machines):
+    # m(P4) <= 0 blocks c2 everywhere: at P1P3P7 that misses c2, and c1
+    # leads into the forbidden P2P3P7.  The missed firing is listed
+    # first although c1 has the lower index.
+    net = two_machines.net
+    rg = build_reachability_graph(net)
+    partition = partition_states(rg, two_machines.spec)
+    got = assert_matches_reference(net, _token_sum(net, [((3,), 0)]),
+                                   partition, rg)
+    assert got.edge_mismatches == ["two_machines misses c2 at P1P3P7",
+                                   "two_machines allows c1 at P1P3P7"]

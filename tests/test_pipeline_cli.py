@@ -445,6 +445,20 @@ def test_coupled_spec_is_solved_whole(two_machines, monkeypatch):
     assert isinstance(split, str)
 
 
+def test_untouched_places_join_a_component(two_machines_path, monkeypatch):
+    # the marked place Q never changes: it joins the one real component,
+    # so the net is one block and goes to the engine once, as a whole
+    text = two_machines_path.read_text().replace(
+        "places P1 P2 P3 P4 P5 P6 P7\ninitial P1 P3 P6",
+        "places P1 P2 P3 P4 P5 P6 P7 Q\ninitial P1 P3 P6 Q")
+    doc = parse_net(text)
+    assert doc.net.components == ((1 << 8) - 1,)
+    split, calls, whole = _split_and_whole(monkeypatch, doc)
+    assert calls == 1
+    assert split == whole
+    assert isinstance(split, str)
+
+
 def test_split_net_over_state_budget(monkeypatch):
     # PAIRS has 32 minimal over-states in 7 states, the ring 3 states:
     # the budget stops reach below 21 and over-states below 32, with or
