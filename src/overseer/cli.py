@@ -127,7 +127,12 @@ def main(argv=None) -> int:
             _warn("controller needs weighted arcs; %s not written"
                   % args.out)
         else:
-            outputs.append((args.out, lambda: serialize_net(controlled)))
+            if max(result.closed.max_control_marking, default=0) > 1:
+                _warn("a control place holds more than one token in the "
+                      "closed loop, so the controlled net is not safe; %s "
+                      "not written" % args.out)
+            else:
+                outputs.append((args.out, lambda: serialize_net(controlled)))
     for path, render in outputs:
         try:
             Path(path).write_text(render(), encoding="utf-8")

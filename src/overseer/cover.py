@@ -55,8 +55,9 @@ class CoverTable:
         return [self.rows[i] for i in self.picks]
 
 
-# A table of at least this many cells is built and counted with numpy;
-# a smaller one with plain loops, which have no fixed cost.  On a
+# A table of at least this many cells is built (and the cover's counted)
+# with numpy, the over-state guard's over the authorized states too; a
+# smaller one with plain loops, which have no fixed cost.  On a
 # 2-core host building a 3 x 4 table took 29 us with numpy and 13 us
 # with the loops; the 12 x 375 table of two_machines x3 took 0.18 ms
 # with numpy and 1.6 ms with the loops.
@@ -73,17 +74,19 @@ def _column_counts(bits: list[int], n_cols: int) -> list[int]:
 def build_cover_table(candidates, border) -> CoverTable:
     rows = list(candidates)
     cols = list(border)
-    if len(rows) * len(cols) < _VECTOR_CELLS:
-        bits = [sum(1 << j for j, m in enumerate(cols) if not b & ~m)
-                for b in rows]
-    else:
-        bits = _row_bits(rows, cols)
+    bits = row_bits(rows, cols)
     return CoverTable(rows=rows, cols=cols, bits=bits,
                       counts=_column_counts(bits, len(cols)))
 
 
-def _row_bits(rows: list[int], cols: list[int]) -> list[int]:
-    """Per row: the bitset of the columns that mark every place of it."""
+def row_bits(rows, cols) -> list[int]:
+    """Per row (an iterable of int masks): the bitset of the columns
+    that mark every place of it (bit j = the j-th of `cols`)."""
+    rows = list(rows)
+    cols = list(cols)
+    if len(rows) * len(cols) < _VECTOR_CELLS:
+        return [sum(1 << j for j, m in enumerate(cols) if not b & ~m)
+                for b in rows]
     width = max(rows + cols).bit_length()
     # per place: the bitset of the columns that mark it
     step = (len(cols) + 7) // 8

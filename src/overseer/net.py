@@ -567,16 +567,11 @@ def _explore(pre_masks, post_masks, m0, budget):
             masks += new
         lo = hi
 
-    if step is None:
-        # no level was vectorized: one pass over the lists, the fastest
-        # copy on the small graphs that take this path
-        flat = np.fromiter(chain(src, tr, dst, offsets), dtype=np.intp,
-                           count=3 * len(dst) + len(offsets))
-    else:
-        for col, part in zip(columns, (src, tr, dst, offsets)):
-            col.append(part)
-        flat = np.concatenate([np.asarray(p, dtype=np.intp)
-                               for p in chain(*columns)])
+    # the loop's last chunk, empty when the array step took the last level
+    for col, part in zip(columns, (src, tr, dst, offsets)):
+        col.append(part)
+    flat = np.concatenate([np.asarray(p, dtype=np.intp)
+                           for p in chain(*columns)])
     return masks, flat
 
 

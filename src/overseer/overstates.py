@@ -10,12 +10,13 @@ transversals inside m of the hypergraph {m} + {m & ~a : a authorized}
 (the edge m keeps b nonempty), and the cheapest ones are its minimal
 transversals.
 They are computed directly with Berge's incremental algorithm on int
-masks, from the inclusion-minimal edges alone: an edge that contains
-another adds no constraint on a transversal.  When the masks fit in
-64 bits and there are many border x authorized pairs, numpy finds those minimal
-edges for a block of border states at a time; otherwise Berge's own
-superset test drops the larger edges.  `over_states`, which lists every
-sub-support, remains as the reference the tests compare against.
+masks.  An edge that contains another adds no constraint on a
+transversal, and Berge's step leaves the family as it is for one.  When
+the masks fit in 64 bits and there are many border x authorized pairs,
+numpy first cuts each hypergraph to its inclusion-minimal edges, for a
+block of border states at a time; otherwise Berge takes every edge.
+`over_states`, which lists every sub-support, remains as the reference
+the tests compare against.
 
 A net made of disjoint parts is solved one part at a time when its
 authorized set A is the product of its projections A_c onto the parts
@@ -36,6 +37,7 @@ from math import prod
 
 import numpy as np
 
+from .cover import row_bits
 from .errors import StateBudgetExceeded
 from .net import DEFAULT_STATE_BUDGET, canonical_order, support
 
@@ -54,24 +56,18 @@ def minimal_transversals(edges, budget: int = DEFAULT_STATE_BUDGET
     """Minimal masks that meet every edge (int masks), by Berge's
     incremental algorithm.  An empty edge admits no transversal.
 
-    Edges are taken smallest first, and one that contains an edge already
-    taken is skipped: whatever meets the smaller edge meets it too.
+    Edges are taken smallest first.  An edge that contains one already
+    taken leaves the family as it is: every transversal meets it.
     Raises StateBudgetExceeded when more than `budget` transversals are
     in flight.
     """
     family = [0]
-    taken: list[int] = []
     # ties in size go in mask order, so the family in flight, and with
     # it the budget check, depends only on the set of edges
     for e in sorted(sorted(set(edges)), key=int.bit_count):
         if not e:
             return []
-        for f in taken:
-            if not f & ~e:
-                break
-        else:
-            taken.append(e)
-            family = _add_edge(family, e, budget)
+        family = _add_edge(family, e, budget)
     return family
 
 
@@ -195,8 +191,10 @@ def _minimal_edge_sets(border: list[int], auth: list[int]) -> set[tuple]:
 
 def prune_authorized(candidates, authorized) -> list[int]:
     """Candidates whose constraints forbid no authorized state: those
-    that no authorized marking covers."""
-    return [b for b in candidates if all(b & ~a for a in authorized)]
+    whose bitset over the authorized states, as the cover table builds
+    it, is empty."""
+    rows = list(candidates)
+    return [b for b, hit in zip(rows, row_bits(rows, authorized)) if not hit]
 
 
 def minimal_elements(items) -> list[int]:

@@ -111,7 +111,7 @@ class SynthesisReport:
                                         for k in VOLATILE_KEYS
                                         if k in self._payload}},
             sort_keys=True, separators=(",", ":"))
-        return "%s%s%s\n" % (body, "," if len(body) > 1 else "", tail[1:])
+        return "%s,%s\n" % (body, tail[1:])
 
     def render_text(self) -> str:
         p = self._payload

@@ -149,7 +149,10 @@ def assemble_controlled_net(net: PetriNet, controller: Controller) -> PetriNet:
     """Plant net extended with the control places.
 
     Only possible when the controller is binary (0/1 arcs and initial
-    marking); the verification below has no such limit.
+    marking); the verification below has no such limit.  The result is
+    a safe net only when no control place holds more than one token
+    over the closed loop (`ClosedLoopReport.max_control_marking`),
+    which the CLI checks before it writes `--out`.
     """
     if controller.k == 0:
         return net

@@ -459,6 +459,25 @@ def test_untouched_places_join_a_component(two_machines_path, monkeypatch):
     assert isinstance(split, str)
 
 
+def test_arcless_transition_joins_no_component(tmp_path, capsys):
+    # `idle` has no arcs: it adds no block of its own, and it fires in
+    # every state as a self-loop
+    text = ("net idle\nplaces A B\ninitial A\n"
+            "transition t controllable { in A ; out B }\n"
+            "transition idle controllable { in ; out }\n"
+            "forbidden { state B }\n")
+    doc = parse_net(text)
+    assert doc.net.components == (0b11,)
+    rg = build_reachability_graph(doc.net)
+    assert rg.edges.tolist() == [[0, 0, 1], [0, 1, 0], [1, 1, 1]]
+    net = tmp_path / "idle.pnet"
+    net.write_text(text)
+    assert main([str(net)]) == 0
+    captured = capsys.readouterr()
+    assert "  isomorphic to authorized subgraph: yes\n" in captured.out
+    assert captured.err == ""
+
+
 def test_split_net_over_state_budget(monkeypatch):
     # PAIRS has 32 minimal over-states in 7 states, the ring 3 states:
     # the budget stops reach below 21 and over-states below 32, with or
@@ -743,6 +762,58 @@ def test_cli_weighted_controller_is_not_written(tmp_path, capsys):
     assert captured.err == ("overseer: warning: controller needs weighted "
                             "arcs; %s not written\n" % out)
     assert not out.exists()
+
+
+# the fallback's exact rows make a binary controller whose control
+# places each gather a second token: t4 fires from P1P2P3 and from P1P2
+UNSAFE_OUT = """\
+net gen
+places P1 P2 P3
+initial P1 P2 P3
+transition t1 controllable { in P1 P3 ; out P3 }
+transition t2 controllable { in P2 P3 ; out }
+transition t3 controllable { in P3 ; out }
+transition t4 controllable { in P2 ; out }
+forbidden { expr "(P2) & !P3" }
+"""
+
+
+def test_cli_unsafe_controlled_net_is_not_written(tmp_path, capsys):
+    net, out = tmp_path / "gen.pnet", tmp_path / "ctl.pnet"
+    net.write_text(UNSAFE_OUT)
+    rc = main([str(net), "--fallback", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert "  max control marking: [2 2]\n" in captured.out
+    assert captured.err == (
+        "overseer: warning: a control place holds more than one token in "
+        "the closed loop, so the controlled net is not safe; %s not "
+        "written\n" % out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--fallback"]])
+def test_cli_out_explores_to_the_closed_loop(flags, tmp_path, capsys):
+    """Each net `--out` writes for the first nets of the benchmark's
+    random pool is safe and reaches exactly the closed loop's plant
+    states, each with one control marking."""
+    net, out = tmp_path / "n.pnet", tmp_path / "out.pnet"
+    written = 0
+    for case in bench_run.random_pool(bench_run.RANDOM_POOL_SEED, 100):
+        net.write_text(case.text)
+        out.unlink(missing_ok=True)
+        main([str(net), "--out", str(out)] + flags)
+        if not out.exists():
+            continue
+        written += 1
+        doc = parse_net(case.text)
+        result = run_pipeline(doc, fallback=bool(flags))
+        plant = (1 << doc.net.n_places) - 1
+        controlled = build_reachability_graph(parse_net_file(out).net)
+        assert sorted(m & plant for m in controlled.masks) \
+            == sorted(result.rg.masks_of(result.closed.states))
+    capsys.readouterr()
+    assert written > 25
 
 
 def test_cli_authorized_state_behind_forbidden_is_exit_0(tmp_path, capsys):

@@ -215,6 +215,10 @@ ERRORS = [
     ("unknown-state-place-on-later-line", F + "{\n  state A\n  Z\n}\n",
      UnknownPlaceName, None, None,
      "<string>:5:3: unknown place 'Z'"),
+    # the column is counted past the comment that ends the block's line
+    ("unknown-state-place-after-comment", F + "{ # c\n  state A Z\n}\n",
+     UnknownPlaceName, None, None,
+     "<string>:4:11: unknown place 'Z'"),
     ("later-block-line-tokenized-first", F + "{ bogus\n  $ }\n",
      PnetSyntaxError, 4, 3,
      "<string>:4:3: unexpected character '$'"),
