@@ -19,12 +19,10 @@ the same give the same file.  A file a run did not write
 hashes as absent.
 
     python3 benchmarks/differential.py OUT.json [--pool N] [--max-k K]
-                                         [--compare OTHER.json]
 
-Compare two checkouts by running the other checkout's copy of this
-script first, then this one with `--compare` on the other's OUT.json:
-it prints each run whose hash differs or that one of the two files
-lacks, and exits 1 when there is any.
+Compare two checkouts by running each one's copy of this script and
+diffing the two OUT.json files, e.g. `diff -u parent.json change.json`:
+each run is one line, so the diff lists every run that changed.
 """
 
 import argparse
@@ -130,13 +128,6 @@ def run_hash(flags):
     return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest(), rc
 
 
-def changed_runs(hashes, other):
-    """The runs whose hash differs between the two dicts, a run one of
-    them lacks included: the order of `hashes`, then of `other`."""
-    return [name for name in {**hashes, **other}
-            if hashes.get(name) != other.get(name)]
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", metavar="OUT.json", help="where to write the hashes")
@@ -144,13 +135,8 @@ def main():
                     help="random nets to run, from the start of the pool")
     ap.add_argument("--max-k", type=int, default=4,
                     help="most copies of two_machines to run")
-    ap.add_argument("--compare", metavar="OTHER.json",
-                    help="list the runs whose hashes differ from this "
-                         "file's, and exit 1 if there are any")
     args = ap.parse_args()
     out = Path(args.out).resolve()
-    other = (json.loads(Path(args.compare).read_text(encoding="utf-8"))
-             if args.compare else None)
 
     hashes, codes = {}, Counter()
     # the runs name their files relative to a scratch folder, so that
@@ -172,15 +158,6 @@ def main():
             "%d: %d" % (rc, n) for (m, rc), n in sorted(codes.items())
             if m == mode)))
     print("%d runs hashed into %s" % (len(hashes), out))
-    if other is not None:
-        changed = changed_runs(hashes, other)
-        for name in changed:
-            print("%s: %s" % (name, "not run here" if name not in hashes
-                              else "differs" if name in other
-                              else "not in %s" % args.compare))
-        print("%d runs differ from %s" % (len(changed), args.compare))
-        if changed:
-            sys.exit(1)
 
 
 if __name__ == "__main__":

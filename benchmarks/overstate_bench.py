@@ -52,8 +52,8 @@ from workloads import machines
 # the reference lists 28,646 sub-supports at k=3 and 822,878 at k=4
 ORACLE_MAX_K = 3
 
-# on a 2-core host the coupled net's loop path took 0.12-0.17 s at k=3
-# (648 x 1,080 pairs) and 15.5 s at k=4 (7,776 x 12,960)
+# on a 2-core host the coupled net's loop path took 0.21 s at k=3
+# (648 x 1,080 pairs) and 23 s at k=4 (7,776 x 12,960)
 COUPLED_MAX_K = 3
 
 

@@ -79,11 +79,9 @@ def build_cover_table(candidates, border) -> CoverTable:
                       counts=_column_counts(bits, len(cols)))
 
 
-def row_bits(rows, cols) -> list[int]:
-    """Per row (an iterable of int masks): the bitset of the columns
-    that mark every place of it (bit j = the j-th of `cols`)."""
-    rows = list(rows)
-    cols = list(cols)
+def row_bits(rows: list[int], cols: list[int]) -> list[int]:
+    """Per row: the bitset of the columns that mark every place of it
+    (bit j = the j-th of `cols`)."""
     if len(rows) * len(cols) < _VECTOR_CELLS:
         return [sum(1 << j for j, m in enumerate(cols) if not b & ~m)
                 for b in rows]

@@ -99,12 +99,11 @@ def _add_edge(family: list[int], e: int, budget: int) -> list[int]:
 # A border x authorized product of at least this many pairs, of masks
 # that fit in 64 bits, is reduced to its minimal edges with numpy; a
 # smaller one goes to Berge edge by edge, which has no fixed cost.  On a
-# 2-core host the numpy step cost 0.1 ms for 5 x 5 pairs, where the int
-# path took 0.03 ms, and 0.27 ms for 50 x 25 pairs, where it took
-# 0.78 ms (copies of two_machines).  On nets solved whole, the coupled
-# rows of `benchmarks/overstate_bench.py`, it took 6-13 ms against
-# 122-172 ms at 648 x 1,080 pairs and 0.50 s against 15.5 s at 7,776 x
-# 12,960.
+# 2-core host the numpy step cost 0.07 ms for 5 x 5 pairs, where the
+# int path took 0.03 ms, and 0.12 ms for 50 x 25 pairs, where it took
+# 0.70 ms (copies of two_machines).  On nets solved whole, the coupled
+# rows of `benchmarks/overstate_bench.py`, it took 7 ms against 0.21 s
+# at 648 x 1,080 pairs and 0.76 s against 23 s at 7,776 x 12,960.
 _VECTOR_PAIRS = 256
 
 # Cells (border states x edges) per numpy block: a few MB of temporaries.
@@ -194,7 +193,8 @@ def prune_authorized(candidates, authorized) -> list[int]:
     whose bitset over the authorized states, as the cover table builds
     it, is empty."""
     rows = list(candidates)
-    return [b for b, hit in zip(rows, row_bits(rows, authorized)) if not hit]
+    bits = row_bits(rows, list(authorized))
+    return [b for b, hit in zip(rows, bits) if not hit]
 
 
 def minimal_elements(items) -> list[int]:

@@ -164,35 +164,3 @@ def test_benchmark_scripts_run(argv, monkeypatch, capsys):
         monkeypatch.delitem(sys.modules, name, raising=False)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
-
-
-def test_differential_compare_lists_changed_runs(tmp_path, monkeypatch,
-                                                  capsys):
-    # a second run compares equal to the first; a hash changed, one
-    # dropped and one added are each listed, and the run exits 1
-    script = ROOT / "benchmarks" / "differential.py"
-    first, other = tmp_path / "first.json", tmp_path / "other.json"
-
-    def differential(*argv):
-        monkeypatch.setattr(sys, "argv", [str(script), *argv, "--pool", "2",
-                                          "--max-k", "2"])
-        runpy.run_path(str(script), run_name="__main__")
-        return capsys.readouterr().out.splitlines()
-
-    differential(str(first))
-    hashes = json.loads(first.read_text())
-    assert differential(str(tmp_path / "same.json"), "--compare",
-                        str(first))[-1] == "0 runs differ from %s" % first
-    hashes["random-0 plain"] = "0" * 64
-    del hashes["random-1 fallback"]
-    hashes["ghost plain"] = "0" * 64
-    other.write_text(json.dumps(hashes))
-    with pytest.raises(SystemExit) as stop:
-        differential(str(tmp_path / "again.json"), "--compare", str(other))
-    assert stop.value.code == 1
-    assert capsys.readouterr().out.splitlines()[-4:] == [
-        "random-0 plain: differs",
-        "random-1 fallback: not in %s" % other,
-        "ghost plain: not run here",
-        "3 runs differ from %s" % other,
-    ]
