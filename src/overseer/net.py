@@ -360,13 +360,19 @@ _VECTOR_FROM = 64
 # the fork-then-counter net (46 places): at 64 masks the arrays took
 # 93-122 us against 58-64 us for the loop, at 192 masks 140-209 us
 # against 181-193 us, at 1,024 masks 389-633 us against 952-1,159 us.
-# Between the crossings either choice loses at most ~40 us a list.
+# Between the crossings either choice loses at most ~40 us a list.  A
+# report's partition lists stop at 256 states, just past this; the long
+# lists are the DOT writers', which name every state of a graph, and the
+# closed loop's `missing_authorized` when R is far smaller than A.
 _NAME_VECTOR_FROM = 192
 
 # The array path of `PetriNet.format_masks` names this many masks at a
-# time, so that its per-column lists stay small.  One CLI run on
-# machines(5) (248,832 states) peaked at 207 MB RSS with the loop alone,
-# 229 MB with whole-list columns and 217-221 MB with blocks of 2^14.
+# time, so that its per-column lists stay small.  Lists this long come
+# from the DOT writers, and from `missing_authorized` when R is far
+# smaller than A.  One CLI run on machines(5) (248,832 states), when its
+# report still named every forbidden state, peaked at 207 MB RSS with
+# the loop alone, 229 MB with whole-list columns and 217-221 MB with
+# blocks of 2^14.
 _NAME_BLOCK = 1 << 14
 
 

@@ -20,40 +20,18 @@ from .synthesis import format_constraint
 VOLATILE_KEYS = ("timings",)
 
 
-# the partition's lists of state names, in key order; each key sorts
-# just before its count's
-_STATE_LISTS = ("authorized", "border", "forbidden")
-
-
-def _plain(places) -> bool:
-    """Whether JSON writes every name made of these place names as it
-    stands: printable ASCII, no quote and no backslash."""
-    text = "".join(places)
-    return (text.isascii() and text.isprintable() and '"' not in text
-            and "\\" not in text)
+# The partition's `authorized`, `forbidden` and `border` lists, and the
+# cover's per-border-state counts, hold at most this many entries: those
+# of the first states in id order.  The `*_count` beside each list gives
+# the total, and `--dot-rg` names every state.
+_LIST_LIMIT = 256
 
 
 def _canonical_json(payload: dict) -> str:
-    # compact and key-sorted, the volatile keys left out.  A state name
-    # is place names joined, or "-", so when the place names are plain
-    # the partition's name lists are joined rather than encoded: the
-    # rest is encoded once, and each list goes in before its count.
-    scrubbed = {k: v for k, v in payload.items() if k not in VOLATILE_KEYS}
-    if not _plain(payload["net"]["places"]):
-        return json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    part = scrubbed["partition"]
-    scrubbed["partition"] = {k: v for k, v in part.items()
-                             if k not in _STATE_LISTS}
-    text = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    pieces, at = [], 0
-    for key in _STATE_LISTS:
-        cut = text.index('"%s_count":' % key, at)
-        names = part[key]
-        pieces += [text[at:cut], '"%s":' % key,
-                   '["%s"],' % '","'.join(names) if names else "[],"]
-        at = cut
-    pieces.append(text[at:])
-    return "".join(pieces)
+    # compact and key-sorted, the volatile keys left out
+    return json.dumps({k: v for k, v in payload.items()
+                       if k not in VOLATILE_KEYS},
+                      sort_keys=True, separators=(",", ":"))
 
 
 def _sha256(text: str) -> str:
@@ -77,12 +55,9 @@ class SynthesisReport:
     `render_text` and `render_json` all read the payload.  The payload
     without its timings is encoded once, on first use, and both the
     digest and the JSON rendering are made from that encoding, so
-    change nothing in the payload after that.  When the net's place
-    names need no JSON escaping (printable ASCII, no quote and no
-    backslash), no state name does either, and the partition's
-    `authorized`, `forbidden` and `border` lists go into that encoding
-    joined with `","` rather than through the encoder; the bytes are
-    the same."""
+    change nothing in the payload after that.  The partition's state
+    lists and the cover's counts hold at most `_LIST_LIMIT` entries
+    each, so they do not grow with the state space."""
 
     def __init__(self, payload: dict):
         self._payload = payload
@@ -122,9 +97,17 @@ class SynthesisReport:
         def listing(items):
             return " ".join(items) if items else "-"
 
-        def counts(values):
+        def states(key):
+            names, total = part[key], part[key + "_count"]
+            cut = ", first %d" % len(names) if len(names) < total else ""
+            return "  %s states (%d%s): %s" % (key, total, cut,
+                                               listing(names))
+
+        def counts(label, values):
             # one count per border state, in the order listed above
-            return _vec(values) if values else "-"
+            cut = (" (first %d)" % len(values)
+                   if len(values) < part["border_count"] else "")
+            return "  %s%s: %s" % (label, cut, _vec(values) if values else "-")
 
         out = []
         w = out.append
@@ -141,22 +124,19 @@ class SynthesisReport:
         w("")
         w("state space")
         w("  reachable states: %d" % part["reachable_count"])
-        w("  forbidden states (%d): %s"
-          % (part["forbidden_count"], listing(part["forbidden"])))
-        w("  authorized states (%d): %s"
-          % (part["authorized_count"], listing(part["authorized"])))
-        w("  border states (%d): %s"
-          % (part["border_count"], listing(part["border"])))
+        w(states("forbidden"))
+        w(states("authorized"))
+        w(states("border"))
         w("")
         w("over-states")
         minimal = p["over_states"]["minimal"]
         w("  minimal elements (%d): %s" % (len(minimal), listing(minimal)))
         w("")
         w("cover")
-        w("  candidate cover counts: %s" % counts(cover["cover_counts"]))
+        w(counts("candidate cover counts", cover["cover_counts"]))
         w("  selected over-states (%d): %s"
           % (len(cover["selected"]), listing(cover["selected"])))
-        w("  final cover counts: %s" % counts(cover["final_counts"]))
+        w(counts("final cover counts", cover["final_counts"]))
         w("")
         w("controller")
         if ctl["no_constraints"]:
@@ -213,16 +193,25 @@ def build_report(net, rg, partition, table, controller, closed,
                  timings) -> SynthesisReport:
     """The report of one run: `table` is the cover table, or None when
     nothing is forbidden, and `timings` the (stage, seconds) pairs the
-    stages took, to which a total is added."""
+    stages took, to which a total is added.  The partition's
+    `authorized`, `forbidden` and `border` lists name only their first
+    `_LIST_LIMIT` states in id order, and `cover_counts` and
+    `final_counts` hold the counts of those border states; only the
+    listed states are named.  The closed loop's and the fallback's
+    lists are complete."""
     fmt = net.format_masks
+
+    def listed(ids):
+        return fmt(rg.masks_of(ids[:_LIST_LIMIT]))
+
     if table is None:
         minimal, counts, final_counts, chosen, uncovered = [], [], [], [], []
     else:
         # the cover table's rows are the minimal over-states; a final
         # count of 0 is left only at an uncovered column, which its own
         # exact row covers, and no other
-        minimal, counts = table.rows, list(table.counts)
-        final_counts = [c or 1 for c in table.final_counts()]
+        minimal, counts = table.rows, table.counts[:_LIST_LIMIT]
+        final_counts = [c or 1 for c in table.final_counts()[:_LIST_LIMIT]]
         chosen, uncovered = table.selected_rows(), table.uncovered
     # the controller's rows: those of chosen, then those of uncovered
     constraints = [
@@ -245,9 +234,9 @@ def build_report(net, rg, partition, table, controller, closed,
             "forbidden_count": len(partition.m_f),
             "authorized_count": len(partition.m_a),
             "border_count": len(partition.m_b),
-            "authorized": fmt(rg.masks_of(partition.m_a)),
-            "forbidden": fmt(rg.masks_of(partition.m_f)),
-            "border": fmt(rg.masks_of(partition.m_b)),
+            "authorized": listed(partition.m_a),
+            "forbidden": listed(partition.m_f),
+            "border": listed(partition.m_b),
         },
         "over_states": {
             "minimal": fmt(minimal),

@@ -5,7 +5,8 @@ counts from their arguments and results; the benchmark's per-layer
 metrics are sums of those counts.  They must stay plain ints equal to
 the true sizes, or the benchmark's output is malformed.
 `perfbench/workloads.py` builds its nets through the library's
-`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  The first
+`PetriNet`, `Marking`, `BadStateSpec` and `serialize_net`.  One call on
+each family net passes the benchmark's answer check.  The first
 nets of the random-batch pool go through the benchmark's own calls and
 answer checks, and through the same answer checks under `--fallback`.
 The scripts in `benchmarks/` run here on their smallest sizes.
@@ -111,6 +112,14 @@ def test_workload_builders_run_through_the_pipeline():
         else:
             outcomes.add(result.closed.isomorphic)
     assert len(outcomes) > 1  # the cases do not all end the same way
+
+
+@pytest.mark.parametrize("workload", list(bench_run.FAMILIES))
+def test_family_call_passes_the_benchmark_check(workload, tmp_path):
+    # the family checks read the report's counts, not its state lists
+    _, path, check = next(bench_run.family_source(workload, 0, tmp_path))
+    call, _ = bench_run.run_one(path, check, tmp_path / "r.json")
+    assert not call.failed and call.wrong is None, (call.rc, call.wrong)
 
 
 def test_random_batch_slice_passes_the_benchmark_check(tmp_path):

@@ -41,7 +41,6 @@ from netgen import copies, disjoint_union
 ROOT = Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 import run as bench_run  # noqa: E402
-from reach_bench import ring_net  # noqa: E402
 
 THREE_STEP = """\
 # B is only reachable through the forbidden A
@@ -135,12 +134,11 @@ def test_report_payload_encoded_once_per_rendering(two_machines,
     monkeypatch.setattr(json, "dumps", counting_dumps)
     text = report.render_text()
     twin = json.loads(report.render_json())
-    # the sections once, for the digest and the JSON text together, the
-    # partition's name lists joined rather than encoded; then only the
-    # digest and the timings, for the JSON text
+    # the sections once, for the digest and the JSON text together; then
+    # only the digest and the timings, for the JSON text
     sections = sorted(set(twin) - {"digest", "timings"})
-    counts = sorted(k for k in twin["partition"] if k.endswith("_count"))
-    assert encoded == [(sections, counts), (["digest", "timings"], [])]
+    assert encoded == [(sections, sorted(twin["partition"])),
+                       (["digest", "timings"], [])]
     assert text.splitlines()[-1] == "canonical digest: %s" % twin["digest"]
     assert twin["digest"] == report.digest() == report.to_dict()["digest"]
 
@@ -166,29 +164,6 @@ def _canonical_json_checked(report, monkeypatch):
     return "authorized" in partitions[0]
 
 
-def test_joined_name_lists_match_the_encoder(two_machines, drop_job,
-                                             monkeypatch):
-    """Where the place names are plain, the partition's lists are
-    joined, and the encoding equals the encoder's on the bundled nets,
-    on copies of two_machines, on token rings and on the first nets of
-    the benchmark's random pool."""
-    reports = [run_pipeline(two_machines).report,
-               run_pipeline(drop_job, fallback=True).report]
-    reports += [run_pipeline(copies(two_machines, k)).report
-                for k in (2, 3)]
-    reports += [run_pipeline(NetDocument(ring_net(k))).report
-                for k in (5, 6, 7)]
-    for case in bench_run.random_pool(bench_run.RANDOM_POOL_SEED, 100):
-        try:
-            reports.append(run_pipeline(parse_net(case.text),
-                                        fallback=True).report)
-        except StageFailure:
-            pass
-    assert len(reports) > 50
-    assert not any(_canonical_json_checked(r, monkeypatch)
-                   for r in reports)
-
-
 @pytest.mark.parametrize("odd", ['"', "\\", "\u00e9", "\t"])
 def test_names_json_must_escape_take_the_encoder(odd, two_machines,
                                                  monkeypatch):
@@ -209,6 +184,35 @@ def test_names_json_must_escape_take_the_encoder(odd, two_machines,
     part = report.to_dict()["partition"]
     assert part["authorized"] and part["border"] and part["forbidden"]
     assert _canonical_json_checked(report, monkeypatch)
+
+
+def test_report_lists_name_the_first_states(two_machines):
+    """Past 256 states a partition list holds the names of the first
+    256 in id order, the per-border-state counts are cut with the border
+    list, the totals stay, and the text line says it is cut."""
+    result = run_pipeline(copies(two_machines, 3))
+    rg, part, table = result.rg, result.partition, result.table
+    report = result.report.to_dict()
+    listed, cover = report["partition"], report["cover"]
+    uncut_counts = {"authorized": 125, "forbidden": 1603, "border": 375}
+    for key, ids in (("authorized", part.m_a), ("forbidden", part.m_f),
+                     ("border", part.m_b)):
+        assert listed[key + "_count"] == len(ids) == uncut_counts[key]
+        names = rg.net.format_masks(rg.masks_of(ids))
+        assert listed[key] == names[:256]
+    assert cover["cover_counts"] == table.counts[:256]
+    assert cover["final_counts"] == [c or 1
+                                     for c in table.final_counts()[:256]]
+    lines = result.report.render_text().splitlines()
+    head = {line.split(" (")[0].strip(): line for line in lines}
+    assert head["forbidden states"].startswith(
+        "  forbidden states (1603, first 256): ")
+    assert head["border states"].startswith(
+        "  border states (375, first 256): ")
+    assert head["candidate cover counts"].startswith(
+        "  candidate cover counts (first 256): [")
+    assert head["authorized states"] == "  authorized states (125): %s" % (
+        " ".join(listed["authorized"]))
 
 
 def test_json_report_is_the_digest_encoding(two_machines):
