@@ -3,25 +3,30 @@ and on a net whose BFS levels are wide, then one state wide.
 
 The main workload is a family of k independent three-place token rings,
 so the state count is exactly 3^k and every state has k enabled
-transitions.  For each ring count the time to name every state
+transitions.  Its rings are k components that share no transition, so
+its wide levels take the product step (`_ProductStep`); each ring count
+is also timed on its coupled twin (`coupled`), which a dead transition
+joins into one component, so that its wide levels take the sort step
+(`_LevelStep`).  Both graphs are checked to have 3^k states and k * 3^k
+edges.  For each ring count the time to name every state
 (`PetriNet.format_masks`, as the report does) is printed next to the
-BFS time, once the names are checked against `format_mask` of each
+BFS times, once the names are checked against `format_mask` of each
 state.  The second net (`fork_counter_net`) has BFS levels of up
 to 924 states, then a tail of 2048 levels of one state each: the wide part
 is expanded with whole-array operations and the tail one state at a
 time, so a kernel that keeps the array step on narrow levels shows up
-as a slowdown here.  The third net is ring_net(9) with 37 idle places
-declared first, so that its masks reach bit 63 and no level's
-(successor, pair index) keys fit in 64 bits: its levels group their
-successors with an argsort instead of one sort of packed keys, and
-its time against ring_net(9)'s is that fallback's cost.  The state
-and edge counts are checked before any timing is reported.
+as a slowdown here.  The third net is the coupled twin of ring_net(9)
+with 36 idle places declared first, so that its masks reach bit 63 and
+no level's (successor, pair index) keys fit in 64 bits: its levels
+group their successors with an argsort instead of one sort of packed
+keys, and its time against the twin's is that fallback's cost.  The
+state and edge counts are checked before any timing is reported.
 
-Then the narrow tails: for ring_net(9), whose last levels hold 45, 9
-and 1 states, and for fork_counter_net(12, 8) and (12, 11), whose
-one-state counter tails run 256 and 2,048 levels, the `_explore` time
-and the number of narrow levels (fewer than `_VECTOR_FROM` states) the
-array step took before the loop took over, if it did.
+Then the narrow tails: for ring_net(9) and its twin, whose last levels
+hold 45, 9 and 1 states, and for fork_counter_net(12, 8) and (12, 11),
+whose one-state counter tails run 256 and 2,048 levels, the `_explore`
+time and the number of narrow levels (fewer than `_VECTOR_FROM` states)
+the array steps took before the loop took over, if it did.
 
 Last, naming is timed through each of its two paths: the first N states
 of ring_net(9) (27 places) and of the fork-then-counter net (46 places)
@@ -43,6 +48,7 @@ sys.path[:0] = [str(ROOT / "src")]
 
 import overseer.net  # noqa: E402
 from overseer import Marking, PetriNet, build_reachability_graph  # noqa: E402
+from overseer.net import support  # noqa: E402
 
 NAMING_SIZES = (32, 64, 128, 192, 256, 512, 1024)
 
@@ -106,6 +112,21 @@ def idle_first(net, idle):
                     Marking(idle + net.n_places, net.m0.mask << idle))
 
 
+def coupled(net):
+    """`net` with one more place, declared last and never marked, and a
+    dead transition, declared last, from it into the first place of each
+    of the net's components.  The twin has one component, and `_explore`
+    returns the net's masks and edges for it, or raises the net's
+    error."""
+    into = [support(part)[0] for part in net.components]
+    n = net.n_places
+    return PetriNet("%s_coupled" % net.name, (*net.places, "dead"),
+                    (*net.transitions, "couple"), (*net.controllable, True),
+                    [support(m) for m in net.pre_masks] + [[n]],
+                    [support(m) for m in net.post_masks] + [into],
+                    Marking(n + 1, net.m0.mask))
+
+
 def best_time(call, repeats):
     """The least time of `repeats` calls, and the last call's result."""
     best = float("inf")
@@ -123,20 +144,25 @@ def explore(net):
 
 def narrow_array_levels(net):
     """How many levels of fewer than `_VECTOR_FROM` states `_explore`
-    hands to the array step on `net`."""
+    hands to an array step (`_ProductStep` or `_LevelStep`) on `net`."""
     narrow = []
-    expand = overseer.net._LevelStep.expand
+    steps = (overseer.net._ProductStep, overseer.net._LevelStep)
+    expands = [step.expand for step in steps]
 
-    def counting(self, masks, lo, hi, *args):
-        if hi - lo < overseer.net._VECTOR_FROM:
-            narrow.append(lo)
-        return expand(self, masks, lo, hi, *args)
+    def counting(expand):
+        def count(self, masks, lo, hi, *args):
+            if hi - lo < overseer.net._VECTOR_FROM:
+                narrow.append(lo)
+            return expand(self, masks, lo, hi, *args)
+        return count
 
-    overseer.net._LevelStep.expand = counting
+    for step, expand in zip(steps, expands):
+        step.expand = counting(expand)
     try:
         explore(net)
     finally:
-        overseer.net._LevelStep.expand = expand
+        for step, expand in zip(steps, expands):
+            step.expand = expand
     return len(narrow)
 
 
@@ -167,55 +193,61 @@ def main():
                     help="timing repetitions, best is kept")
     args = ap.parse_args()
 
-    print("%6s %8s %8s %10s %10s" % ("rings", "states", "edges", "time",
-                                     "names"))
+    print("%6s %8s %8s %10s %10s %10s" % ("rings", "states", "edges",
+                                          "product", "sort", "names"))
     for k in range(2, args.max_rings + 1):
-        net = ring_net(k)
-        t, rg = best_time(
-            lambda: build_reachability_graph(net, budget=3 ** k + 1),
-            args.repeats)
-        assert rg.n_states == 3 ** k
-        assert len(rg.edges) == k * 3 ** k
-        t_names, names = best_time(lambda: net.format_masks(rg.masks),
+        ring = ring_net(k)
+        times = []
+        for net in (ring, coupled(ring)):
+            t, rg = best_time(
+                lambda: build_reachability_graph(net, budget=3 ** k + 1),
+                args.repeats)
+            assert rg.n_states == 3 ** k
+            assert len(rg.edges) == k * 3 ** k
+            times.append(t)
+        t_names, names = best_time(lambda: ring.format_masks(rg.masks),
                                    args.repeats)
-        assert names == [net.format_mask(m) for m in rg.masks]
-        print("%6d %8d %8d %8.2fms %8.2fms" % (
-            k, rg.n_states, len(rg.edges), t * 1e3, t_names * 1e3))
+        assert names == [ring.format_mask(m) for m in rg.masks]
+        print("%6d %8d %8d %8.2fms %8.2fms %8.2fms" % (
+            k, rg.n_states, len(rg.edges), *(t * 1e3 for t in times),
+            t_names * 1e3))
 
     bits, counter_bits = 12, 11
     fork = fork_counter_net(bits, counter_bits)
-    wide = idle_first(ring_net(9), 37)
+    twin = coupled(ring_net(9))
+    wide = idle_first(twin, 36)
     print()
-    print("%16s %8s %8s %10s" % ("net", "states", "edges", "time"))
+    print("%22s %8s %8s %10s" % ("net", "states", "edges", "time"))
     graphs = []
     for net, states, edges in (
             (fork, 2 ** bits + 2 ** counter_bits,
              bits * 2 ** (bits - 1) + 2 ** counter_bits),
-            (wide, 3 ** 9, 9 * 3 ** 9)):
+            (twin, 3 ** 9, 9 * 3 ** 9), (wide, 3 ** 9, 9 * 3 ** 9)):
         t, rg = best_time(
             lambda: build_reachability_graph(net, budget=states),
             args.repeats)
         assert rg.n_states == states and len(rg.edges) == edges
         graphs.append((net, rg))
-        print("%16s %8d %8d %8.2fms" % (net.name, rg.n_states,
+        print("%22s %8d %8d %8.2fms" % (net.name, rg.n_states,
                                         len(rg.edges), t * 1e3))
 
     ring = ring_net(9)
     print()
-    print("%16s %8s %10s %14s" % ("narrow tail of", "states", "_explore",
+    print("%22s %8s %10s %14s" % ("narrow tail of", "states", "_explore",
                                   "narrow arrays"))
-    for net in (ring, fork_counter_net(12, 8), fork_counter_net(12, 11)):
+    for net in (ring, twin, fork_counter_net(12, 8),
+                fork_counter_net(12, 11)):
         t, (masks, _) = best_time(lambda: explore(net), args.repeats)
-        print("%16s %8d %8.2fms %14d" % (net.name, len(masks), t * 1e3,
+        print("%22s %8d %8.2fms %14d" % (net.name, len(masks), t * 1e3,
                                          narrow_array_levels(net)))
 
     nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), graphs[0]]
     print()
-    print("%16s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))
+    print("%22s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))
     for net, rg in nets:
         for n in NAMING_SIZES:
             loop, arrays = naming_times(net, rg.masks[:n], args.repeats)
-            print("%16s %8d %8.1fus %8.1fus" % (net.name, n, loop * 1e6,
+            print("%22s %8d %8.1fus %8.1fus" % (net.name, n, loop * 1e6,
                                                 arrays * 1e6))
 
 

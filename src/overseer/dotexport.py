@@ -30,10 +30,11 @@ def _digraph(net: PetriNet, title: str, node_style: str, nodes,
            '  __init [shape=point, width=0.12, label=""];']
     out += ["  s%d [%s];" % (sid, attrs) for sid, attrs in enumerate(nodes)]
     out.append("  __init -> s0;")
-    for s, t, d in edges.tolist():
-        dashed = "" if net.controllable[t] else ", style=dashed"
-        out.append("  s%d -> s%d [label=%s%s];"
-                   % (s, d, _quote(net.transitions[t]), dashed))
+    # each transition's attribute text, built once for all its edges
+    labels = ["[label=%s%s];" % (_quote(name), "" if c else ", style=dashed")
+              for name, c in zip(net.transitions, net.controllable)]
+    out += ["  s%d -> s%d %s" % (s, d, labels[t])
+            for s, t, d in edges.tolist()]
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -11,13 +11,20 @@ operations on uint64 masks; other levels take a per-state loop over
 Python ints and a dict of the known states, except a narrow tail after
 array levels, which stays on the array step while the dict's backlog
 outweighs what the array step has spent on narrow levels.  Every level
-of a wider net takes the loop.  Both steps number states and edges the
-same way.  The array step groups a level's successors with one sort of
+of a wider net takes the loop.  There are two array steps, chosen once,
+at the first array level.  A net whose places split into two or more
+components that share no transition (`place_components`) takes the
+product step when each component, explored alone, fires safely and the
+product of their state counts is within the budget: a state is coded
+by the mixed radix of its components' local ranks, and a dense
+code -> id array numbers the successors, with no sort.  Any other net
+takes the sort step, which groups a level's successors with one sort of
 (successor, pair index) keys packed in a uint64 when they fit, and with
 an argsort when they do not, and keeps the known states as a sorted
-array: each array level merges the states it finds by one stable sort,
-and the states loop levels found merge at the start of the next array
-level.  The loop's dict takes the states the array step found only
+array: each array level merges the states it finds by one stable sort.
+Either step takes in the states loop levels found at the start of the
+next array level, and every step numbers states and edges the same
+way.  The loop's dict takes the states the array step found only
 when a loop level follows them, so a search that stays wide, or whose
 narrow tail is short, never fills it.  The reachability graph keeps
 what the search produces as flat data: one int mask per state and the
@@ -73,6 +80,29 @@ def canonical_key(mask: int):
 def canonical_order(masks) -> list[int]:
     """Partial markings (int masks) sorted by `canonical_key`."""
     return sorted(masks, key=canonical_key)
+
+
+def place_components(pre_masks, post_masks, width: int) -> tuple[int, ...]:
+    """The place masks of a net's connected components, disjoint and
+    together holding places 0 to width - 1.  Two places share a
+    component when one transition's pre and post sets together join
+    them.  The places no transition touches never change, so they join
+    the last component rather than make one of their own.  Found by
+    merging each transition's places into the components they meet."""
+    blocks: list[int] = []
+    for joined in map(int.__or__, pre_masks, post_masks):
+        if not joined:
+            continue
+        apart = []
+        for b in blocks:
+            if b & joined:
+                joined |= b
+            else:
+                apart.append(b)
+        apart.append(joined)
+        blocks = apart
+    rest = blocks[:-1]
+    return (*rest, ((1 << width) - 1) & ~sum(rest))
 
 
 def reachability_backend(n_places: int | None = None) -> str:
@@ -220,27 +250,10 @@ class PetriNet:
 
     @cached_property
     def components(self) -> tuple[int, ...]:
-        """The place masks of the net's connected components, disjoint
-        and together holding every place.  Two places share a component
-        when one transition's pre and post sets together join them.  The
-        places no transition touches never change, so they join the
-        last component rather than make one of their own.  Found on first
-        use, by merging each transition's places into the components they
-        meet; the over-state stage reads it."""
-        blocks: list[int] = []
-        for joined in map(int.__or__, self.pre_masks, self.post_masks):
-            if not joined:
-                continue
-            apart = []
-            for b in blocks:
-                if b & joined:
-                    joined |= b
-                else:
-                    apart.append(b)
-            apart.append(joined)
-            blocks = apart
-        rest = blocks[:-1]
-        return (*rest, ((1 << self.n_places) - 1) & ~sum(rest))
+        """`place_components` of the net, found on first use; the
+        over-state stage reads it."""
+        return place_components(self.pre_masks, self.post_masks,
+                                self.n_places)
 
     @cached_property
     def _chunk_names(self):
@@ -375,6 +388,9 @@ _NAME_VECTOR_FROM = 192
 # blocks of 2^14.
 _NAME_BLOCK = 1 << 14
 
+# `_ProductStep.ids` holds this at the codes of states not yet found.
+_NO_ID = np.iinfo(np.intp).max
+
 
 class _LevelStep:
     """Expands a whole BFS level with array operations.
@@ -480,6 +496,140 @@ class _LevelStep:
         return (lo + rows, tr, dst, offsets), self.frontier.tolist()
 
 
+class _ProductStep:
+    """Expands a whole BFS level of a net whose places split into two or
+    more components that share no transition, with `_LevelStep`'s
+    interface.
+
+    Each component is explored alone first (by `_explore`, with its own
+    transitions from its part of m0); a transition without arcs joins
+    the first component, where it loops on every state.  The net's
+    reachable states are then every combination of the components'
+    local states, and a state's code is the mixed-radix number of its
+    components' local ranks.  For each component, `table` gives the
+    change each of its transitions makes to the code at each local
+    state, or `off` where the transition is disabled; `ids` maps each
+    code to its state's id, `_NO_ID` until the state is found.  A
+    level's successors are its codes plus the enabled changes; the
+    unfound ones take ids in order of their first pair, with no sort.
+    The local ranks of a level's new states are their sources' ranks
+    with the fired transition's component moved.  States the loop found
+    get their ranks through each component's mask -> rank dict at the
+    start of the next level this step expands.
+
+    `of` builds the step only when each component explores cleanly and
+    the product of their state counts is within the budget, so every
+    state exists and `expand` never raises."""
+
+    def __init__(self, parts, columns, pre_masks, post_masks, graphs):
+        counts = [len(masks) for masks, _ in graphs]
+        self.radix = np.cumprod([1] + counts[:-1])
+        self.off = int(self.radix[-1]) * counts[-1]  # no change is this
+        self.ids = np.full(self.off, _NO_ID, dtype=np.intp)
+        self.parts = parts
+        self.rank = [{m: r for r, m in enumerate(masks)}
+                     for masks, _ in graphs]
+        self.columns = columns  # each component's transitions
+        self.owner = np.zeros(len(pre_masks), dtype=np.intp)
+        self.table = []
+        for c, (mine, (masks, flat)) in enumerate(zip(columns, graphs)):
+            self.owner[mine] = c
+            e = (len(flat) - len(masks) - 1) // 3
+            src, tr, dst = flat[:3 * e].reshape(3, e)
+            table = np.full((len(mine), len(masks)), self.off, dtype=np.intp)
+            table[tr, src] = (dst - src) * self.radix[c]
+            self.table.append(table)
+        self.pre = np.array(pre_masks, dtype=np.uint64)
+        self.post = np.array(post_masks, dtype=np.uint64)
+        self.known = 0  # masks[:known] have ids
+        # the last level's new states, in id order: their local ranks
+        # (one row per component), codes and masks
+        self.local = self.codes = self.masks = None
+
+    @classmethod
+    def of(cls, pre_masks, post_masks, m0, width, budget):
+        """The step for this net, or None when it has one component, a
+        component fires unsafely, or the net's state count passes
+        `budget` or what an intp code can number."""
+        parts = place_components(pre_masks, post_masks, width)
+        if len(parts) < 2:
+            return None
+        columns = [[] for _ in parts]
+        for t, joined in enumerate(map(int.__or__, pre_masks, post_masks)):
+            columns[next((c for c, part in enumerate(parts)
+                          if part & joined), 0)].append(t)
+        graphs = []
+        # the most states the next component may have: within the budget,
+        # and few enough that the codes fit in intp
+        room = min(budget, _NO_ID)
+        for part, mine in zip(parts, columns):
+            try:
+                graph = _explore([pre_masks[t] for t in mine],
+                                 [post_masks[t] for t in mine], m0 & part,
+                                 room)
+            except (SafenessViolation, StateBudgetExceeded):
+                return None
+            room //= len(graph[0])
+            graphs.append(graph)
+        return cls(parts, columns, pre_masks, post_masks, graphs)
+
+    def _local(self, masks):
+        """The local ranks of a list of int masks, one row per
+        component."""
+        return np.array([[rank[m & part] for m in masks]
+                         for part, rank in zip(self.parts, self.rank)],
+                        dtype=np.intp)
+
+    def expand(self, masks, lo, hi, e0, budget):
+        """As `_LevelStep.expand`, which it numbers states and edges
+        exactly as; never raises."""
+        known, local, codes, frontier = (self.known, self.local, self.codes,
+                                         self.masks)
+        ids = self.ids
+        if known < hi:
+            # the loop ran since: its states hold the frontier
+            local = self._local(masks[known:hi])
+            fresh = self.radix @ local
+            ids[fresh] = np.arange(known, hi)
+            local, codes = local[:, lo - known:], fresh[lo - known:]
+            frontier = np.array(masks[lo:hi], dtype=np.uint64)
+
+        # the change each transition makes to each state's code, one row
+        # per transition
+        n, t_count = len(codes), len(self.pre)
+        change = np.empty((t_count, n), dtype=np.intp)
+        for columns, table, rank in zip(self.columns, self.table, local):
+            change[columns] = table.take(rank, axis=1)
+        enabled = change != self.off
+        pairs = np.flatnonzero(enabled.T)
+        fanout = enabled.sum(axis=0)
+        rows = np.repeat(np.arange(n), fanout)
+        tr = pairs - rows * t_count
+        moves = change.ravel()[tr * n + rows]
+        succ = codes[rows] + moves
+        dst = ids[succ]
+        unseen = np.flatnonzero(dst == _NO_ID)
+        seen_at = succ[unseen]
+        # each unfound code's least pair index, then its id
+        np.minimum.at(ids, seen_at, unseen)
+        heads = unseen[ids[seen_at] == unseen]
+        self.codes = succ[heads]
+        ids[self.codes] = np.arange(hi, hi + len(heads))
+        dst[unseen] = ids[seen_at]
+
+        # the new states: their sources' ranks and masks, changed where
+        # the transition fired
+        at, by = rows[heads], tr[heads]
+        moved = self.owner[by]
+        self.local = local.take(at, axis=1)
+        cells = moved * len(heads) + np.arange(len(heads))
+        self.local.ravel()[cells] += moves[heads] // self.radix[moved]
+        self.masks = (frontier[at] ^ self.pre[by]) | self.post[by]
+        self.known = hi + len(heads)
+        offsets = e0 + np.cumsum(fanout)
+        return (lo + rows, tr, dst, offsets), self.masks.tolist()
+
+
 def _explore(pre_masks, post_masks, m0, budget):
     """BFS closure from m0, transitions tried in index order, states
     numbered in discovery order.  Returns (masks, flat): the state
@@ -490,10 +640,13 @@ def _explore(pre_masks, post_masks, m0, budget):
     The search runs one level at a time.  Expanding the queued states
     [lo, len(masks)) as one batch in (state, transition) order numbers
     states and edges exactly as expanding them one by one does, so each
-    level takes whichever step is faster at its width.  The loop's
-    `seen` dict holds masks[:len(seen)]: a loop level first adds, in
-    one update, the states array levels found since the loop last ran,
-    and array levels leave it alone.
+    level takes whichever step is faster at its width.  The first array
+    level picks the array step: `_ProductStep` when the net splits into
+    components it can take, else `_LevelStep`, which also raises the
+    errors the product step leaves to it.  The loop's `seen` dict holds
+    masks[:len(seen)]: a loop level first adds, in one update, the
+    states array levels found since the loop last ran, and array levels
+    leave it alone.
 
     A narrow level after array levels weighs that backlog,
     `hi - len(seen)`, against a debt: each narrow level the array step
@@ -563,7 +716,9 @@ def _explore(pre_masks, post_masks, m0, budget):
                 e0 += len(dst)
                 src, tr, dst, offsets = [], [], [], []
             if step is None:
-                step = _LevelStep(pre_masks, post_masks, width)
+                step = _ProductStep.of(pre_masks, post_masks, m0, width,
+                                       budget) \
+                    or _LevelStep(pre_masks, post_masks, width)
             if narrow:
                 debt += _VECTOR_FROM * len(moves)
             parts, new = step.expand(masks, lo, hi, e0, budget)

@@ -99,12 +99,11 @@ def random_spec(rng: random.Random, net: PetriNet, rg) -> BadStateSpec:
         )
 
 
-def disjoint_union(docs, name: str) -> NetDocument:
-    """The nets of `docs` side by side, the names of the c-th suffixed
-    with _c; a state is forbidden when the state of any of them is."""
+def side_by_side(nets, name: str) -> PetriNet:
+    """The nets as one net, the names of the c-th suffixed with _c."""
     places, transitions, controllable, pre, post, m0 = [], [], [], [], [], []
-    for c, doc in enumerate(docs):
-        net, base = doc.net, len(places)
+    for c, net in enumerate(nets):
+        base = len(places)
 
         def shifted(mask):
             return [base + p for p in support(mask)]
@@ -115,14 +114,20 @@ def disjoint_union(docs, name: str) -> NetDocument:
         pre += map(shifted, net.pre_masks)
         post += map(shifted, net.post_masks)
         m0 += shifted(net.m0.mask)
+    return PetriNet(name, places, transitions, controllable, pre, post,
+                    Marking.from_support(len(places), m0))
+
+
+def disjoint_union(docs, name: str) -> NetDocument:
+    """The nets of `docs` side by side, the names of the c-th suffixed
+    with _c; a state is forbidden when the state of any of them is."""
     expr = " | ".join(
         "(%s)" % re.sub(r"\w+", lambda w: "%s_%d" % (w.group(0), c),
                         doc.spec.expr)
         for c, doc in enumerate(docs)
     )
-    union = PetriNet(name, places, transitions, controllable, pre, post,
-                     Marking.from_support(len(places), m0))
-    return NetDocument(union, BadStateSpec(expr=expr))
+    return NetDocument(side_by_side([doc.net for doc in docs], name),
+                       BadStateSpec(expr=expr))
 
 
 def copies(doc: NetDocument, k: int) -> NetDocument:

@@ -1,5 +1,6 @@
 """Core net model: markings, firing, reachability exploration."""
 
+import collections
 import random
 import re
 import sys
@@ -15,16 +16,23 @@ from overseer import (
     PetriNet,
     build_reachability_graph,
     canonical_order,
+    parse_net_file,
 )
 from overseer.net import support
 from overseer.errors import SafenessViolation, StateBudgetExceeded
 
-from netgen import random_net, safe_net
+from conftest import NETS_DIR
+from netgen import copies, random_net, safe_net, side_by_side
 
 ROOT = Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 import oracle  # noqa: E402
-from reach_bench import fork_counter_net, idle_first, ring_net  # noqa: E402
+from reach_bench import (  # noqa: E402
+    coupled,
+    fork_counter_net,
+    idle_first,
+    ring_net,
+)
 
 
 def _chain_net():
@@ -244,6 +252,17 @@ def _explore_outcome(net, budget):
         rg.offsets.tolist()
 
 
+def _raw_outcome(net, budget):
+    """`_explore`'s (masks, flat) as lists, or the error's class and
+    message, which name no net."""
+    try:
+        masks, flat = overseer.net._explore(net.pre_masks, net.post_masks,
+                                            net.m0.mask, budget)
+    except (SafenessViolation, StateBudgetExceeded) as exc:
+        return type(exc), str(exc)
+    return masks, flat.tolist()
+
+
 def _oracle_outcome(net, budget):
     try:
         states, edges = oracle.explore(net.pre_masks, net.post_masks,
@@ -256,8 +275,9 @@ def _oracle_outcome(net, budget):
 
 
 @cache
-def _ring_outcome(k):
-    return _oracle_outcome(ring_net(k), 1 << 20)
+def _full_outcome(net):
+    """`_oracle_outcome` under the default budget, once per net."""
+    return _oracle_outcome(net, 1 << 20)
 
 
 def _clash_nets():
@@ -292,6 +312,7 @@ def test_level_steps_match_oracle(monkeypatch, vector_from):
     # masks wider than 64 bits take the loop even on levels counted wide
     cases.append((_wide_chain_net(), 1 << 20))
     rejected = 0
+    split = collections.Counter()
     for net, budget in cases:
         got = _explore_outcome(net, budget)
         expected = _oracle_outcome(net, budget)
@@ -301,12 +322,19 @@ def test_level_steps_match_oracle(monkeypatch, vector_from):
             assert got[0] in (SafenessViolation, StateBudgetExceeded)
         else:
             assert got == expected
+        if len(net.components) > 1:
+            # the graph or error of its one-component twin
+            assert _raw_outcome(net, budget) \
+                == _raw_outcome(coupled(net), budget)
+            split[expected is None] += 1
     assert 100 < rejected < 400
+    assert split[False] > 40 and split[True] > 40
     assert [_explore_outcome(net, 1)[0] for net in _clash_nets()] \
         == [StateBudgetExceeded, SafenessViolation, SafenessViolation]
 
     for k in range(1, 10):
-        assert _explore_outcome(ring_net(k), 1 << 20) == _ring_outcome(k)
+        assert _explore_outcome(ring_net(k), 1 << 20) \
+            == _full_outcome(ring_net(k))
     net = fork_counter_net(6, 5)
     assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
 
@@ -363,12 +391,15 @@ def test_wide_levels_switch_step_and_back(monkeypatch):
 
 
 def test_short_narrow_tail_stays_on_the_array_step(monkeypatch):
-    """ring_net(9) ends with levels of 45, 9 and 1 states.  Its dict's
-    backlog, ~19,600 states, outweighs the debt of three narrow levels,
-    so every level from the first array level on takes `expand`: no
-    loop level follows, and the loop's dict never takes those states."""
+    """ring_net(9) ends with levels of 45, 9 and 1 states; its coupled
+    twin, one component, takes the sort step on the same graph.  Its
+    dict's backlog, ~19,600 states, outweighs the debt of three narrow
+    levels, so every level from the first array level on takes `expand`:
+    no loop level follows, and the loop's dict never takes those
+    states."""
     expanded = _spy_expand(monkeypatch)
-    assert _explore_outcome(ring_net(9), 1 << 20) == _ring_outcome(9)
+    assert _explore_outcome(coupled(ring_net(9)), 1 << 20) \
+        == _full_outcome(ring_net(9))
     assert expanded[0][0] > 0 and expanded[-1][1] == 3 ** 9
     assert all(a[1] == b[0] for a, b in zip(expanded, expanded[1:]))
     assert [hi - lo for lo, hi in expanded[-3:]] == [45, 9, 1]
@@ -400,11 +431,195 @@ def test_wide_keys_take_the_argsort_path(monkeypatch):
         return out
 
     monkeypatch.setattr(overseer.net._LevelStep, "expand", spy)
-    ring = ring_net(6)
+    # the coupled twin of 6 rings, one component, takes the sort step
+    ring = coupled(ring_net(6))
     wide = idle_first(ring, 40)
-    # bits 40-57: the level of 141 states has 846 pairs, 10 more bits
-    assert max(wide.pre_masks + wide.post_masks).bit_length() == 58
+    # bits 40-58: the level of 141 states has 846 pairs, 10 more bits
+    assert max(wide.pre_masks + wide.post_masks).bit_length() == 59
     for net, packed in ((wide, False), (ring, True)):
         calls.clear()
         assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
         assert calls and all(c == (packed, not packed) for c in calls)
+
+
+def _spy_steps(monkeypatch):
+    """The (step class name, lo, hi) of each level an array step takes,
+    as a list that fills while the search runs.  The levels of the
+    components the product step explores alone are not listed."""
+    expanded = []
+    building = []
+    of = overseer.net._ProductStep.of.__func__
+
+    def of_spy(cls, *args):
+        building.append(cls)
+        try:
+            return of(cls, *args)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(overseer.net._ProductStep, "of",
+                        classmethod(of_spy))
+    for step in (overseer.net._ProductStep, overseer.net._LevelStep):
+        def spy(self, masks, lo, hi, *args, expand=step.expand):
+            if not building:
+                expanded.append((type(self).__name__, lo, hi))
+            return expand(self, masks, lo, hi, *args)
+
+        monkeypatch.setattr(step, "expand", spy)
+    return expanded
+
+
+def _arcless_ring_net():
+    """ring_net(6) with a transition without arcs declared fourth: it
+    fires at every state and leads back to it."""
+    ring = ring_net(6)
+    pre = [support(m) for m in ring.pre_masks]
+    post = [support(m) for m in ring.post_masks]
+    return PetriNet("rings6_arcless", ring.places,
+                    (*ring.transitions[:3], "noop", *ring.transitions[3:]),
+                    (*ring.controllable, True), pre[:3] + [[]] + pre[3:],
+                    post[:3] + [[]] + post[3:], ring.m0)
+
+
+@cache
+def _split_nets():
+    two_machines = parse_net_file(NETS_DIR / "two_machines.pnet")
+    return [ring_net(k) for k in range(1, 10)] \
+        + [copies(two_machines, k).net for k in range(2, 5)] \
+        + [idle_first(ring_net(9), 37), _arcless_ring_net()]
+
+
+@cache
+def _split_oracle(i):
+    """The oracle's graph of split net i as `_raw_outcome` gives it."""
+    states, edges, offsets = _full_outcome(_split_nets()[i])
+    return states, [x for column in zip(*edges) for x in column] + offsets
+
+
+@pytest.mark.parametrize("vector_from", [0, 1, None])
+def test_split_nets_take_the_product_step(monkeypatch, vector_from):
+    """A net of two or more components takes the product step where its
+    coupled twin, one component, takes the sort step, level for level;
+    the graph equals the oracle's and the twin's either way.  A net of
+    one component (ring_net(1)) takes the sort step itself."""
+    if vector_from is not None:
+        monkeypatch.setattr(overseer.net, "_VECTOR_FROM", vector_from)
+    expanded = _spy_steps(monkeypatch)
+    product = 0
+    for i, net in enumerate(_split_nets()):
+        expanded.clear()
+        got = _raw_outcome(net, 1 << 20)
+        assert got == _split_oracle(i)
+        levels = expanded[:]
+        expanded.clear()
+        twin = coupled(net)
+        assert got == _raw_outcome(twin, 1 << 20)
+        step = "_ProductStep" if len(net.components) > 1 else "_LevelStep"
+        if twin.n_places <= 64:
+            assert [(step, lo, hi) for _, lo, hi in expanded] == levels
+        else:
+            # the idle places fill bit 63, so the twin takes the loop
+            assert not expanded and {s for s, _, _ in levels} == {step}
+        product += bool(levels) and step == "_ProductStep"
+    # every split net reaches an array level when any level does; at
+    # the default width only 6 to 9 rings, 3 and 4 machines, the idle
+    # ring_net(9) and the arc-less ring net do
+    assert product == (13 if vector_from is not None else 8)
+
+
+def test_rejected_split_nets_raise_what_their_twins_raise(monkeypatch):
+    """A split net with a component that fires unsafely, or whose state
+    count passes the budget, takes the sort step, which raises what its
+    coupled twin raises."""
+    monkeypatch.setattr(overseer.net, "_VECTOR_FROM", 0)
+    source = PetriNet("source", ["S"], ["fill"], [True], [[]], [[0]],
+                      Marking(1, 0))
+    expanded = _spy_steps(monkeypatch)
+    for net, budget, error in (
+            (side_by_side([ring_net(3), source], "rs"), 1 << 20,
+             SafenessViolation),
+            (side_by_side([source, ring_net(3)], "sr"), 1 << 20,
+             SafenessViolation),
+            (ring_net(6), 3 ** 6 - 1, StateBudgetExceeded),
+            (ring_net(6), 3 ** 6, None)):
+        expanded.clear()
+        got = _raw_outcome(net, budget)
+        assert got == _raw_outcome(coupled(net), budget)
+        steps = {step for step, _, _ in expanded}
+        if error is None:
+            assert steps == {"_ProductStep", "_LevelStep"}
+        else:
+            assert got[0] is error and steps == {"_LevelStep"}
+
+
+def test_product_step_refuses_codes_past_intp():
+    """64 marked places, each drained by its own transition, are 64
+    components with 2^64 states, which no intp code numbers: under a
+    budget that allows them the net gets no product step."""
+    net = PetriNet("drains", ["P%d" % p for p in range(64)],
+                   ["t%d" % t for t in range(64)], [True] * 64,
+                   [[p] for p in range(64)], [[] for _ in range(64)],
+                   Marking(64, (1 << 64) - 1))
+    assert len(net.components) == 64
+    assert overseer.net._ProductStep.of(net.pre_masks, net.post_masks,
+                                        net.m0.mask, 64, 1 << 64) is None
+
+
+def test_split_net_goes_from_the_product_step_to_the_loop(monkeypatch):
+    """Twelve switches and an 8-bit counter beside one ring: the wide
+    levels take the product step, and the counter's one-state levels,
+    three states wide beside the ring, go to the loop once the backlog
+    no longer outweighs the debt."""
+    net = side_by_side([fork_counter_net(12, 8), ring_net(1)], "fork_ring")
+    assert _raw_outcome(net, 1 << 20) == _raw_outcome(coupled(net), 1 << 20)
+    expanded = _spy_steps(monkeypatch)
+    got = _explore_outcome(net, 1 << 20)
+    assert got == _oracle_outcome(net, 1 << 20)
+    assert len(got[0]) == 3 * (2 ** 12 + 2 ** 8)
+    steps = [step for step, _, _ in expanded]
+    levels = [(lo, hi) for _, lo, hi in expanded]
+    assert steps and set(steps) == {"_ProductStep"}
+    # one run of consecutive levels, after loop levels and before them
+    assert levels[0][0] > 0 and levels[-1][1] < len(got[0])
+    assert all(a[1] == b[0] for a, b in zip(levels, levels[1:]))
+    assert [hi - lo for lo, hi in levels][-1] < overseer.net._VECTOR_FROM
+
+
+def _fans_net(stages, width):
+    """A token that spreads over `width` places and gathers again,
+    `stages` times: BFS levels of 1, width, 1, width, ... states."""
+    places, pre, post = [], [], []
+    for i in range(stages):
+        gather = len(places)
+        places += ["s%d" % i] + ["b%d_%d" % (i, j) for j in range(width)]
+        pre += [[gather]] * width + [[gather + 1 + j] for j in range(width)]
+        post += [[gather + 1 + j] for j in range(width)] \
+            + [[gather + 1 + width]] * width
+    places.append("s%d" % stages)
+    names = ["t%d" % t for t in range(len(pre))]
+    return PetriNet("fans%d_%d" % (stages, width), places, names,
+                    [True] * len(names), pre, post,
+                    Marking.from_support(len(places), [0]))
+
+
+def test_product_step_resumes_after_loop_levels(monkeypatch):
+    """Fans beside a one-state loop, with the array steps from 4 states
+    up: the levels of 4 states take the product step and the levels of
+    one state soon go to the loop, so the product step resumes after
+    loop levels and codes the states the loop found."""
+    monkeypatch.setattr(overseer.net, "_VECTOR_FROM", 4)
+    resumed = []
+    expand = overseer.net._ProductStep.expand
+
+    def spy(self, masks, lo, hi, *args):
+        resumed.append(0 < self.known < hi)
+        return expand(self, masks, lo, hi, *args)
+
+    monkeypatch.setattr(overseer.net._ProductStep, "expand", spy)
+    loop = PetriNet("loop", ["L"], ["spin"], [True], [[0]], [[0]],
+                    Marking(1, 1))
+    net = side_by_side([_fans_net(12, 4), loop], "fans_loop")
+    got = _explore_outcome(net, 1 << 20)
+    assert sum(resumed) > 2 and not all(resumed)
+    assert got == _oracle_outcome(net, 1 << 20)
+    assert _raw_outcome(net, 1 << 20) == _raw_outcome(coupled(net), 1 << 20)
