@@ -8,7 +8,14 @@ its wide levels take the product step (`_ProductStep`); each ring count
 is also timed on its coupled twin (`coupled`), which a dead transition
 joins into one component, so that its wide levels take the sort step
 (`_LevelStep`).  Both graphs are checked to have 3^k states and k * 3^k
-edges.  For each ring count the time to name every state
+edges.  Beside each step's time are its minor page faults per call
+(`ru_minflt` over the timed calls), which count the memory the
+allocator gives back to the system and takes again on the next call,
+and the tracemalloc peak of one call divided by the bytes of the graph
+it returns (`p` the product step, `s` the sort step).  The product step
+writes the graph into its one buffer as it goes, while the sort step
+keeps its levels and concatenates them at the end, so it holds the
+graph twice.  For each ring count the time to name every state
 (`PetriNet.format_masks`, as the report does) is printed next to the
 BFS times, once the names are checked against `format_mask` of each
 state.  The second net (`fork_counter_net`) has BFS levels of up
@@ -39,8 +46,10 @@ Where the arrays start to win sets `_NAME_VECTOR_FROM` in
 """
 
 import argparse
+import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,6 +146,22 @@ def best_time(call, repeats):
     return best, out
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peak_ratio(call):
+    """The tracemalloc peak of one call that returns a reachability
+    graph, divided by the bytes of the graph's buffer."""
+    tracemalloc.start()
+    try:
+        rg = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / rg._flat.nbytes
+
+
 def explore(net):
     return overseer.net._explore(net.pre_masks, net.post_masks, net.m0.mask,
                                  overseer.net.DEFAULT_STATE_BUDGET)
@@ -193,24 +218,30 @@ def main():
                     help="timing repetitions, best is kept")
     args = ap.parse_args()
 
-    print("%6s %8s %8s %10s %10s %10s" % ("rings", "states", "edges",
-                                          "product", "sort", "names"))
+    print("%6s %8s %8s %10s %10s %8s %8s %8s %8s %10s" % (
+        "rings", "states", "edges", "product", "sort", "p faults",
+        "s faults", "p peak", "s peak", "names"))
     for k in range(2, args.max_rings + 1):
         ring = ring_net(k)
-        times = []
+        times, faults, peaks = [], [], []
         for net in (ring, coupled(ring)):
-            t, rg = best_time(
-                lambda: build_reachability_graph(net, budget=3 ** k + 1),
-                args.repeats)
+            def call():
+                return build_reachability_graph(net, budget=3 ** k + 1)
+
+            f0 = minor_faults()
+            t, rg = best_time(call, args.repeats)
+            faults.append((minor_faults() - f0) / args.repeats)
             assert rg.n_states == 3 ** k
             assert len(rg.edges) == k * 3 ** k
             times.append(t)
+            peaks.append(peak_ratio(call))
         t_names, names = best_time(lambda: ring.format_masks(rg.masks),
                                    args.repeats)
         assert names == [ring.format_mask(m) for m in rg.masks]
-        print("%6d %8d %8d %8.2fms %8.2fms %8.2fms" % (
-            k, rg.n_states, len(rg.edges), *(t * 1e3 for t in times),
-            t_names * 1e3))
+        print("%6d %8d %8d %8.2fms %8.2fms %8.0f %8.0f %7.2fx %7.2fx "
+              "%8.2fms" % (k, rg.n_states, len(rg.edges),
+                           *(t * 1e3 for t in times), *faults, *peaks,
+                           t_names * 1e3))
 
     bits, counter_bits = 12, 11
     fork = fork_counter_net(bits, counter_bits)

@@ -109,11 +109,14 @@ def main(argv=None) -> int:
     text = report.render_text()
     sys.stdout.write(text)
 
-    # path, then a callable rendering its content
+    # path, then a callable rendering its content as pieces of text: the
+    # DOT files come in blocks of lines, so that a large graph is never
+    # held as one string
     outputs = []
     if args.report:
         text_path, json_path = _report_paths(args.report)
-        outputs += [(text_path, lambda: text), (json_path, report.render_json)]
+        outputs += [(text_path, lambda: [text]),
+                    (json_path, lambda: [report.render_json()])]
     if args.dot_rg:
         outputs.append((args.dot_rg,
                         lambda: rg_to_dot(result.rg, result.partition)))
@@ -132,10 +135,12 @@ def main(argv=None) -> int:
                       "closed loop, so the controlled net is not safe; %s "
                       "not written" % args.out)
             else:
-                outputs.append((args.out, lambda: serialize_net(controlled)))
+                outputs.append((args.out,
+                                lambda: [serialize_net(controlled)]))
     for path, render in outputs:
         try:
-            Path(path).write_text(render(), encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(render())
         except OSError as exc:
             print("overseer: error: cannot write %s: %s" % (path, exc),
                   file=sys.stderr)

@@ -29,9 +29,14 @@ when a loop level follows them, so a search that stays wide, or whose
 narrow tail is short, never fills it.  The reachability graph keeps
 what the search produces as flat data: one int mask per state and the
 edges as (source, transition, target) arrays grouped by source (CSR
-offsets).  The pipeline passes int masks from stage to stage; `Marking`
-is only the type of a net's initial marking and of explicit forbidden
-states.
+offsets), all in one intp buffer.  The product step knows the graph's
+size when it is built, so it allocates that buffer then and writes
+each level into it as the level is made; the loop's chunks are copied
+in.  The sort step learns the edge count only when the search ends, so
+its levels and the loop's chunks are kept and concatenated then, and
+its graph is held twice for that moment.  The pipeline passes int
+masks from stage to stage; `Marking` is only the type of a net's
+initial marking and of explicit forbidden states.
 
 Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
 `PetriNet.format_masks` names a list of at least that many masks, on a
@@ -381,11 +386,12 @@ _NAME_VECTOR_FROM = 192
 
 # The array path of `PetriNet.format_masks` names this many masks at a
 # time, so that its per-column lists stay small.  Lists this long come
-# from the DOT writers, and from `missing_authorized` when R is far
-# smaller than A.  One CLI run on machines(5) (248,832 states), when its
-# report still named every forbidden state, peaked at 207 MB RSS with
-# the loop alone, 229 MB with whole-list columns and 217-221 MB with
-# blocks of 2^14.
+# from `missing_authorized` when R is far smaller than A.  One CLI run on
+# machines(5) (248,832 states), when its report still named every
+# forbidden state, peaked at 207 MB RSS with the loop alone, 229 MB with
+# whole-list columns and 217-221 MB with blocks of 2^14.  The DOT writers
+# name and write this many states, and edges, at a time, so that no
+# graph's text is held whole.
 _NAME_BLOCK = 1 << 14
 
 # `_ProductStep.ids` holds this at the codes of states not yet found.
@@ -519,7 +525,10 @@ class _ProductStep:
 
     `of` builds the step only when each component explores cleanly and
     the product of their state counts is within the budget, so every
-    state exists and `expand` never raises."""
+    state exists and `expand` never raises.  The net's state and edge
+    counts follow from the components' (`size`), so the step allocates
+    the graph's buffer (`flat`) when it is built, and `expand` writes
+    each level into it."""
 
     def __init__(self, parts, columns, pre_masks, post_masks, graphs):
         counts = [len(masks) for masks, _ in graphs]
@@ -532,13 +541,21 @@ class _ProductStep:
         self.columns = columns  # each component's transitions
         self.owner = np.zeros(len(pre_masks), dtype=np.intp)
         self.table = []
+        edges = 0
         for c, (mine, (masks, flat)) in enumerate(zip(columns, graphs)):
             self.owner[mine] = c
             e = (len(flat) - len(masks) - 1) // 3
+            # each edge of the component, beside every combination of the
+            # other components' states
+            edges += e * (self.off // len(masks))
             src, tr, dst = flat[:3 * e].reshape(3, e)
             table = np.full((len(mine), len(masks)), self.off, dtype=np.intp)
             table[tr, src] = (dst - src) * self.radix[c]
             self.table.append(table)
+        # `graph` is the buffer's src, tr, dst and offsets columns
+        self.size = (self.off, edges)
+        self.flat = np.empty(3 * edges + self.off + 1, dtype=np.intp)
+        self.graph = np.split(self.flat, (edges, 2 * edges, 3 * edges))
         self.pre = np.array(pre_masks, dtype=np.uint64)
         self.post = np.array(post_masks, dtype=np.uint64)
         self.known = 0  # masks[:known] have ids
@@ -582,7 +599,8 @@ class _ProductStep:
 
     def expand(self, masks, lo, hi, e0, budget):
         """As `_LevelStep.expand`, which it numbers states and edges
-        exactly as; never raises."""
+        exactly as, but writes the level's src, tr, dst and offsets into
+        their slices of `graph` and returns those; never raises."""
         known, local, codes, frontier = (self.known, self.local, self.codes,
                                          self.masks)
         ids = self.ids
@@ -604,10 +622,12 @@ class _ProductStep:
         pairs = np.flatnonzero(enabled.T)
         fanout = enabled.sum(axis=0)
         rows = np.repeat(np.arange(n), fanout)
-        tr = pairs - rows * t_count
+        src, tr, dst = (col[e0:e0 + len(pairs)] for col in self.graph[:3])
+        np.add(rows, lo, out=src)
+        np.subtract(pairs, rows * t_count, out=tr)
         moves = change.ravel()[tr * n + rows]
         succ = codes[rows] + moves
-        dst = ids[succ]
+        ids.take(succ, out=dst)
         unseen = np.flatnonzero(dst == _NO_ID)
         seen_at = succ[unseen]
         # each unfound code's least pair index, then its id
@@ -626,8 +646,10 @@ class _ProductStep:
         self.local.ravel()[cells] += moves[heads] // self.radix[moved]
         self.masks = (frontier[at] ^ self.pre[by]) | self.post[by]
         self.known = hi + len(heads)
-        offsets = e0 + np.cumsum(fanout)
-        return (lo + rows, tr, dst, offsets), self.masks.tolist()
+        offsets = self.graph[3][lo + 1:hi + 1]
+        np.cumsum(fanout, out=offsets)
+        offsets += e0
+        return (src, tr, dst, offsets), self.masks.tolist()
 
 
 def _explore(pre_masks, post_masks, m0, budget):
@@ -643,7 +665,11 @@ def _explore(pre_masks, post_masks, m0, budget):
     level takes whichever step is faster at its width.  The first array
     level picks the array step: `_ProductStep` when the net splits into
     components it can take, else `_LevelStep`, which also raises the
-    errors the product step leaves to it.  The loop's `seen` dict holds
+    errors the product step leaves to it.  The product step fills the
+    graph's buffer level by level, and the loop's chunks are copied into
+    it, each at the next array level or at the end; with the sort step,
+    whose edge count is unknown until the search ends, the levels and
+    chunks are concatenated at the end.  The loop's `seen` dict holds
     masks[:len(seen)]: a loop level first adds, in one update, the
     states array levels found since the loop last ran, and array levels
     leave it alone.
@@ -669,9 +695,26 @@ def _explore(pre_masks, post_masks, m0, budget):
 
     masks = [m0]
     seen = {m0: 0}
-    columns = ([], [], [], [])  # finished chunks of src, tr, dst, offsets
+    # the sort step's levels and the loop's chunks of src, tr, dst and
+    # offsets, concatenated at the end; or the columns of the graph a
+    # product step fills in place, into which the loop's chunks are copied
+    chunks = ([], [], [], [])
+    graph = None
     src, tr, dst, offsets = [], [], [], [0]  # the chunk the loop extends
     e0 = 0  # edges in finished chunks
+
+    def finish(chunk):
+        # a finished chunk onto the chunk lists, or, when a product step
+        # holds the graph, the loop's chunk, which ends at state lo, into it
+        nonlocal e0
+        if graph is None:
+            for col, part in zip(chunks, chunk):
+                col.append(part)
+        else:
+            at = (e0, e0, e0, lo + 1 - len(chunk[3]))
+            for col, a, part in zip(graph, at, chunk):
+                col[a:a + len(part)] = part
+        e0 += len(chunk[2])
 
     debt = 0  # narrow array levels' cost since the loop last filled seen
     lo = 0
@@ -710,30 +753,36 @@ def _explore(pre_masks, post_masks, m0, budget):
                 src += [sid] * (len(dst) - n0)
                 offsets.append(e0 + len(dst))
         else:
-            if offsets:
-                for col, part in zip(columns, (src, tr, dst, offsets)):
-                    col.append(part)
-                e0 += len(dst)
-                src, tr, dst, offsets = [], [], [], []
             if step is None:
                 step = _ProductStep.of(pre_masks, post_masks, m0, width,
-                                       budget) \
-                    or _LevelStep(pre_masks, post_masks, width)
+                                       budget)
+                if step is None:
+                    step = _LevelStep(pre_masks, post_masks, width)
+                else:
+                    graph = step.graph
+            if offsets:
+                finish((src, tr, dst, offsets))
+                src, tr, dst, offsets = [], [], [], []
             if narrow:
                 debt += _VECTOR_FROM * len(moves)
-            parts, new = step.expand(masks, lo, hi, e0, budget)
-            for col, part in zip(columns, parts):
-                col.append(part)
-            e0 += len(parts[2])
+            chunk, new = step.expand(masks, lo, hi, e0, budget)
+            if graph is None:
+                finish(chunk)
+            else:
+                e0 += len(chunk[2])  # written in place
             masks += new
         lo = hi
 
     # the loop's last chunk, empty when the array step took the last level
-    for col, part in zip(columns, (src, tr, dst, offsets)):
-        col.append(part)
-    flat = np.concatenate([np.asarray(p, dtype=np.intp)
-                           for p in chain(*columns)])
-    return masks, flat
+    finish((src, tr, dst, offsets))
+    if graph is None:
+        return masks, np.concatenate([np.asarray(p, dtype=np.intp)
+                                      for p in chain(*chunks)])
+    if (len(masks), e0) != step.size:
+        raise AssertionError("the product step's graph has %d states and %d "
+                             "edges, not %d and %d"
+                             % (len(masks), e0, *step.size))
+    return masks, step.flat
 
 
 def build_reachability_graph(net: PetriNet,

@@ -4,6 +4,7 @@ import collections
 import random
 import re
 import sys
+import tracemalloc
 from functools import cache
 from pathlib import Path
 
@@ -489,11 +490,16 @@ def _split_nets():
         + [idle_first(ring_net(9), 37), _arcless_ring_net()]
 
 
+def _as_raw(outcome):
+    """An oracle's graph as `_raw_outcome` gives it."""
+    states, edges, offsets = outcome
+    return states, [x for column in zip(*edges) for x in column] + offsets
+
+
 @cache
 def _split_oracle(i):
     """The oracle's graph of split net i as `_raw_outcome` gives it."""
-    states, edges, offsets = _full_outcome(_split_nets()[i])
-    return states, [x for column in zip(*edges) for x in column] + offsets
+    return _as_raw(_full_outcome(_split_nets()[i]))
 
 
 @pytest.mark.parametrize("vector_from", [0, 1, None])
@@ -565,13 +571,60 @@ def test_product_step_refuses_codes_past_intp():
                                         net.m0.mask, 64, 1 << 64) is None
 
 
+def _spy_buffers(monkeypatch):
+    """The graph buffers of the product steps built, as a list that
+    fills while the search runs.  Each is filled with -1 when it is
+    allocated, so that an entry no level writes shows."""
+    buffers = []
+    init = overseer.net._ProductStep.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        self.flat.fill(-1)
+        buffers.append(self.flat)
+
+    monkeypatch.setattr(overseer.net._ProductStep, "__init__", spy)
+    return buffers
+
+
+def _assert_fills_its_buffer(net, buffers):
+    """`_explore` returns the one buffer its product step allocated,
+    holding exactly the oracle's graph."""
+    buffers.clear()
+    masks, flat = overseer.net._explore(net.pre_masks, net.post_masks,
+                                        net.m0.mask, 1 << 20)
+    assert len(buffers) == 1 and flat is buffers[0]
+    assert (masks, flat.tolist()) == _as_raw(_full_outcome(net))
+
+
+def test_product_step_holds_its_graph_once():
+    """The product step writes each level into the graph's one buffer as
+    the level is made, so the search's peak allocation on ring_net(9)
+    stays under twice that buffer; keeping every level's arrays until a
+    concatenation at the end takes more."""
+    net = ring_net(9)
+    overseer.net._explore(net.pre_masks, net.post_masks, net.m0.mask,
+                          1 << 20)
+    tracemalloc.start()
+    try:
+        _, flat = overseer.net._explore(net.pre_masks, net.post_masks,
+                                        net.m0.mask, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flat) == 3 * 9 * 3 ** 9 + 3 ** 9 + 1
+    assert peak < 2 * flat.nbytes
+
+
 def test_split_net_goes_from_the_product_step_to_the_loop(monkeypatch):
     """Twelve switches and an 8-bit counter beside one ring: the wide
     levels take the product step, and the counter's one-state levels,
     three states wide beside the ring, go to the loop once the backlog
-    no longer outweighs the debt."""
+    no longer outweighs the debt.  The loop levels before and after the
+    product step's are copied into its buffer, which they fill."""
     net = side_by_side([fork_counter_net(12, 8), ring_net(1)], "fork_ring")
     assert _raw_outcome(net, 1 << 20) == _raw_outcome(coupled(net), 1 << 20)
+    _assert_fills_its_buffer(net, _spy_buffers(monkeypatch))
     expanded = _spy_steps(monkeypatch)
     got = _explore_outcome(net, 1 << 20)
     assert got == _oracle_outcome(net, 1 << 20)
@@ -606,8 +659,11 @@ def test_product_step_resumes_after_loop_levels(monkeypatch):
     """Fans beside a one-state loop, with the array steps from 4 states
     up: the levels of 4 states take the product step and the levels of
     one state soon go to the loop, so the product step resumes after
-    loop levels and codes the states the loop found."""
+    loop levels and codes the states the loop found.  The loop levels
+    between the product step's are copied into its buffer, which they
+    fill."""
     monkeypatch.setattr(overseer.net, "_VECTOR_FROM", 4)
+    buffers = _spy_buffers(monkeypatch)
     resumed = []
     expand = overseer.net._ProductStep.expand
 
@@ -622,4 +678,5 @@ def test_product_step_resumes_after_loop_levels(monkeypatch):
     got = _explore_outcome(net, 1 << 20)
     assert sum(resumed) > 2 and not all(resumed)
     assert got == _oracle_outcome(net, 1 << 20)
+    _assert_fills_its_buffer(net, buffers)
     assert _raw_outcome(net, 1 << 20) == _raw_outcome(coupled(net), 1 << 20)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import overseer.dotexport
 import overseer.errors
 import overseer.net
 import overseer.overstates
@@ -551,7 +552,8 @@ def test_pipeline_fallback_forbids_only_the_uncovered_state(drop_job):
     assert result.controller.is_binary()
 
 
-def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):
+def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys,
+                                      monkeypatch):
     out = tmp_path / "controlled.pnet"
     report = tmp_path / "report.txt"
     rc = main([
@@ -583,6 +585,15 @@ def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys):
     assert closed_dot.count(" -> ") == 5 + 1  # five firings plus init arrow
     assert hashlib.sha256(closed_dot.encode()).hexdigest() == \
         "83bb4641e4b215a699ef1be7e4563ca86df3e64fe1c3c1b439659f54c3cfe465"
+
+    # the DOT files are written a block of lines at a time; blocks of
+    # two states and two edges give the same bytes
+    monkeypatch.setattr(overseer.dotexport, "_NAME_BLOCK", 2)
+    assert main([str(two_machines_path),
+                 "--dot-rg", str(tmp_path / "rg2.dot"),
+                 "--dot-controlled", str(tmp_path / "closed2.dot")]) == 0
+    assert (tmp_path / "rg2.dot").read_text() == rg_dot
+    assert (tmp_path / "closed2.dot").read_text() == closed_dot
 
 
 def test_cli_report_json_path(tmp_path, two_machines_path):
