@@ -16,7 +16,7 @@ it returns (`p` the product step, `s` the sort step).  The product step
 writes the graph into its one buffer as it goes, while the sort step
 keeps its levels and concatenates them at the end, so it holds the
 graph twice.  For each ring count the time to name every state
-(`PetriNet.format_masks`, as the report does) is printed next to the
+(`PetriNet.format_masks`, as the DOT writers do) is printed next to the
 BFS times, once the names are checked against `format_mask` of each
 state.  The second net (`fork_counter_net`) has BFS levels of up
 to 924 states, then a tail of 2048 levels of one state each: the wide part
@@ -35,13 +35,6 @@ whose one-state counter tails run 256 and 2,048 levels, the `_explore`
 time and the number of narrow levels (fewer than `_VECTOR_FROM` states)
 the array steps took before the loop took over, if it did.
 
-Last, naming is timed through each of its two paths: the first N states
-of ring_net(9) (27 places) and of the fork-then-counter net (46 places)
-are named with the memo loop and with array operations, for N from 32
-to 1,024, once both paths' names are checked against `format_mask`.
-Where the arrays start to win sets `_NAME_VECTOR_FROM` in
-`overseer/net.py`.
-
     python3 benchmarks/reach_bench.py [--max-rings K] [--repeats N]
 """
 
@@ -58,8 +51,6 @@ sys.path[:0] = [str(ROOT / "src")]
 import overseer.net  # noqa: E402
 from overseer import Marking, PetriNet, build_reachability_graph  # noqa: E402
 from overseer.net import support  # noqa: E402
-
-NAMING_SIZES = (32, 64, 128, 192, 256, 512, 1024)
 
 
 def ring_net(k):
@@ -191,25 +182,6 @@ def narrow_array_levels(net):
     return len(narrow)
 
 
-def naming_times(net, masks, repeats):
-    """The least time to name `masks` with the memo loop and with array
-    operations, each path's names checked first."""
-    expected = [net.format_mask(m) for m in masks]
-    threshold = overseer.net._NAME_VECTOR_FROM
-    times = []
-    try:
-        # a threshold past the list's length takes the loop, one at it
-        # the arrays
-        for path_from in (len(masks) + 1, len(masks)):
-            overseer.net._NAME_VECTOR_FROM = path_from
-            assert net.format_masks(masks) == expected
-            times.append(best_time(lambda: net.format_masks(masks),
-                                   repeats)[0])
-    finally:
-        overseer.net._NAME_VECTOR_FROM = threshold
-    return times
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--max-rings", type=int, default=9,
@@ -249,7 +221,6 @@ def main():
     wide = idle_first(twin, 36)
     print()
     print("%22s %8s %8s %10s" % ("net", "states", "edges", "time"))
-    graphs = []
     for net, states, edges in (
             (fork, 2 ** bits + 2 ** counter_bits,
              bits * 2 ** (bits - 1) + 2 ** counter_bits),
@@ -258,7 +229,6 @@ def main():
             lambda: build_reachability_graph(net, budget=states),
             args.repeats)
         assert rg.n_states == states and len(rg.edges) == edges
-        graphs.append((net, rg))
         print("%22s %8d %8d %8.2fms" % (net.name, rg.n_states,
                                         len(rg.edges), t * 1e3))
 
@@ -271,15 +241,6 @@ def main():
         t, (masks, _) = best_time(lambda: explore(net), args.repeats)
         print("%22s %8d %8.2fms %14d" % (net.name, len(masks), t * 1e3,
                                          narrow_array_levels(net)))
-
-    nets = [(ring, build_reachability_graph(ring, budget=3 ** 9)), graphs[0]]
-    print()
-    print("%22s %8s %10s %10s" % ("names of", "masks", "loop", "arrays"))
-    for net, rg in nets:
-        for n in NAMING_SIZES:
-            loop, arrays = naming_times(net, rg.masks[:n], args.repeats)
-            print("%22s %8d %8.1fus %8.1fus" % (net.name, n, loop * 1e6,
-                                                arrays * 1e6))
 
 
 if __name__ == "__main__":

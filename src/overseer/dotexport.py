@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import _NAME_BLOCK, PetriNet, ReachabilityGraph
+from .net import PetriNet, ReachabilityGraph
 from .partition import StatePartition
 from .synthesis import ClosedLoopReport, Controller
+
+# The DOT writers name and write this many states, and edges, at a time,
+# so that no graph's text is held whole.
+_NAME_BLOCK = 1 << 14
 
 
 def _quote(s: str) -> str:

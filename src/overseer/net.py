@@ -37,12 +37,6 @@ its levels and the loop's chunks are kept and concatenated then, and
 its graph is held twice for that moment.  The pipeline passes int
 masks from stage to stage; `Marking` is only the type of a net's
 initial marking and of explicit forbidden states.
-
-Naming has a threshold of its own, `_NAME_VECTOR_FROM`:
-`PetriNet.format_masks` names a list of at least that many masks, on a
-net of at most 64 places, with array operations, and a shorter list, or
-any list on a wider net, one mask at a time.  The text is the same
-either way.
 """
 
 from __future__ import annotations
@@ -111,7 +105,9 @@ def place_components(pre_masks, post_masks, width: int) -> tuple[int, ...]:
 
 
 def reachability_backend(n_places: int | None = None) -> str:
-    """Name of the reachability kernel, as recorded in the report."""
+    """Name of the reachability kernel.  No report records it; the
+    benchmark harness (`perfbench/run.py`) stamps it on each run's
+    environment."""
     return "pure"
 
 
@@ -213,44 +209,19 @@ class PetriNet:
     def format_masks(self, masks) -> list[str]:
         """`format_mask` of each mask in a list.  A mask is named one
         8-place chunk at a time, each chunk value through a memo of the
-        net that fills as values come up.  A list of at least
-        `_NAME_VECTOR_FROM` masks on a net of 1 to 64 places is named
-        with array operations, `_NAME_BLOCK` masks at a time: the masks
-        become a `uint64` array seen as bytes, and each byte column is
-        gathered through a table of the values that occur in it.  The
-        text is the same either way."""
+        net that fills as values come up."""
         chunks, memo = self._chunk_names
-        if len(masks) < _NAME_VECTOR_FROM or not 0 < self.n_places <= 64:
-            get = memo.get
-            out = []
-            for mask in masks:
-                text = ""
-                for chunk in chunks:
-                    part = mask & chunk
-                    name = get(part)
-                    if name is None:
-                        name = memo[part] = self.format_mask(part)
-                    text += name
-                out.append(text or "-")
-            return out
+        get = memo.get
         out = []
-        for lo in range(0, len(masks), _NAME_BLOCK):
-            words = np.fromiter(masks[lo:lo + _NAME_BLOCK], dtype="<u8")
-            columns = []
-            for j, byte in enumerate(
-                    words.view(np.uint8).reshape(-1, 8).T[:len(chunks)]):
-                table = np.empty(256, dtype=object)
-                for v in np.flatnonzero(
-                        np.bincount(byte, minlength=256)).tolist():
-                    part = v << 8 * j
-                    if part not in memo:
-                        memo[part] = self.format_mask(part)
-                    table[v] = memo[part]
-                columns.append(table[byte].tolist())
-            names = list(map("".join, zip(*columns)))
-            for i in np.flatnonzero(words == 0).tolist():
-                names[i] = "-"
-            out += names
+        for mask in masks:
+            text = ""
+            for chunk in chunks:
+                part = mask & chunk
+                name = get(part)
+                if name is None:
+                    name = memo[part] = self.format_mask(part)
+                text += name
+            out.append(text or "-")
         return out
 
     @cached_property
@@ -369,30 +340,6 @@ class ReachabilityGraph:
 # 64, 1.40-1.60 ms from 128, 2.35-2.71 ms from 256 and 3.2-3.4 ms with
 # the loop alone.  The crossing is where it was before that merge.
 _VECTOR_FROM = 64
-
-# `PetriNet.format_masks` names a list of at least this many masks with
-# array operations, and a shorter one with the memo loop.  The arrays
-# pay a fixed cost per list, so the two cross later than for BFS levels.
-# `benchmarks/reach_bench.py` on a 2-core host (names memo warm) puts
-# the crossing at ~125 masks for ring_net(9) (27 places) and ~220 for
-# the fork-then-counter net (46 places): at 64 masks the arrays took
-# 93-122 us against 58-64 us for the loop, at 192 masks 140-209 us
-# against 181-193 us, at 1,024 masks 389-633 us against 952-1,159 us.
-# Between the crossings either choice loses at most ~40 us a list.  A
-# report's partition lists stop at 256 states, just past this; the long
-# lists are the DOT writers', which name every state of a graph, and the
-# closed loop's `missing_authorized` when R is far smaller than A.
-_NAME_VECTOR_FROM = 192
-
-# The array path of `PetriNet.format_masks` names this many masks at a
-# time, so that its per-column lists stay small.  Lists this long come
-# from `missing_authorized` when R is far smaller than A.  One CLI run on
-# machines(5) (248,832 states), when its report still named every
-# forbidden state, peaked at 207 MB RSS with the loop alone, 229 MB with
-# whole-list columns and 217-221 MB with blocks of 2^14.  The DOT writers
-# name and write this many states, and edges, at a time, so that no
-# graph's text is held whole.
-_NAME_BLOCK = 1 << 14
 
 # `_ProductStep.ids` holds this at the codes of states not yet found.
 _NO_ID = np.iinfo(np.intp).max

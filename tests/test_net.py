@@ -218,24 +218,19 @@ def test_edge_rows_agree_with_firing():
 
 
 @pytest.mark.parametrize("width", [0, 1, 8, 9, 27, 64, 65, 70])
-def test_format_mask_matches_support_form(width, monkeypatch):
-    # blocks short enough that the longest list spans several
-    monkeypatch.setattr(overseer.net, "_NAME_BLOCK", 50)
+def test_format_mask_matches_support_form(width):
     rng = random.Random(width)
     places = ["P%d" % i for i in range(width)]
     net = PetriNet("fmt", places, [], [], [], [], Marking(width, 0))
     masks = {0, (1 << width) - 1}
-    masks.update(rng.getrandbits(width) for _ in range(200) if width)
+    masks.update(rng.getrandbits(width) for _ in range(400) if width)
     for mask in sorted(masks):
         expected = "".join(places[i] for i in support(mask)) or "-"
         assert net.format_mask(mask) == expected
+    # every mask in one list: more than 256 of them from 9 places up
     ordered = sorted(masks)
-    # one net names a list one short of the array path's threshold (the
-    # memo), one at it (arrays, up to 64 places), then every mask
-    n = overseer.net._NAME_VECTOR_FROM
-    batches = [[0] + rng.choices(ordered, k=size - 1) for size in (n - 1, n)]
-    for batch in batches + [ordered]:
-        assert net.format_masks(batch) == [net.format_mask(m) for m in batch]
+    assert len(ordered) > 256 or width < 9
+    assert net.format_masks(ordered) == [net.format_mask(m) for m in ordered]
 
 
 def _explore_outcome(net, budget):
