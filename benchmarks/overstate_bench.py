@@ -5,13 +5,14 @@ two_machines net (12^k plant states), built by the pipeline benchmark's
 own generator.  Each copy contributes 4 minimal over-states and 2
 constraints, so the run checks 4k and 2k before any timing is reported;
 up to ORACLE_MAX_K copies it also checks the minimal over-states against
-the enumerating reference (every sub-support of every border state,
-pruned and reduced to its antichain), which is exponential in k.  The
-"over-states" time is the pipeline's own timing of its over-states
-stage, which solves each copy on its own (the authorized set is the
-product of the copies' authorized sets).  The "whole" time is one
-`overstate_union` call without `blocks`, the engine that solves all
-copies at once; the run checks that it lists the same over-states.
+the tests' enumerating reference (`tests/overstate_reference.py`: every
+sub-support of every border state, pruned and reduced to its antichain),
+which is exponential in k.  The "over-states" time is the pipeline's own
+timing of its over-states stage, which solves each copy on its own (the
+authorized set is the product of the copies' authorized sets).  The
+"whole" time is one `overstate_union` call without `blocks`, the engine
+that solves all copies at once; the run checks that it lists the same
+over-states.
 
 A second table times the numpy step that reduces the border x
 authorized product to its minimal edges, on nets the pipeline solves
@@ -34,19 +35,17 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"),
-                str(ROOT / "benchmarks")]
+                str(ROOT / "benchmarks"), str(ROOT / "tests")]
 
 import overseer.overstates
 from overseer import (
     BadStateSpec,
     NetDocument,
-    minimal_elements,
     overstate_union,
     parse_net,
-    prune_authorized,
     run_pipeline,
 )
-from overseer.overstates import over_states
+from overstate_reference import reference_overstates
 from workloads import machines
 
 # the reference lists 28,646 sub-supports at k=3 and 822,878 at k=4
@@ -58,10 +57,10 @@ COUPLED_MAX_K = 3
 
 
 def reference_minimal(rg, partition):
-    border = rg.masks_of(partition.m_b)
-    authorized = rg.masks_of(partition.m_a)
-    union = {b for m in border for b in over_states(m)}
-    return minimal_elements(prune_authorized(union, authorized))
+    """The enumerating reference's minimal over-states of the partition
+    (`tests/overstate_reference.py`)."""
+    return reference_overstates(rg.masks_of(partition.m_b),
+                                rg.masks_of(partition.m_a))[2]
 
 
 def best_time(repeats, call):

@@ -29,6 +29,14 @@ group their successors with an argsort instead of one sort of packed
 keys, and its time against the twin's is that fallback's cost.  The
 state and edge counts are checked before any timing is reported.
 
+Then the dining philosophers (`phils_net`), a net that does not split:
+n philosophers share n forks, so every wide level takes the sort step.
+Each row is checked at its closed-form state count Q_n and timed twice,
+as `build_reachability_graph` explores it ("sort") and with
+`_VECTOR_FROM` raised above Q_n, so that every level takes the
+per-state loop ("loop"); both graphs are checked to be the same.  The
+rows run n = 2, 4, ... up to --max-rings + 5.
+
 Then the narrow tails: for ring_net(9) and its twin, whose last levels
 hold 45, 9 and 1 states, and for fork_counter_net(12, 8) and (12, 11),
 whose one-state counter tails run 256 and 2,048 levels, the `_explore`
@@ -44,6 +52,8 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
@@ -98,6 +108,32 @@ def fork_counter_net(bits, counter_bits):
                     transitions, [True] * len(transitions), pre, post, m0)
 
 
+def phils_net(n):
+    """n >= 2 dining philosophers round a table, 4n places: philosopher i
+    thinks (T_i), holds the left fork (L_i) or eats (E_i), and fork i is
+    on the table (F_i).  `l_i` takes the left fork (T_i F_i -> L_i) and
+    `r_i` the right one (L_i F_{i+1} -> E_i), both controllable; `d_i`,
+    uncontrollable, puts both down (E_i -> T_i F_i F_{i+1}).  Neighbours
+    share a fork, so the net is one component.  It has Q_n states,
+    Q_n = 2 Q_{n-1} + Q_{n-2} with Q_2 = 6 and Q_3 = 14."""
+    def at(kind, i):
+        return 4 * (i % n) + "TLEF".index(kind)
+
+    places = ["%s%d" % (kind, i) for i in range(n) for kind in "TLEF"]
+    transitions, controllable, pre, post = [], [], [], []
+    for i in range(n):
+        transitions += ["l%d" % i, "r%d" % i, "d%d" % i]
+        controllable += [True, True, False]
+        pre += [[at("T", i), at("F", i)], [at("L", i), at("F", i + 1)],
+                [at("E", i)]]
+        post += [[at("L", i)], [at("E", i)],
+                 [at("T", i), at("F", i), at("F", i + 1)]]
+    m0 = Marking.from_support(4 * n, [at(kind, i) for i in range(n)
+                                      for kind in "TF"])
+    return PetriNet("phils%d" % n, places, transitions, controllable, pre,
+                    post, m0)
+
+
 def idle_first(net, idle):
     """`net` with `idle` unmarked places that no transition touches
     declared before its own, which shifts every mask up by `idle` bits."""
@@ -135,6 +171,17 @@ def best_time(call, repeats):
         out = call()
         best = min(best, time.perf_counter() - t0)
     return best, out
+
+
+def loop_alone(call, levels_below, repeats):
+    """`best_time` of `call` with `_VECTOR_FROM` raised to `levels_below`,
+    so that every narrower level takes the per-state loop."""
+    default = overseer.net._VECTOR_FROM
+    overseer.net._VECTOR_FROM = levels_below
+    try:
+        return best_time(call, repeats)
+    finally:
+        overseer.net._VECTOR_FROM = default
 
 
 def minor_faults():
@@ -231,6 +278,28 @@ def main():
         assert rg.n_states == states and len(rg.edges) == edges
         print("%22s %8d %8d %8.2fms" % (net.name, rg.n_states,
                                         len(rg.edges), t * 1e3))
+
+    print()
+    print("%22s %8s %8s %10s %10s" % ("philosophers", "states", "edges",
+                                      "sort", "loop"))
+    last = args.max_rings + 5
+    q = {2: 6, 3: 14}
+    for n in range(4, last + 1):
+        q[n] = 2 * q[n - 1] + q[n - 2]
+    for n in range(2, last + 1, 2):
+        net = phils_net(n)
+
+        def call():
+            return build_reachability_graph(net, budget=q[n])
+
+        t_sort, rg = best_time(call, args.repeats)
+        t_loop, by_loop = loop_alone(call, q[n] + 1, args.repeats)
+        assert rg.n_states == q[n], (n, rg.n_states)
+        assert by_loop.masks == rg.masks
+        assert np.array_equal(by_loop._flat, rg._flat)
+        print("%22s %8d %8d %8.2fms %8.2fms" % (net.name, rg.n_states,
+                                                len(rg.edges), t_sort * 1e3,
+                                                t_loop * 1e3))
 
     ring = ring_net(9)
     print()

@@ -36,11 +36,7 @@ from .net import (
     build_reachability_graph,
     canonical_order,
 )
-from .overstates import (
-    minimal_elements,
-    overstate_union,
-    prune_authorized,
-)
+from .overstates import overstate_union
 from .partition import (
     BadStateSpec,
     StatePartition,
@@ -98,14 +94,12 @@ __all__ = [
     "check_final_coverage",
     "deadlocks",
     "empty_controller",
-    "minimal_elements",
     "overstate_union",
     "parse_net",
     "parse_net_file",
     "parse_predicate",
     "partition_states",
     "predicate_places",
-    "prune_authorized",
     "run_pipeline",
     "select_final_cover",
     "serialize_net",

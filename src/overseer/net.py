@@ -4,39 +4,15 @@ Markings of a safe net are boolean vectors; they are stored as integer
 bitmasks (place i at bit i).  The same representation doubles as a
 partial marking ("over-state") elsewhere in the toolkit.
 
-Reachability exploration is a breadth-first search over those integer
-masks, one level at a time.  A level of at least `_VECTOR_FROM` states
-on a net whose masks fit in 64 bits is expanded with numpy array
-operations on uint64 masks; other levels take a per-state loop over
-Python ints and a dict of the known states, except a narrow tail after
-array levels, which stays on the array step while the dict's backlog
-outweighs what the array step has spent on narrow levels.  Every level
-of a wider net takes the loop.  There are two array steps, chosen once,
-at the first array level.  A net whose places split into two or more
-components that share no transition (`place_components`) takes the
-product step when each component, explored alone, fires safely and the
-product of their state counts is within the budget: a state is coded
-by the mixed radix of its components' local ranks, and a dense
-code -> id array numbers the successors, with no sort.  Any other net
-takes the sort step, which groups a level's successors with one sort of
-(successor, pair index) keys packed in a uint64 when they fit, and with
-an argsort when they do not, and keeps the known states as a sorted
-array: each array level merges the states it finds by one stable sort.
-Either step takes in the states loop levels found at the start of the
-next array level, and every step numbers states and edges the same
-way.  The loop's dict takes the states the array step found only
-when a loop level follows them, so a search that stays wide, or whose
-narrow tail is short, never fills it.  The reachability graph keeps
-what the search produces as flat data: one int mask per state and the
-edges as (source, transition, target) arrays grouped by source (CSR
-offsets), all in one intp buffer.  The product step knows the graph's
-size when it is built, so it allocates that buffer then and writes
-each level into it as the level is made; the loop's chunks are copied
-in.  The sort step learns the edge count only when the search ends, so
-its levels and the loop's chunks are kept and concatenated then, and
-its graph is held twice for that moment.  The pipeline passes int
-masks from stage to stage; `Marking` is only the type of a net's
-initial marking and of explicit forbidden states.
+`_explore` builds the reachability graph breadth first, one level at a
+time: a per-state loop takes narrow levels and every level of a net
+whose masks do not fit in 64 bits, and an array step takes wide levels,
+`_ProductStep` on a net that splits into independent components and
+`_LevelStep` on any other; their docstrings give the mechanics.  The
+graph is flat data, one int mask per state and CSR edges in one intp
+buffer (`ReachabilityGraph`).  The pipeline passes int masks from
+stage to stage; `Marking` is only the type of a net's initial marking
+and of explicit forbidden states.
 """
 
 from __future__ import annotations
@@ -338,7 +314,7 @@ class ReachabilityGraph:
 # and 0.12 ms from 32 up or with the loop alone; two_machines x3 took
 # 1.11-1.26 ms vectorizing from 16, 32 or 48 states, 1.24-1.43 ms from
 # 64, 1.40-1.60 ms from 128, 2.35-2.71 ms from 256 and 3.2-3.4 ms with
-# the loop alone.  The crossing is where it was before that merge.
+# the loop alone.
 _VECTOR_FROM = 64
 
 # `_ProductStep.ids` holds this at the codes of states not yet found.
@@ -616,10 +592,10 @@ def _explore(pre_masks, post_masks, m0, budget):
     graph's buffer level by level, and the loop's chunks are copied into
     it, each at the next array level or at the end; with the sort step,
     whose edge count is unknown until the search ends, the levels and
-    chunks are concatenated at the end.  The loop's `seen` dict holds
-    masks[:len(seen)]: a loop level first adds, in one update, the
-    states array levels found since the loop last ran, and array levels
-    leave it alone.
+    chunks are concatenated at the end, and the graph is held twice for
+    that moment.  The loop's `seen` dict holds masks[:len(seen)]: a loop
+    level first adds, in one update, the states array levels found since
+    the loop last ran, and array levels leave it alone.
 
     A narrow level after array levels weighs that backlog,
     `hi - len(seen)`, against a debt: each narrow level the array step

@@ -15,8 +15,6 @@ transversal, and Berge's step leaves the family as it is for one.  When
 the masks fit in 64 bits and there are many border x authorized pairs,
 numpy first cuts each hypergraph to its inclusion-minimal edges, for a
 block of border states at a time; otherwise Berge takes every edge.
-`over_states`, which lists every sub-support, remains as the reference
-the tests compare against.
 
 A net made of disjoint parts is solved one part at a time when its
 authorized set A is the product of its projections A_c onto the parts
@@ -32,23 +30,13 @@ search of the whole.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import prod
 
 import numpy as np
 
 from .cover import row_bits
 from .errors import StateBudgetExceeded
-from .net import DEFAULT_STATE_BUDGET, canonical_order, support
-
-
-def over_states(m: int) -> list[int]:
-    """All 2^n - 1 nonempty sub-supports of m, smallest first.  Exponential
-    in the support; the reference enumeration for tests."""
-    places = support(m)
-    return [sum(1 << p for p in combo)
-            for size in range(1, len(places) + 1)
-            for combo in combinations(places, size)]
+from .net import DEFAULT_STATE_BUDGET, canonical_order
 
 
 def minimal_transversals(edges, budget: int = DEFAULT_STATE_BUDGET

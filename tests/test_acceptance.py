@@ -21,12 +21,10 @@ from overseer import (
     build_constraint_matrix,
     build_reachability_graph,
     check_final_coverage,
-    minimal_elements,
     overstate_union,
     parse_net,
     parse_net_file,
     partition_states,
-    prune_authorized,
     run_pipeline,
     select_final_cover,
     serialize_net,
@@ -36,12 +34,13 @@ from overseer import (
 from overseer.cli import main as cli_main
 from overseer.errors import ForbiddenInitialMarking, StageFailure
 from overseer.net import bit_rows, support
-from overseer.overstates import over_states
+from overseer.pipeline import minimal_elements, prune_authorized
 
 from closed_loop_reference import authorized_reachable
 from conftest import FAILURE_DIR
 from cover_reference import minimum_selection, reference_greedy, search_runs
 from netgen import random_spec, safe_net
+from overstate_reference import antichain, clear_of, reference_overstates
 
 EXPECTED_AUTHORIZED = {"P1P3P6", "P2P3P6", "P1P3P7", "P1P4P7", "P1P5P7"}
 EXPECTED_BORDER = {"P1P4P6", "P2P4P6", "P2P3P7", "P2P4P7", "P2P5P7"}
@@ -112,15 +111,6 @@ def _names(net, rg, ids):
     return {net.format_mask(rg.masks[s]) for s in ids}
 
 
-def _reference_overstates(border, authorized):
-    """The enumerating reference: every nonempty sub-support of every
-    border state, deduplicated; those no authorized state covers; and
-    their minimal elements."""
-    candidates = list(dict.fromkeys(b for m in border for b in over_states(m)))
-    pruned = prune_authorized(candidates, authorized)
-    return candidates, pruned, minimal_elements(pruned)
-
-
 def test_criterion_1_partition(two_machines_path):
     with _criterion("criterion 1 (reachability and partition)"):
         doc, rg, partition = _example(two_machines_path)
@@ -138,8 +128,7 @@ def test_criterion_2_over_states(two_machines_path):
         net = doc.net
         border = rg.masks_of(partition.m_b)
         authorized = rg.masks_of(partition.m_a)
-        candidates, pruned, minimal = _reference_overstates(border,
-                                                            authorized)
+        candidates, pruned, minimal = reference_overstates(border, authorized)
         # independent recount: all nonempty sub-supports of the border
         expected = set()
         for m in border:
@@ -162,7 +151,7 @@ def test_criterion_3_cover_table(two_machines_path):
         net = doc.net
         border = rg.masks_of(partition.m_b)
         authorized = rg.masks_of(partition.m_a)
-        _, _, minimal = _reference_overstates(border, authorized)
+        _, _, minimal = reference_overstates(border, authorized)
         assert overstate_union(border, authorized) == minimal
         table = build_cover_table(minimal, border)
         assert len(table.rows) == 4
@@ -222,14 +211,24 @@ def _check_generated_net(net, rg, spec, stats):
         assert closed.invariant_ok
         return
 
-    _, _, minimal = _reference_overstates(border, authorized)
+    _, _, minimal = reference_overstates(border, authorized)
     union = overstate_union(border, authorized)
     assert union == minimal, \
         "transversal engine and enumerating reference disagree"
-    # the pipeline's pruning and antichain keep every candidate
-    assert minimal_elements(union) == union \
-        == prune_authorized(union, authorized), \
+    # the call the pipeline makes, one connected component at a time
+    # where the authorized set factors
+    by_part = overstate_union(border, authorized, blocks=net.components)
+    assert by_part == minimal, \
+        "per-component engine and enumerating reference disagree"
+    # by the reference's own scans its list is an antichain that no
+    # authorized state covers, so the pipeline's pruning and antichain
+    # keep every candidate
+    assert antichain(by_part) == by_part \
+        == clear_of(by_part, authorized), \
         "the over-state union is not an antichain clear of R"
+    assert minimal_elements(by_part) == by_part \
+        == prune_authorized(by_part, authorized), \
+        "the pipeline's guard drops an over-state"
 
     # (a) constraint semantics == covering semantics, exhaustively
     every = bit_rows(range(1 << net.n_places), net.n_places)
