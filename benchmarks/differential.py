@@ -3,10 +3,13 @@
 Runs `overseer.cli.main` in-process on the first N nets of the pipeline
 benchmark's random pool (stream seed 0), on a malformed copy of each of
 them, on k copies of two_machines for k = 2..K, on 4, 7 and 8 token
-rings, on the bundled two_machines and drop_job nets, and on 2 and 3
+rings, on the bundled two_machines and drop_job nets, on 2 and 3
 copies of drop_job, whose uncoverable border states the over-state
 stage meets one copy at a time (exit 4, or exact rows under
---fallback).  A malformed copy has one word or character dropped,
+--fallback), and on three nets that reach refuses at a level wide
+enough for the array steps: 8 token rings and their one-component
+twin under --state-budget 1000, and a fork that fires unsafely on a
+level of 70 states.  A malformed copy has one word or character dropped,
 replaced or added, drawn with the net's pool index as the seed, so that
 most of them stop in the parser and the hashes cover its messages,
 lines and columns.
@@ -46,7 +49,9 @@ import overseer.cli  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 from netgen import copies  # noqa: E402
-from overseer import parse_net, serialize_net  # noqa: E402
+from overseer import PetriNet, parse_net, serialize_net  # noqa: E402
+from overseer.net import support  # noqa: E402
+from reach_bench import coupled, fork_counter_net, ring_net  # noqa: E402
 
 NETS = ROOT / "src" / "overseer" / "nets"
 MODES = {"plain": [], "fallback": ["--fallback"]}
@@ -60,6 +65,7 @@ DRAWS = ["{", "}", ";", "$", '"', "#", "\u00e9", "1", "\x0c", "\n", "in",
 FILES = ["report.txt", "report.json", "rg.dot", "closed.dot", "out.pnet"]
 ARGV = ["net.pnet", "--report", "report.txt", "--dot-rg", "rg.dot",
         "--dot-controlled", "closed.dot", "--out", "out.pnet"]
+BUDGET = ["--state-budget", "1000"]
 
 
 def malformed(text, seed):
@@ -73,26 +79,45 @@ def malformed(text, seed):
     return "".join(pieces)
 
 
+def unsafe_fork():
+    """fork_counter_net(8, 1) with one more transition, which takes the
+    tokens of the first four switches set and puts one into the fifth
+    switch's unset place.  It is first enabled on BFS level 4, of 70
+    states, where that place is still marked: an unsafe firing."""
+    fork = fork_counter_net(8, 1)
+    return PetriNet("fork8_unsafe", fork.places,
+                    (*fork.transitions, "spill"), (*fork.controllable, True),
+                    [support(m) for m in fork.pre_masks] + [[8, 9, 10, 11]],
+                    [support(m) for m in fork.post_masks] + [[4]], fork.m0)
+
+
 def nets(pool, max_k):
-    """(name, .pnet text) of every input, in run order."""
+    """(name, .pnet text, flags added to each run) of every input, in run
+    order."""
     cases = run.random_pool(run.RANDOM_POOL_SEED, pool)
     for i, case in enumerate(cases):
-        yield "random-%d" % i, case.text
+        yield "random-%d" % i, case.text, []
     for i, case in enumerate(cases):
-        yield "malformed-%d" % i, malformed(case.text, i)
+        yield "malformed-%d" % i, malformed(case.text, i), []
     for k in range(2, max_k + 1):
-        yield "machines-%d" % k, workloads.machines(k, random.Random(k))
+        yield "machines-%d" % k, workloads.machines(k, random.Random(k)), []
     # no level of ring_net(4) reaches `_VECTOR_FROM` states; ring_net(7)
     # takes two of its three narrow tail levels on the array step and
     # hands the last to the loop, and ring_net(8) takes all three there
     for k in (4, 7, 8):
-        yield "rings-%d" % k, workloads.rings(k, random.Random(k))
+        yield "rings-%d" % k, workloads.rings(k, random.Random(k)), []
     for name in ("two_machines", "drop_job"):
-        yield name, (NETS / (name + ".pnet")).read_text(encoding="utf-8")
+        yield name, (NETS / (name + ".pnet")).read_text(encoding="utf-8"), []
     drop_job = parse_net((NETS / "drop_job.pnet").read_text(encoding="utf-8"))
     for k in (2, 3):
         doc = copies(drop_job, k)
-        yield "drop_job-%d" % k, serialize_net(doc.net, doc.spec)
+        yield "drop_job-%d" % k, serialize_net(doc.net, doc.spec), []
+    # the 3^8 ring states pass the budget on the level of states 423 to
+    # 927, which finds 784; the rings get no product step under it
+    yield "rings-8-budget", serialize_net(ring_net(8)), BUDGET
+    yield "rings-8-coupled-budget", serialize_net(coupled(ring_net(8))), \
+        BUDGET
+    yield "fork-unsafe", serialize_net(unsafe_fork()), []
 
 
 def without_timings(text):
@@ -145,10 +170,11 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for name, text in nets(args.pool, args.max_k):
+            for name, text, extra in nets(args.pool, args.max_k):
                 Path("net.pnet").write_text(text, encoding="utf-8")
                 for mode, flags in MODES.items():
-                    hashes["%s %s" % (name, mode)], rc = run_hash(flags)
+                    hashes["%s %s" % (name, mode)], rc = run_hash(
+                        flags + extra)
                     codes[mode, rc] += 1
         finally:
             os.chdir(home)

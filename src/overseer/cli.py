@@ -125,18 +125,12 @@ def main(argv=None) -> int:
             result.rg, result.controller, result.closed)))
     if args.out:
         try:
-            controlled = assemble_controlled_net(doc.net, result.controller)
-        except NonBinaryController:
-            _warn("controller needs weighted arcs; %s not written"
-                  % args.out)
+            controlled = assemble_controlled_net(doc.net, result.controller,
+                                                 result.closed)
+        except NonBinaryController as exc:
+            _warn("%s; %s not written" % (exc, args.out))
         else:
-            if max(result.closed.max_control_marking, default=0) > 1:
-                _warn("a control place holds more than one token in the "
-                      "closed loop, so the controlled net is not safe; %s "
-                      "not written" % args.out)
-            else:
-                outputs.append((args.out,
-                                lambda: [serialize_net(controlled)]))
+            outputs.append((args.out, lambda: [serialize_net(controlled)]))
     for path, render in outputs:
         try:
             with open(path, "w", encoding="utf-8") as f:

@@ -16,11 +16,13 @@ rows, a bounded search over the rows left after the essential ones
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
+from .errors import OverseerWarning
 from .net import bit_rows, canonical_key, support
 
 
@@ -116,8 +118,9 @@ def select_final_cover(table: CoverTable) -> CoverTable:
     columns; ties go to the smallest, then first-in-support-order
     over-state.  When greedy adds two or more rows, the first smaller
     set of rows, by size then canonical order, that covers what the
-    essential rows leave open takes their place.  The search is skipped
-    when it would try more than `_SEARCH_SUBSETS` subsets.
+    essential rows leave open takes their place.  The search is skipped,
+    with an OverseerWarning, when it would try more than
+    `_SEARCH_SUBSETS` subsets.
     """
     bits = table.bits
     # the essential rows, in the order of their first essential column;
@@ -159,7 +162,13 @@ def select_final_cover(table: CoverTable) -> CoverTable:
     core = sorted((i for i, b in enumerate(bits) if b & open_cols),
                   key=keys.__getitem__)
     sizes = range(1, len(picks) - n_essential)
-    if sum(math.comb(len(core), s) for s in sizes) <= _SEARCH_SUBSETS:
+    subsets = sum(math.comb(len(core), s) for s in sizes)
+    if subsets > _SEARCH_SUBSETS:
+        warnings.warn("the search for a smaller cover would try %d subsets, "
+                      "more than %d; greedy's %d rows are kept and may not "
+                      "be a minimum cover" % (subsets, _SEARCH_SUBSETS,
+                                              len(picks)), OverseerWarning)
+    else:
         for combo in (c for s in sizes for c in combinations(core, s)):
             union = 0
             for i in combo:

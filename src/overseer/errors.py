@@ -79,9 +79,10 @@ class UncoverableState(OverseerError):
 
 
 class NonBinaryController(OverseerError):
-    """The controller needs arc weights or markings beyond 0/1 and cannot
-    be materialized as a safe net (verification still runs, on the
-    plant's state graph)."""
+    """The controller cannot be materialized as a safe net: it needs arc
+    weights or markings beyond 0/1, or a control place holds two or more
+    tokens in the closed loop (verification still runs, on the plant's
+    state graph)."""
 
 
 class OverseerWarning(UserWarning):

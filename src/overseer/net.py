@@ -337,7 +337,10 @@ class _LevelStep:
     States the loop found merge in at the start of the next level this
     step expands.  Each merge lays the known keys and the new ones end to
     end and orders them with one stable argsort, which merges two sorted
-    runs in linear time."""
+    runs in linear time.  It never raises: a level `expand` declines,
+    `_explore` has the per-state loop redo."""
+
+    graph = None  # the edge count is unknown until the search ends
 
     def __init__(self, pre_masks, post_masks, width):
         self.pre = np.array(pre_masks, dtype=np.uint64)
@@ -358,12 +361,13 @@ class _LevelStep:
         self.keys = keys[order]
         self.ids = np.concatenate((self.ids, add_ids))[order]
 
-    def expand(self, masks, lo, hi, e0, budget):
+    def expand(self, masks, lo, hi, e0):
         """The edges leaving states [lo, hi) in (state, transition) order,
         and the masks of the states they discover in order of first
         appearance, numbered from hi.  Returns ((src, tr, dst, offsets),
         new); `offsets` are the edge offsets after each state, counted
-        from e0.  Raises what the per-state loop would raise first."""
+        from e0.  Returns None, before it numbers any state, when a state
+        of the level fires unsafely."""
         merged = len(self.keys)  # masks[:merged] are in keys
         frontier = self.frontier
         if merged < hi:
@@ -376,6 +380,8 @@ class _LevelStep:
         pairs = np.flatnonzero(enabled)
         rows, tr = divmod(pairs, len(self.pre))
         m = frontier[rows]
+        if (m & self.gain[tr]).any():
+            return None  # an unsafe firing: the loop redoes the level
         succ = (m ^ self.pre[tr]) | self.post[tr]
         # group equal successors: sorted queries make the lookup fast, and
         # a group's least pair index is where its state first appears
@@ -405,19 +411,6 @@ class _LevelStep:
         dst = np.empty(len(succ), dtype=np.intp)
         dst[order] = target_ids[np.cumsum(head) - 1]
 
-        # the per-state loop stops at the first unsafe firing, or at the
-        # first new state numbered `budget` or above, whichever comes
-        # first in (state, transition) order
-        unsafe = np.flatnonzero(m & self.gain[tr])
-        over = max(budget - hi, 0)
-        overflow = first[by_first[over]] if len(unseen) > over else None
-        if len(unsafe) and (overflow is None or unsafe[0] <= overflow):
-            raise SafenessViolation(
-                "firing transition %d at state %d yields two tokens in "
-                "one place" % (tr[unsafe[0]], lo + rows[unsafe[0]])
-            )
-        if overflow is not None:
-            raise StateBudgetExceeded("state budget %d exhausted" % budget)
         offsets = e0 + np.cumsum(np.bincount(rows, minlength=len(frontier)))
         self.frontier = targets[by_first]
         if len(unseen):
@@ -448,10 +441,10 @@ class _ProductStep:
 
     `of` builds the step only when each component explores cleanly and
     the product of their state counts is within the budget, so every
-    state exists and `expand` never raises.  The net's state and edge
-    counts follow from the components' (`size`), so the step allocates
-    the graph's buffer (`flat`) when it is built, and `expand` writes
-    each level into it."""
+    state exists and `expand` never raises nor declines a level.  The
+    net's state and edge counts follow from the components' (`size`), so
+    the step allocates the graph's buffer (`flat`) when it is built, and
+    `expand` writes each level into it."""
 
     def __init__(self, parts, columns, pre_masks, post_masks, graphs):
         counts = [len(masks) for masks, _ in graphs]
@@ -520,10 +513,10 @@ class _ProductStep:
                          for part, rank in zip(self.parts, self.rank)],
                         dtype=np.intp)
 
-    def expand(self, masks, lo, hi, e0, budget):
+    def expand(self, masks, lo, hi, e0):
         """As `_LevelStep.expand`, which it numbers states and edges
         exactly as, but writes the level's src, tr, dst and offsets into
-        their slices of `graph` and returns those; never raises."""
+        their slices of `graph` and returns those; never declines."""
         known, local, codes, frontier = (self.known, self.local, self.codes,
                                          self.masks)
         ids = self.ids
@@ -587,13 +580,14 @@ def _explore(pre_masks, post_masks, m0, budget):
     states and edges exactly as expanding them one by one does, so each
     level takes whichever step is faster at its width.  The first array
     level picks the array step: `_ProductStep` when the net splits into
-    components it can take, else `_LevelStep`, which also raises the
-    errors the product step leaves to it.  The product step fills the
-    graph's buffer level by level, and the loop's chunks are copied into
-    it, each at the next array level or at the end; with the sort step,
-    whose edge count is unknown until the search ends, the levels and
-    chunks are concatenated at the end, and the graph is held twice for
-    that moment.  The loop's `seen` dict holds masks[:len(seen)]: a loop
+    components it can take, else `_LevelStep`.  Neither raises: a level
+    the step declines (an unsafe firing), or whose new states pass the
+    budget, the per-state loop redoes and raises what it meets first.
+    The product step fills the graph's buffer level by level, and the
+    loop's chunks are copied into it, each at the next array level or at
+    the end; with the sort step, whose edge count is unknown until the
+    search ends, the levels and chunks are concatenated at the end, and
+    the graph is held twice for that moment.  The loop's `seen` dict holds masks[:len(seen)]: a loop
     level first adds, in one update, the states array levels found since
     the loop last ran, and array levels leave it alone.
 
@@ -644,56 +638,57 @@ def _explore(pre_masks, post_masks, m0, budget):
     while lo < len(masks):
         hi = len(masks)
         narrow = hi - lo < _VECTOR_FROM
-        if width > 64 or narrow and hi - len(seen) <= debt:
-            if len(seen) < hi:
-                # the states the array step found since the loop last ran
-                seen.update(zip(masks[len(seen):], range(len(seen), hi)))
-                debt = 0
-            for sid in range(lo, hi):
-                m = masks[sid]
-                free = ~m
-                n0 = len(dst)
-                for t, pre, post, gain in moves:
-                    if pre & free:
-                        continue
-                    if gain & m:
-                        raise SafenessViolation(
-                            "firing transition %d at state %d yields two "
-                            "tokens in one place" % (t, sid)
-                        )
-                    m2 = (m ^ pre) | post
-                    nid = seen.get(m2)
-                    if nid is None:
-                        nid = len(masks)
-                        if nid >= budget:
-                            raise StateBudgetExceeded(
-                                "state budget %d exhausted" % budget
-                            )
-                        seen[m2] = nid
-                        masks.append(m2)
-                    tr.append(t)
-                    dst.append(nid)
-                src += [sid] * (len(dst) - n0)
-                offsets.append(e0 + len(dst))
-        else:
+        if width <= 64 and (not narrow or hi - len(seen) > debt):
             if step is None:
-                step = _ProductStep.of(pre_masks, post_masks, m0, width,
-                                       budget)
-                if step is None:
-                    step = _LevelStep(pre_masks, post_masks, width)
-                else:
-                    graph = step.graph
+                step = (_ProductStep.of(pre_masks, post_masks, m0, width,
+                                        budget)
+                        or _LevelStep(pre_masks, post_masks, width))
+                graph = step.graph
             if offsets:
                 finish((src, tr, dst, offsets))
                 src, tr, dst, offsets = [], [], [], []
             if narrow:
                 debt += _VECTOR_FROM * len(moves)
-            chunk, new = step.expand(masks, lo, hi, e0, budget)
-            if graph is None:
-                finish(chunk)
-            else:
-                e0 += len(chunk[2])  # written in place
-            masks += new
+            level = step.expand(masks, lo, hi, e0)
+            if level is not None and hi + len(level[1]) <= budget:
+                chunk, new = level
+                if graph is None:
+                    finish(chunk)
+                else:
+                    e0 += len(chunk[2])  # written in place
+                masks += new
+                lo = hi
+                continue
+            # an unsafe firing or a state past the budget: the loop redoes
+            # the level and raises what it meets first
+        if len(seen) < hi:
+            # the states the array step found since the loop last ran
+            seen.update(zip(masks[len(seen):], range(len(seen), hi)))
+            debt = 0
+        for sid in range(lo, hi):
+            m = masks[sid]
+            free = ~m
+            n0 = len(dst)
+            for t, pre, post, gain in moves:
+                if pre & free:
+                    continue
+                if gain & m:
+                    raise SafenessViolation("firing transition %d at state "
+                                            "%d yields two tokens in one "
+                                            "place" % (t, sid))
+                m2 = (m ^ pre) | post
+                nid = seen.get(m2)
+                if nid is None:
+                    nid = len(masks)
+                    if nid >= budget:
+                        raise StateBudgetExceeded("state budget %d "
+                                                  "exhausted" % budget)
+                    seen[m2] = nid
+                    masks.append(m2)
+                tr.append(t)
+                dst.append(nid)
+            src += [sid] * (len(dst) - n0)
+            offsets.append(e0 + len(dst))
         lo = hi
 
     # the loop's last chunk, empty when the array step took the last level

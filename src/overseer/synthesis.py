@@ -145,22 +145,21 @@ def synthesize(net: PetriNet, weights, bounds) -> Controller:
     )
 
 
-def assemble_controlled_net(net: PetriNet, controller: Controller) -> PetriNet:
-    """Plant net extended with the control places.
-
-    Only possible when the controller is binary (0/1 arcs and initial
-    marking); the verification below has no such limit.  The result is
-    a safe net only when no control place holds more than one token
-    over the closed loop (`ClosedLoopReport.max_control_marking`),
-    which the CLI checks before it writes `--out`.
+def assemble_controlled_net(net: PetriNet, controller: Controller,
+                            closed: ClosedLoopReport) -> PetriNet:
+    """Plant net extended with the control places, as a safe net: raises
+    NonBinaryController when the controller is not binary (0/1 arcs and
+    initial marking) or a control place holds two or more tokens over
+    the closed loop `closed`.  The verification below has neither limit.
     """
     if controller.k == 0:
         return net
     if not controller.is_binary():
+        raise NonBinaryController("controller needs weighted arcs")
+    if max(closed.max_control_marking) > 1:
         raise NonBinaryController(
-            "controller needs arc weights or initial markings beyond 0/1 "
-            "and cannot be expressed as a safe net"
-        )
+            "a control place holds more than one token in the closed "
+            "loop, so the controlled net is not safe")
     n = net.n_places
     places = net.places + controller.place_names
 

@@ -2,7 +2,10 @@
 
 import random
 
+import pytest
+
 from overseer import (
+    OverseerWarning,
     build_cover_table,
     check_final_coverage,
     select_final_cover,
@@ -104,10 +107,16 @@ def test_exact_mode_finds_minimum(monkeypatch):
     assert [support(m) for m in t.selected_rows()] == [(3,), (5,)]
     assert check_final_coverage(t)
     assert t.final_counts() == [1, 1, 1, 1]
-    # sizes 1 and 2 of the 5 open rows: 5 + 10 subsets to try
-    for bound, picks in ((15, [1, 3]), (14, [0, 1, 3])):
-        monkeypatch.setattr(cover, "_SEARCH_SUBSETS", bound)
-        assert select_final_cover(_table(rows, cols)).picks == picks
+    # sizes 1 and 2 of the 5 open rows: 5 + 10 subsets to try; a bound
+    # below that skips the search, and says so
+    monkeypatch.setattr(cover, "_SEARCH_SUBSETS", 15)
+    assert select_final_cover(_table(rows, cols)).picks == [1, 3]
+    monkeypatch.setattr(cover, "_SEARCH_SUBSETS", 14)
+    with pytest.warns(OverseerWarning, match=(
+            "^the search for a smaller cover would try 15 subsets, more "
+            "than 14; greedy's 3 rows are kept and may not be a minimum "
+            "cover$")):
+        assert select_final_cover(_table(rows, cols)).picks == [0, 1, 3]
 
 
 def test_empty_table_is_trivially_covered():

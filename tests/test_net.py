@@ -335,6 +335,48 @@ def test_level_steps_match_oracle(monkeypatch, vector_from):
     assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
 
 
+def test_loop_raises_what_the_sort_step_declines(monkeypatch):
+    """The sort step raises nothing: it declines a level with an unsafe
+    firing, and `_explore` refuses a level whose new states pass the
+    budget.  The per-state loop redoes either level and raises what it
+    meets first, as it does alone."""
+    levels = []
+    expand = overseer.net._LevelStep.expand
+
+    def spy(self, masks, lo, hi, *args):
+        level = expand(self, masks, lo, hi, *args)
+        levels.append((lo, hi, level and len(level[1])))
+        return level
+
+    def loop_outcome(net, budget):
+        with monkeypatch.context() as m:
+            m.setattr(overseer.net, "_VECTOR_FROM", 1 << 62)
+            return _explore_outcome(net, budget)
+
+    monkeypatch.setattr(overseer.net._LevelStep, "expand", spy)
+    with monkeypatch.context() as m:
+        m.setattr(overseer.net, "_VECTOR_FROM", 0)
+        for net in _clash_nets():
+            for budget in (1, 8):
+                levels.clear()
+                assert _explore_outcome(net, budget) \
+                    == loop_outcome(net, budget)
+                # after any levels of components a product step tried
+                assert levels[-1] == (0, 1, None)
+
+    # 3^8 states are past the budget, so the net gets no product step; its
+    # level of states 423 to 927 finds 784 states, the last 711 past it
+    net = ring_net(8)
+    assert overseer.net._ProductStep.of(net.pre_masks, net.post_masks,
+                                        net.m0.mask, net.n_places,
+                                        1000) is None
+    levels.clear()
+    got = _explore_outcome(net, 1000)
+    assert got == loop_outcome(net, 1000)
+    assert got[0] is StateBudgetExceeded
+    assert levels[-2:] == [(157, 423, 504), (423, 927, 784)]
+
+
 def _spy_expand(monkeypatch):
     """The (lo, hi) of each level `_LevelStep.expand` takes, as a list
     that fills while the search runs."""

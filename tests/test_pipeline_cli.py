@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import overseer.cover
 import overseer.dotexport
 import overseer.errors
 import overseer.net
@@ -18,6 +19,7 @@ from overseer import (
     Marking,
     NetDocument,
     PetriNet,
+    assemble_controlled_net,
     build_reachability_graph,
     canonical_digest,
     parse_net,
@@ -27,6 +29,7 @@ from overseer import (
 )
 from overseer.cli import main
 from overseer.errors import (
+    NonBinaryController,
     OverseerError,
     PnetError,
     StageFailure,
@@ -805,6 +808,51 @@ def test_cli_unsafe_controlled_net_is_not_written(tmp_path, capsys):
         "the closed loop, so the controlled net is not safe; %s not "
         "written\n" % out)
     assert not out.exists()
+
+
+# a deadlock spec whose two border states each have two candidate rows:
+# greedy picks two, and the search for one row would try 4 subsets
+TWO_PICKS = """\
+net gen
+places P1 P2 P3 P4 P5 P6
+initial P2 P6
+transition t1 controllable { in P2 ; out P3 P4 }
+transition t2 controllable { in P2 P6 ; out P1 P5 }
+transition t3 uncontrollable { in P1 ; out }
+forbidden { deadlock }
+"""
+
+
+def test_cli_warns_when_the_cover_search_is_skipped(tmp_path, capsys,
+                                                    monkeypatch):
+    """A cover search past its subset bound is skipped with a warning,
+    and the report stays as it was."""
+    net = tmp_path / "gen.pnet"
+    net.write_text(TWO_PICKS)
+    assert main([str(net)]) == 0
+    searched = capsys.readouterr()
+    assert searched.err == ""
+    monkeypatch.setattr(overseer.cover, "_SEARCH_SUBSETS", 3)
+    assert main([str(net)]) == 0
+    skipped = capsys.readouterr()
+    assert skipped.err == (
+        "overseer: warning: the search for a smaller cover would try 4 "
+        "subsets, more than 3; greedy's 2 rows are kept and may not be a "
+        "minimum cover\n")
+    assert skipped.out.splitlines()[-1] == searched.out.splitlines()[-1]
+
+
+def test_unsafe_controlled_net_is_refused():
+    """A library caller gets no net whose control places gather a second
+    token: `assemble_controlled_net` refuses it, binary arcs and all."""
+    doc = parse_net(UNSAFE_OUT)
+    result = run_pipeline(doc, fallback=True)
+    assert result.controller.is_binary()
+    assert result.closed.max_control_marking == (2, 2)
+    with pytest.raises(NonBinaryController, match=(
+            "^a control place holds more than one token in the closed "
+            "loop, so the controlled net is not safe$")):
+        assemble_controlled_net(doc.net, result.controller, result.closed)
 
 
 @pytest.mark.parametrize("flags", [[], ["--fallback"]])

@@ -62,7 +62,9 @@ def test_constraint_matrix_of_no_states():
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
     assert got.place_names == want.place_names == ()
-    assert got.k == 0 and assemble_controlled_net(net, got) is net
+    rg = build_reachability_graph(net)
+    closed = verify_closed_loop(got, partition_states(rg, None), rg)
+    assert got.k == 0 and assemble_controlled_net(net, got, closed) is net
 
 
 def test_constraint_row_of_overstate():
@@ -162,7 +164,9 @@ def test_assembled_net_matches_incidence():
     net = _simple_net()
     weights, bounds = build_constraint_matrix([_m([1, 2])], 3)
     ctrl = synthesize(net, weights, bounds)
-    controlled = assemble_controlled_net(net, ctrl)
+    rg = build_reachability_graph(net)
+    closed = verify_closed_loop(ctrl, partition_states(rg, None), rg)
+    controlled = assemble_controlled_net(net, ctrl, closed)
     assert controlled.places == ("A", "B", "C", "Pc1")
     w = controlled.incidence()
     assert w[3].tolist() == ctrl.incidence[0].tolist()
@@ -182,8 +186,11 @@ def test_non_binary_controller_refused_as_net():
     weights, bounds = build_constraint_matrix([_m([0, 1])], 3)
     ctrl = synthesize(net, weights, bounds)
     assert not ctrl.is_binary()
-    with pytest.raises(NonBinaryController):
-        assemble_controlled_net(net, ctrl)
+    rg = build_reachability_graph(net)
+    closed = verify_closed_loop(ctrl, partition_states(rg, None), rg)
+    with pytest.raises(NonBinaryController,
+                       match="^controller needs weighted arcs$"):
+        assemble_controlled_net(net, ctrl, closed)
 
 
 def test_multi_token_control_place_verified_without_assembly():
