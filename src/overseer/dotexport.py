@@ -19,8 +19,12 @@ from .synthesis import ClosedLoopReport, Controller
 _NAME_BLOCK = 1 << 14
 
 
+def _escape(s: str) -> str:
+    return s.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(s: str) -> str:
-    return '"%s"' % s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"%s"' % _escape(s)
 
 
 def _digraph(net: PetriNet, title: str, node_style: str, n_states: int,
@@ -79,12 +83,15 @@ def closed_loop_to_dot(rg: ReachabilityGraph, controller: Controller,
         for name, ctrl in zip(
                 net.format_masks(rg.masks_of(report.states[lo:hi])),
                 report.control_markings[lo:hi].tolist()):
+            label = _escape(name)
             if ctrl:
-                name += "\\n%s" % " ".join(
+                # a DOT line break, then the tokens of the control
+                # places, whose generated names need no escape
+                label += "\\n%s" % " ".join(
                     "%s=%d" % (place, c)
                     for place, c in zip(controller.place_names, ctrl)
                 )
-            out.append('label="%s"' % name)
+            out.append('label="%s"' % label)
         return out
 
     return _digraph(net, net.name + "_controlled",

@@ -160,6 +160,9 @@ class PetriNet:
         for i in places:
             if not 0 <= i < len(self.places):
                 raise ValueError("place index %r out of range" % (i,))
+            if mask >> i & 1:
+                # arcs are 0/1, as in the text format
+                raise ValueError("place index %r listed twice" % (i,))
             mask |= 1 << i
         return mask
 
@@ -428,16 +431,17 @@ class _ProductStep:
     the first component, where it loops on every state.  The net's
     reachable states are then every combination of the components'
     local states, and a state's code is the mixed-radix number of its
-    components' local ranks.  For each component, `table` gives the
+    components' local ranks, component 0 least significant.  The code
+    is all the step keeps of a state: its local ranks are its digits,
+    and `mask` holds the marking of every code, the OR of its
+    components' local masks.  For each component, `table` gives the
     change each of its transitions makes to the code at each local
     state, or `off` where the transition is disabled; `ids` maps each
     code to its state's id, `_NO_ID` until the state is found.  A
     level's successors are its codes plus the enabled changes; the
     unfound ones take ids in order of their first pair, with no sort.
-    The local ranks of a level's new states are their sources' ranks
-    with the fired transition's component moved.  States the loop found
-    get their ranks through each component's mask -> rank dict at the
-    start of the next level this step expands.
+    States the loop found get their codes through each component's
+    mask -> rank dict at the start of the next level this step expands.
 
     `of` builds the step only when each component explores cleanly and
     the product of their state counts is within the budget, so every
@@ -446,20 +450,22 @@ class _ProductStep:
     the step allocates the graph's buffer (`flat`) when it is built, and
     `expand` writes each level into it."""
 
-    def __init__(self, parts, columns, pre_masks, post_masks, graphs):
-        counts = [len(masks) for masks, _ in graphs]
-        self.radix = np.cumprod([1] + counts[:-1])
-        self.off = int(self.radix[-1]) * counts[-1]  # no change is this
+    def __init__(self, parts, columns, graphs):
+        self.counts = [len(masks) for masks, _ in graphs]
+        self.radix = np.cumprod([1] + self.counts[:-1])
+        self.off = int(self.radix[-1]) * self.counts[-1]  # no change is this
         self.ids = np.full(self.off, _NO_ID, dtype=np.intp)
         self.parts = parts
         self.rank = [{m: r for r, m in enumerate(masks)}
                      for masks, _ in graphs]
         self.columns = columns  # each component's transitions
-        self.owner = np.zeros(len(pre_masks), dtype=np.intp)
+        self.transitions = sum(map(len, columns))
         self.table = []
+        self.mask = np.zeros(1, dtype=np.uint64)
         edges = 0
         for c, (mine, (masks, flat)) in enumerate(zip(columns, graphs)):
-            self.owner[mine] = c
+            self.mask = np.bitwise_or.outer(np.array(masks, dtype=np.uint64),
+                                            self.mask).ravel()
             e = (len(flat) - len(masks) - 1) // 3
             # each edge of the component, beside every combination of the
             # other components' states
@@ -472,12 +478,8 @@ class _ProductStep:
         self.size = (self.off, edges)
         self.flat = np.empty(3 * edges + self.off + 1, dtype=np.intp)
         self.graph = np.split(self.flat, (edges, 2 * edges, 3 * edges))
-        self.pre = np.array(pre_masks, dtype=np.uint64)
-        self.post = np.array(post_masks, dtype=np.uint64)
         self.known = 0  # masks[:known] have ids
-        # the last level's new states, in id order: their local ranks
-        # (one row per component), codes and masks
-        self.local = self.codes = self.masks = None
+        self.codes = None  # the last level's new states' codes, in id order
 
     @classmethod
     def of(cls, pre_masks, post_masks, m0, width, budget):
@@ -504,36 +506,37 @@ class _ProductStep:
                 return None
             room //= len(graph[0])
             graphs.append(graph)
-        return cls(parts, columns, pre_masks, post_masks, graphs)
+        return cls(parts, columns, graphs)
 
-    def _local(self, masks):
-        """The local ranks of a list of int masks, one row per
-        component."""
-        return np.array([[rank[m & part] for m in masks]
-                         for part, rank in zip(self.parts, self.rank)],
-                        dtype=np.intp)
+    def _codes(self, masks):
+        """The codes of a list of int masks."""
+        local = [[rank[m & part] for m in masks]
+                 for part, rank in zip(self.parts, self.rank)]
+        return self.radix @ np.array(local, dtype=np.intp)
 
     def expand(self, masks, lo, hi, e0):
         """As `_LevelStep.expand`, which it numbers states and edges
         exactly as, but writes the level's src, tr, dst and offsets into
         their slices of `graph` and returns those; never declines."""
-        known, local, codes, frontier = (self.known, self.local, self.codes,
-                                         self.masks)
-        ids = self.ids
+        known, codes, ids = self.known, self.codes, self.ids
         if known < hi:
             # the loop ran since: its states hold the frontier
-            local = self._local(masks[known:hi])
-            fresh = self.radix @ local
+            fresh = self._codes(masks[known:hi])
             ids[fresh] = np.arange(known, hi)
-            local, codes = local[:, lo - known:], fresh[lo - known:]
-            frontier = np.array(masks[lo:hi], dtype=np.uint64)
+            codes = fresh[lo - known:]
 
         # the change each transition makes to each state's code, one row
-        # per transition
-        n, t_count = len(codes), len(self.pre)
+        # per transition, read at the state's local ranks: its code's
+        # digits, taken off from component 0 up (numpy divides by one
+        # number several times faster than by an array of them)
+        n, t_count = len(codes), self.transitions
         change = np.empty((t_count, n), dtype=np.intp)
-        for columns, table, rank in zip(self.columns, self.table, local):
-            change[columns] = table.take(rank, axis=1)
+        digits = codes  # the digits of this component and those above
+        for columns, table, count in zip(self.columns, self.table,
+                                         self.counts):
+            rest = digits // count
+            change[columns] = table.take(digits - rest * count, axis=1)
+            digits = rest
         enabled = change != self.off
         pairs = np.flatnonzero(enabled.T)
         fanout = enabled.sum(axis=0)
@@ -541,8 +544,7 @@ class _ProductStep:
         src, tr, dst = (col[e0:e0 + len(pairs)] for col in self.graph[:3])
         np.add(rows, lo, out=src)
         np.subtract(pairs, rows * t_count, out=tr)
-        moves = change.ravel()[tr * n + rows]
-        succ = codes[rows] + moves
+        succ = codes[rows] + change.ravel()[tr * n + rows]
         ids.take(succ, out=dst)
         unseen = np.flatnonzero(dst == _NO_ID)
         seen_at = succ[unseen]
@@ -552,20 +554,11 @@ class _ProductStep:
         self.codes = succ[heads]
         ids[self.codes] = np.arange(hi, hi + len(heads))
         dst[unseen] = ids[seen_at]
-
-        # the new states: their sources' ranks and masks, changed where
-        # the transition fired
-        at, by = rows[heads], tr[heads]
-        moved = self.owner[by]
-        self.local = local.take(at, axis=1)
-        cells = moved * len(heads) + np.arange(len(heads))
-        self.local.ravel()[cells] += moves[heads] // self.radix[moved]
-        self.masks = (frontier[at] ^ self.pre[by]) | self.post[by]
         self.known = hi + len(heads)
         offsets = self.graph[3][lo + 1:hi + 1]
         np.cumsum(fanout, out=offsets)
         offsets += e0
-        return (src, tr, dst, offsets), self.masks.tolist()
+        return (src, tr, dst, offsets), self.mask[self.codes].tolist()
 
 
 def _explore(pre_masks, post_masks, m0, budget):
@@ -587,9 +580,11 @@ def _explore(pre_masks, post_masks, m0, budget):
     loop's chunks are copied into it, each at the next array level or at
     the end; with the sort step, whose edge count is unknown until the
     search ends, the levels and chunks are concatenated at the end, and
-    the graph is held twice for that moment.  The loop's `seen` dict holds masks[:len(seen)]: a loop
-    level first adds, in one update, the states array levels found since
-    the loop last ran, and array levels leave it alone.
+    the graph is held twice for that moment.
+
+    The loop's `seen` dict holds masks[:len(seen)]: a loop level first
+    adds, in one update, the states array levels found since the loop
+    last ran, and array levels leave it alone.
 
     A narrow level after array levels weighs that backlog,
     `hi - len(seen)`, against a debt: each narrow level the array step

@@ -381,6 +381,10 @@ def serialize_net(net: PetriNet, spec: BadStateSpec | None = None) -> str:
             if spec.expr.splitlines() != [spec.expr]:
                 raise ValueError("the text format cannot express an expr "
                                  "that spans lines: %r" % spec.expr)
+            unknown = predicate_places(spec.tree) - net.place_index.keys()
+            if unknown:
+                raise ValueError("unknown place %r in forbidden expr %r"
+                                 % (min(unknown), spec.expr))
             lines.append('  expr "%s"' % spec.expr)
         if spec.include_deadlocks:
             lines.append("  deadlock")

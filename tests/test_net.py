@@ -28,6 +28,7 @@ from netgen import copies, random_net, safe_net, side_by_side
 ROOT = Path(__file__).parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "benchmarks")]
 import oracle  # noqa: E402
+import workloads  # noqa: E402
 from reach_bench import (  # noqa: E402
     coupled,
     fork_counter_net,
@@ -53,6 +54,8 @@ def _chain_net():
      "initial marking width does not match place count"),
     ({"pre_sets": [[0]]}, "pre/post sets must match transition count"),
     ({"post_sets": [[1], [5]]}, "place index 5 out of range"),
+    ({"pre_sets": [[0, 0], [1]]}, "place index 0 listed twice"),
+    ({"post_sets": [[1], [2, 0, 2]]}, "place index 2 listed twice"),
 ])
 def test_petri_net_refuses_malformed_arguments(change, message):
     args = {"name": "chain", "places": ["A", "B", "C"],
@@ -568,6 +571,25 @@ def test_split_nets_take_the_product_step(monkeypatch, vector_from):
     # the default width only 6 to 9 rings, 3 and 4 machines, the idle
     # ring_net(9) and the arc-less ring net do
     assert product == (13 if vector_from is not None else 8)
+
+
+@pytest.mark.parametrize("vector_from", [0, None])
+def test_interleaved_components_take_the_product_step(monkeypatch,
+                                                      vector_from):
+    """7 token rings with places and transitions declared in seeded
+    order, so that each ring's places lie apart among the others': the
+    net takes the product step, whose markings OR the components' local
+    masks, and its graph equals the oracle's."""
+    if vector_from is not None:
+        monkeypatch.setattr(overseer.net, "_VECTOR_FROM", vector_from)
+    net = workloads._shuffled(ring_net(7), random.Random(3))
+    # a component's places are a run of bits iff adding its lowest bit
+    # clears them all
+    assert len(net.components) == 7
+    assert all(part & (part + (part & -part)) for part in net.components)
+    expanded = _spy_steps(monkeypatch)
+    assert _explore_outcome(net, 1 << 20) == _oracle_outcome(net, 1 << 20)
+    assert expanded and {step for step, _, _ in expanded} == {"_ProductStep"}
 
 
 def test_rejected_split_nets_raise_what_their_twins_raise(monkeypatch):

@@ -599,6 +599,26 @@ def test_cli_success_writes_artifacts(tmp_path, two_machines_path, capsys,
     assert (tmp_path / "closed2.dot").read_text() == closed_dot
 
 
+def test_closed_loop_dot_escapes_place_names():
+    """A library net may name a place with a quote or a backslash, which
+    the text format cannot: the closed-loop DOT labels escape the
+    marking as the plant's do, and keep the line break before the
+    control places' tokens."""
+    net = PetriNet("quotes", ['A"x', "B\\y", "C"], ["t1", "t2"],
+                   [True, True], [[0], [1]], [[1], [2]],
+                   Marking.from_support(3, [0]))
+    result = run_pipeline(NetDocument(net=net, spec=BadStateSpec(expr="C")))
+    closed = "".join(overseer.dotexport.closed_loop_to_dot(
+        result.rg, result.controller, result.closed))
+    labels = [line for line in closed.splitlines() if line.startswith("  s")
+              and "->" not in line]
+    assert labels == ['  s0 [label="A\\"x\\nPc1=0"];',
+                      '  s1 [label="B\\\\y\\nPc1=0"];']
+    plant = "".join(overseer.dotexport.rg_to_dot(result.rg,
+                                                 result.partition))
+    assert 'label="A\\"x"' in plant and 'label="B\\\\y"' in plant
+
+
 def test_cli_report_json_path(tmp_path, two_machines_path):
     rc = main([str(two_machines_path),
                "--report", str(tmp_path / "r.json")])

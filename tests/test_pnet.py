@@ -415,6 +415,18 @@ def test_serialize_refuses_expr_across_lines(space):
         serialize_net(net, spec)
 
 
+@pytest.mark.parametrize("expr, place", [("Z | A", "Z"),
+                                         ("!(A & (Y | X))", "X")])
+def test_serialize_refuses_expr_naming_unknown_places(expr, place):
+    # parse_net would stop at the unknown place; its least name is named
+    net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
+                   Marking.from_support(2, [0]))
+    spec = BadStateSpec(expr=expr)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(
+            "unknown place %r in forbidden expr %r" % (place, expr))):
+        serialize_net(net, spec)
+
+
 def test_serialize_refuses_empty_explicit_state():
     # `state` needs at least one place name
     net = PetriNet("n", ["A", "B"], ["t"], [True], [[0]], [[1]],
